@@ -16,7 +16,6 @@ from chartprop import (CosineDrive, GaussianDrive, Hamiltonian3, RunConfig,
                        ConstantDrive, parse_config, serialize_config)
 
 config = RunConfig(
-    system=3,
     hamiltonian=Hamiltonian3(
         h1=CosineDrive(0.2, 1.5),
         h2=ConstantDrive(-0.1),

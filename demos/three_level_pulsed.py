@@ -12,9 +12,9 @@ import numpy as np
 from chartprop import (ConstantDrive, GaussianDrive, Hamiltonian3,
                        IntegratorSettings, compare, integrate,
                        integrate_schrodinger, unitarity_errors)
-from chartprop.three_level import (chart_rhs, coords_from_states,
-                                   delta_residuals, escaped, initial_state3,
-                                   pack_state, reconstruct_batch)
+from chartprop.three_level import (STATE_SIZE, chart_rhs, coords_from_states,
+                                   delta_residuals, escaped,
+                                   reconstruct_batch)
 
 # pulse 1 couples levels 1-2, pulse 2 couples levels 2-3, slight overlap
 ham = Hamiltonian3(
@@ -28,7 +28,7 @@ ham = Hamiltonian3(
 settings = IntegratorSettings(max_step=0.1)
 times = np.linspace(0.0, 12.0, 6001)
 
-traj = integrate(chart_rhs(ham), pack_state(initial_state3()),
+traj = integrate(chart_rhs(ham), np.zeros(STATE_SIZE),
                  0.0, 12.0, settings, times, escape=escaped)
 traj.require_completed()
 

@@ -13,8 +13,8 @@ import numpy as np
 from chartprop import (ConstantDrive, CosineDrive, Hamiltonian2,
                        IntegratorSettings, compare, integrate,
                        integrate_schrodinger, unitarity_errors)
-from chartprop.two_level import (chart_rhs, escaped, initial_state2,
-                                 pack_state, reconstruct_batch)
+from chartprop.two_level import (STATE_SIZE, chart_rhs, escaped,
+                                 reconstruct_batch)
 
 # detuning 0.15, coupling amplitude 0.5 at angular frequency 1.0
 ham = Hamiltonian2(h=ConstantDrive(0.15),
@@ -23,7 +23,7 @@ ham = Hamiltonian2(h=ConstantDrive(0.15),
 settings = IntegratorSettings(max_step=0.1)
 times = np.linspace(0.0, 30.0, 301)
 
-traj = integrate(chart_rhs(ham), pack_state(initial_state2()),
+traj = integrate(chart_rhs(ham), np.zeros(STATE_SIZE),
                  0.0, 30.0, settings, times, escape=escaped)
 traj.require_completed()
 
@@ -56,7 +56,7 @@ print(f"direct integration unitarity drift:     {oracle.drift:.3e}")
 # The chart has a pole: a resonant pure coupling drives z to infinity
 # in finite time. The integrator detects this and stops cleanly.
 resonant = Hamiltonian2(h=ConstantDrive(0.0), v=ConstantDrive(1.0))
-blowup = integrate(chart_rhs(resonant), pack_state(initial_state2()),
+blowup = integrate(chart_rhs(resonant), np.zeros(STATE_SIZE),
                    0.0, 2.0, settings, np.linspace(0.0, 2.0, 21),
                    escape=escaped)
 print()

@@ -6,6 +6,7 @@ special-unitary evolution operator from them at any sample time, and
 ships a direct matrix integrator as an independent cross-check.
 """
 
+from . import three_level, two_level
 from .drives import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                      Hamiltonian2, Hamiltonian3, HamiltonianSample3,
                      PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
@@ -15,31 +16,21 @@ from .integrate import (ChartSingularityError, ConvergenceScenario,
                         NonFiniteDerivativeError, StepLimitError, Trajectory,
                         convergence_probe, integrate)
 from .matrices import (HermitianTraceless, MatrixInvariantError,
-                       UnitaryMatrix, adjoint, frobenius_distance,
-                       frobenius_norm, hermitian_expm, multiply)
+                       UnitaryMatrix, hermitian_expm)
 from .reference import (ComparisonReport, OracleTrajectory, compare,
                         exact_constant_unitaries, integrate_schrodinger,
                         schrodinger_residuals, unitarity_errors)
-from .three_level import (ChartDerivative3, ChartState3, delta1, delta2,
-                          initial_state3, log_delta_rates, reconstruct_u3,
-                          rhs3)
-from .two_level import (ChartDerivative2, ChartState2, initial_state2,
-                        reconstruct_u2, rhs2)
 
 __all__ = [
-    "ChartDerivative2", "ChartDerivative3", "ChartSingularityError",
-    "ChartState2", "ChartState3", "ComparisonReport", "ConfigError",
+    "ChartSingularityError", "ComparisonReport", "ConfigError",
     "ConstantDrive", "ConvergenceScenario", "CosineDrive", "GaussianDrive",
     "Hamiltonian2", "Hamiltonian3", "HamiltonianSample3",
     "HermitianTraceless", "IntegrationError", "IntegratorSettings",
     "MatrixInvariantError", "NonFiniteDerivativeError", "OracleTrajectory",
     "PiecewiseDrive", "RunConfig", "StepLimitError", "SumDrive", "Trajectory",
-    "UnitaryMatrix", "adjoint", "compare", "config_to_dict",
-    "convergence_probe", "delta1", "delta2", "drive_from_spec",
-    "exact_constant_unitaries", "frobenius_distance", "frobenius_norm",
-    "hermitian_expm",
-    "initial_state2", "initial_state3", "integrate", "integrate_schrodinger",
-    "log_delta_rates", "multiply", "parse_config", "reconstruct_u2",
-    "reconstruct_u3", "rhs2", "rhs3", "schrodinger_residuals",
-    "serialize_config", "unitarity_errors",
+    "UnitaryMatrix", "compare", "config_to_dict", "convergence_probe",
+    "drive_from_spec", "exact_constant_unitaries", "hermitian_expm",
+    "integrate", "integrate_schrodinger", "parse_config",
+    "schrodinger_residuals", "serialize_config", "three_level", "two_level",
+    "unitarity_errors",
 ]

@@ -76,57 +76,35 @@ class RunReport:
                 for k in keys if getattr(self, k) is not None]
 
 
-def _chart_module(system):
-    return two_level if system == 2 else three_level
-
-
-def _initial_vector(system):
-    if system == 2:
-        return two_level.pack_state(two_level.initial_state2())
-    return three_level.pack_state(three_level.initial_state3())
-
-
-_U_COLUMNS = {
-    2: [f"u{i}{j}_{p}" for i in (1, 2) for j in (1, 2) for p in ("re", "im")],
-    3: [f"u{i}{j}_{p}" for i in (1, 2, 3) for j in (1, 2, 3) for p in ("re", "im")],
-}
+# The one place a chart is chosen; both modules expose the same interface.
+_CHARTS = {2: two_level, 3: three_level}
 
 
 def trajectory_table(trajectory, unitaries, ham) -> tuple:
-    """Column names and a (samples x columns) float matrix for emission."""
+    """Column names and a (samples x columns) float matrix for emission.
+
+    Columns: t, the chart coordinates, U entries as re/im pairs in
+    row-major order, then the residuals (Schrodinger first, then the
+    chart's own).
+    """
     times = trajectory.times
-    states = trajectory.states
-    system = ham.dim
+    dim = ham.dim
+    chart = _CHARTS[dim]
+    residuals = {"schrodinger": schrodinger_residuals(times, unitaries, ham)}
+    residuals.update(chart.extra_residuals(times, trajectory.states, ham))
 
-    columns = ["t"]
-    blocks = [times[:, None]]
-    if system == 2:
-        z, phi = two_level.coords_from_states(states)
-        columns += ["re_z", "im_z", "phi"]
-        blocks.append(np.column_stack([z.real, z.imag, phi]))
-    else:
-        x, y, z, phi1, phi2 = three_level.coords_from_states(states)
-        columns += ["re_x", "im_x", "re_y", "im_y", "re_z", "im_z",
-                    "phi1", "phi2", "phi3"]
-        blocks.append(np.column_stack([x.real, x.imag, y.real, y.imag,
-                                       z.real, z.imag, phi1, phi2,
-                                       -(phi1 + phi2)]))
-
-    columns += _U_COLUMNS[system]
-    flat = unitaries.reshape(len(times), system * system)
-    interleaved = np.empty((len(times), 2 * system * system))
+    flat = unitaries.reshape(len(times), dim * dim)
+    interleaved = np.empty((len(times), 2 * dim * dim))
     interleaved[:, 0::2] = flat.real
     interleaved[:, 1::2] = flat.imag
-    blocks.append(interleaved)
 
-    columns.append("residual_schrodinger")
-    blocks.append(schrodinger_residuals(times, unitaries, ham)[:, None])
-    if system == 3:
-        d1_res, d2_res = three_level.delta_residuals(times, states, ham)
-        columns += ["residual_delta1", "residual_delta2"]
-        blocks.append(np.column_stack([d1_res, d2_res]))
-
-    return columns, np.hstack(blocks)
+    columns = (["t", *chart.COORD_COLUMNS]
+               + [f"u{i}{j}_{p}" for i in range(1, dim + 1)
+                  for j in range(1, dim + 1) for p in ("re", "im")]
+               + [f"residual_{name}" for name in residuals])
+    table = np.hstack([times[:, None], chart.coord_block(trajectory.states),
+                       interleaved, np.column_stack(list(residuals.values()))])
+    return columns, table
 
 
 def _csv_text(columns, table) -> str:
@@ -155,14 +133,20 @@ def _json_text(columns, table, config, settings, trajectory) -> str:
     return json.dumps({"header": header, "samples": samples}, indent=1) + "\n"
 
 
-def emit_trajectory(trajectory, unitaries, config, settings, output_format,
-                    stream) -> None:
-    """Write the sampled trajectory (complete or partial) to a stream."""
-    columns, table = trajectory_table(trajectory, unitaries, config.hamiltonian)
+def _write_table(columns, table, trajectory, config, settings,
+                 output_format, stream) -> None:
     if output_format == "csv":
         stream.write(_csv_text(columns, table))
     else:
         stream.write(_json_text(columns, table, config, settings, trajectory))
+
+
+def emit_trajectory(trajectory, unitaries, config, settings, output_format,
+                    stream) -> None:
+    """Write the sampled trajectory (complete or partial) to a stream."""
+    columns, table = trajectory_table(trajectory, unitaries, config.hamiltonian)
+    _write_table(columns, table, trajectory, config, settings, output_format,
+                 stream)
 
 
 def _run_impl(request: RunRequest):
@@ -174,32 +158,23 @@ def _run_impl(request: RunRequest):
     abs_tol = config.abs_tol if request.abs_tol is None else request.abs_tol
     settings = IntegratorSettings(max_step=config.max_step,
                                   rel_tol=rel_tol, abs_tol=abs_tol)
-    module = _chart_module(config.system)
+    ham = config.hamiltonian
+    chart = _CHARTS[ham.dim]
     grid = np.linspace(config.t_start, config.t_end, request.samples)
 
-    trajectory = integrate(module.chart_rhs(config.hamiltonian),
-                           _initial_vector(config.system),
+    trajectory = integrate(chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE),
                            config.t_start, config.t_end, settings, grid,
-                           escape=module.escaped)
+                           escape=chart.escaped)
 
-    unitaries = module.reconstruct_batch(trajectory.states)
-    resid = schrodinger_residuals(trajectory.times, unitaries,
-                                  config.hamiltonian)
+    unitaries = chart.reconstruct_batch(trajectory.states)
     report_fields = {
         "status": trajectory.status,
         "singularity_time": trajectory.singularity_time,
         "max_unitarity_error": float(np.max(unitarity_errors(unitaries))),
-        "max_schrodinger_residual": float(np.max(resid)),
     }
-    if config.system == 3:
-        d1_res, d2_res = three_level.delta_residuals(
-            trajectory.times, trajectory.states, config.hamiltonian)
-        report_fields["max_delta1_residual"] = float(np.max(d1_res))
-        report_fields["max_delta2_residual"] = float(np.max(d2_res))
 
     if request.compare_oracle and len(trajectory.times) >= 2:
-        oracle = integrate_schrodinger(config.hamiltonian,
-                                       trajectory.times[0],
+        oracle = integrate_schrodinger(ham, trajectory.times[0],
                                        trajectory.times[-1],
                                        settings, trajectory.times)
         oracle_report = compare(trajectory.times, unitaries, oracle)
@@ -207,13 +182,21 @@ def _run_impl(request: RunRequest):
         report_fields["time_of_max_error"] = oracle_report.time_of_max
         report_fields["oracle_unitarity_drift"] = oracle_report.oracle_drift
 
+    # The table carries every residual array; the report takes its maxima
+    # from there rather than computing the residuals a second time.
+    columns, table = trajectory_table(trajectory, unitaries, ham)
+    for name, column in zip(columns, table.T):
+        if name.startswith("residual_"):
+            key = name.removeprefix("residual_")
+            report_fields[f"max_{key}_residual"] = float(np.max(column))
+
     if request.output_path is None:
-        emit_trajectory(trajectory, unitaries, config, settings,
-                        request.output_format, sys.stdout)
+        _write_table(columns, table, trajectory, config, settings,
+                     request.output_format, sys.stdout)
     else:
         with open(request.output_path, "w", encoding="utf-8") as fh:
-            emit_trajectory(trajectory, unitaries, config, settings,
-                            request.output_format, fh)
+            _write_table(columns, table, trajectory, config, settings,
+                         request.output_format, fh)
 
     report_fields["wall_time_s"] = time.perf_counter() - started
     report = RunReport(**report_fields)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 import yaml
@@ -334,9 +334,12 @@ class Hamiltonian2:
         return out
 
 
-@dataclass(frozen=True)
-class HamiltonianSample3:
-    """All independent 3x3 entries at one instant; h3 is derived."""
+class HamiltonianSample3(NamedTuple):
+    """All independent 3x3 entries at one instant; h3 is derived.
+
+    A named tuple: cheap to build at every integrator stage, and a chart
+    right-hand side unpacks it as (h1, h2, v1, v2, v3).
+    """
 
     h1: float
     h2: float
@@ -370,11 +373,11 @@ class Hamiltonian3:
 
     def sample(self, t) -> HamiltonianSample3:
         return HamiltonianSample3(
-            h1=_require_real(self.h1.evaluate(t), t, "diagonal drive h1"),
-            h2=_require_real(self.h2.evaluate(t), t, "diagonal drive h2"),
-            v1=complex(self.v1.evaluate(t)),
-            v2=complex(self.v2.evaluate(t)),
-            v3=complex(self.v3.evaluate(t)),
+            _require_real(self.h1.evaluate(t), t, "diagonal drive h1"),
+            _require_real(self.h2.evaluate(t), t, "diagonal drive h2"),
+            complex(self.v1.evaluate(t)),
+            complex(self.v2.evaluate(t)),
+            complex(self.v3.evaluate(t)),
         )
 
     def matrix(self, t):
@@ -421,7 +424,6 @@ class Hamiltonian3:
 class RunConfig:
     """Everything a propagation run needs, as parsed from one document."""
 
-    system: int                       # 2 or 3
     hamiltonian: Union[Hamiltonian2, Hamiltonian3]
     t_start: float
     t_end: float
@@ -433,6 +435,11 @@ class RunConfig:
         if self.max_step is None:
             object.__setattr__(self, "max_step",
                                (self.t_end - self.t_start) / 100.0)
+
+    @property
+    def system(self) -> int:
+        """Number of levels, 2 or 3; always that of the Hamiltonian."""
+        return self.hamiltonian.dim
 
 
 _H2_KEYS = ("h", "v")
@@ -529,8 +536,7 @@ def parse_config(source) -> RunConfig:
             raise ConfigError("integrator.max_step: must be positive")
 
     hamiltonian = _parse_hamiltonian(raw["hamiltonian"], system, t_start, t_end)
-    return RunConfig(system=system, hamiltonian=hamiltonian,
-                     t_start=t_start, t_end=t_end,
+    return RunConfig(hamiltonian=hamiltonian, t_start=t_start, t_end=t_end,
                      rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
 
 

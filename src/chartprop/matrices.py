@@ -24,42 +24,15 @@ class MatrixInvariantError(ValueError):
     """A matrix failed the structural check its wrapper type promises."""
 
 
-def _as_square(a, name="matrix"):
+def _as_square(a):
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
     if m.shape[0] not in (2, 3):
-        raise ValueError(f"{name} must be 2x2 or 3x3, got {m.shape[0]}x{m.shape[0]}")
+        raise ValueError(f"matrix must be 2x2 or 3x3, got {m.shape[0]}x{m.shape[0]}")
     if not np.all(np.isfinite(m.view(float))):
-        raise MatrixInvariantError(f"{name} has non-finite entries")
+        raise MatrixInvariantError("matrix has non-finite entries")
     return m
-
-
-def multiply(a, b):
-    """Matrix product of two equal-sized square complex matrices."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
-def adjoint(a):
-    """Conjugate transpose."""
-    return _as_square(a).conj().T
-
-
-def frobenius_norm(a):
-    return float(np.linalg.norm(a))
-
-
-def frobenius_distance(a, b):
-    """Frobenius norm of (a - b); zero iff the matrices are equal."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)

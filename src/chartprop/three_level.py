@@ -19,6 +19,10 @@ chart coordinates and Hamiltonian entries. They are implemented here as
 error in any coordinate equation shows up as a mismatch between the
 identity and the finite-differenced d1, d2 along a trajectory.
 
+Everything works on the flat state vector the integrator advances, and
+`two_level` exposes the same names. The zero state is the chart origin,
+the image of U = I.
+
 Same chart caveat as the two-level case: one chart cannot cover the
 whole manifold, so trajectories may blow up in finite time; coordinates
 reaching SINGULARITY_THRESHOLD count as escaped.
@@ -26,63 +30,18 @@ reaching SINGULARITY_THRESHOLD count as escaped.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .drives import HamiltonianSample3
-from .matrices import UnitaryMatrix
 
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 8  # flat layout: [Re x, Im x, Re y, Im y, Re z, Im z, phi1, phi2]
 
-
-@dataclass(frozen=True)
-class ChartState3:
-    """Chart point: coordinates x, y, z and phases phi1, phi2 (radians)."""
-
-    x: complex
-    y: complex
-    z: complex
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        x, y, z = complex(self.x), complex(self.y), complex(self.z)
-        phi1, phi2 = float(self.phi1), float(self.phi2)
-        values = (x.real, x.imag, y.real, y.imag, z.real, z.imag, phi1, phi2)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("chart state must be finite")
-        top = max(abs(x), abs(y), abs(z))
-        if top >= SINGULARITY_THRESHOLD:
-            raise ValueError(f"coordinate magnitude {top:.3e} is outside the "
-                             f"chart (threshold {SINGULARITY_THRESHOLD:g})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "phi1", phi1)
-        object.__setattr__(self, "phi2", phi2)
-
-
-@dataclass(frozen=True)
-class ChartDerivative3:
-    dx: complex
-    dy: complex
-    dz: complex
-    dphi1: float
-    dphi2: float
-
-
-def initial_state3() -> ChartState3:
-    """Chart origin, the image of U(0) = I."""
-    return ChartState3(0j, 0j, 0j, 0.0, 0.0)
+COORD_COLUMNS = ("re_x", "im_x", "re_y", "im_y", "re_z", "im_z",
+                 "phi1", "phi2", "phi3")
 
 
 def _chart_rates(x, y, z, h1, h2, v1, v2, v3):
-    # Shared by the scalar public entry point and the vectorized
-    # diagnostics; works on python scalars and numpy arrays alike.
+    # Works on python scalars and numpy arrays alike.
     h3 = -(h1 + h2)
     v1c = v1.conjugate()
     v2c = v2.conjugate()
@@ -98,66 +57,55 @@ def _chart_rates(x, y, z, h1, h2, v1, v2, v3):
     return dx, dy, dz, dphi1, dphi2
 
 
-def rhs3(state: ChartState3, ham: HamiltonianSample3) -> ChartDerivative3:
-    """Chart-coordinate rates for one Hamiltonian sample.
+def _deltas(x, y, z):
+    """Normalization denominators d1, d2 (both >= 1) and x z - y."""
+    cross = x * z - y
+    d1 = 1.0 + np.abs(x) ** 2 + np.abs(y) ** 2
+    d2 = 1.0 + np.abs(z) ** 2 + np.abs(cross) ** 2
+    return d1, d2, cross
 
-        dx = -i * [v1 + (h2 - h1) x - conj(v1) x^2 + conj(v3) y - conj(v2) x y]
-        dy = -i * [v2 + (h3 - h1) y - conj(v2) y^2 + v3 x - conj(v1) x y]
-        dz = -i * [v3 + (h3 - h2) z - conj(v3) z^2 + (x z - y)(conj(v1) + conj(v2) z)]
-        dphi1 = -Re(h1 + conj(v1) x + conj(v2) y)
-        dphi2 =  Re(-h2 - conj(v3) z + conj(v1) x + conj(v2) x z)
+
+def log_delta_rates(x, y, z, v1, v2, v3) -> tuple:
+    """(d ln d1 / dt, d ln d2 / dt) in closed form, on arrays or scalars.
+
+    These follow from the coordinate equations alone, so checking them
+    against finite differences of d1, d2 along a trajectory
+    cross-validates the x, y, z right-hand sides without any reference
+    to the evolution operator. Both are differences of conjugate pairs,
+    hence -2 or +2 times an imaginary part.
     """
-    dx, dy, dz, dphi1, dphi2 = _chart_rates(
-        state.x, state.y, state.z, ham.h1, ham.h2, ham.v1, ham.v2, ham.v3)
-    return ChartDerivative3(dx=dx, dy=dy, dz=dz, dphi1=dphi1, dphi2=dphi2)
-
-
-def delta1(state: ChartState3) -> float:
-    """First normalization denominator, 1 + |x|^2 + |y|^2 (always >= 1)."""
-    val = 1.0 + abs(state.x) ** 2 + abs(state.y) ** 2
-    assert val >= 1.0
-    return val
-
-
-def delta2(state: ChartState3) -> float:
-    """Second normalization denominator, 1 + |z|^2 + |xz - y|^2 (>= 1)."""
-    val = 1.0 + abs(state.z) ** 2 + abs(state.x * state.z - state.y) ** 2
-    assert val >= 1.0
-    return val
-
-
-def _log_delta_rate_values(x, y, z, v1, v2, v3):
-    # d(ln d1)/dt and d(ln d2)/dt in closed form. Both are differences
-    # of conjugate pairs, hence -2 or +2 times an imaginary part.
     rate1 = -2.0 * (v1.conjugate() * x + v2.conjugate() * y).imag
     cross = x * z - y
     rate2 = 2.0 * ((v2.conjugate() * cross).imag - (v3.conjugate() * z).imag)
     return rate1, rate2
 
 
-def log_delta_rates(state: ChartState3, ham: HamiltonianSample3) -> tuple:
-    """(d ln d1 / dt, d ln d2 / dt) at a chart point, in closed form.
+def coords_from_states(states) -> tuple:
+    """(x, y, z, phi1, phi2) arrays from stacked flat states (N, 8)."""
+    states = np.asarray(states, dtype=float)
+    return (states[..., 0] + 1j * states[..., 1],
+            states[..., 2] + 1j * states[..., 3],
+            states[..., 4] + 1j * states[..., 5],
+            states[..., 6], states[..., 7])
 
-    These follow from the coordinate equations alone, so checking them
-    against finite differences of delta1/delta2 along a trajectory
-    cross-validates the x, y, z right-hand sides without any reference
-    to the evolution operator.
+
+def coord_block(states) -> np.ndarray:
+    """Output-table columns named by COORD_COLUMNS, shape (N, 9); the
+    dependent phase phi3 = -(phi1 + phi2) is spelled out."""
+    x, y, z, phi1, phi2 = coords_from_states(states)
+    return np.column_stack([x.real, x.imag, y.real, y.imag, z.real, z.imag,
+                            phi1, phi2, -(phi1 + phi2)])
+
+
+def reconstruct_batch(states) -> np.ndarray:
+    """Stacked evolution operators along a trajectory, shape (N, 3, 3).
+
+    Special-unitary by construction: a unitarity failure signals an
+    implementation bug, not bad input, since the normalized column frame
+    is unitary for every finite chart point.
     """
-    return _log_delta_rate_values(state.x, state.y, state.z,
-                                  ham.v1, ham.v2, ham.v3)
-
-
-def _unitaries_from_coords(x, y, z, phi1, phi2):
-    """Stacked evolution operators from coordinate arrays, shape (N, 3, 3)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-
-    d1 = 1.0 + np.abs(x) ** 2 + np.abs(y) ** 2
-    cross = x * z - y
-    d2 = 1.0 + np.abs(z) ** 2 + np.abs(cross) ** 2
+    x, y, z, phi1, phi2 = coords_from_states(states)
+    d1, d2, cross = _deltas(x, y, z)
     w = np.conjugate(x) + np.conjugate(y) * z
 
     e1 = np.exp(1j * phi1)
@@ -182,56 +130,21 @@ def _unitaries_from_coords(x, y, z, phi1, phi2):
     return u
 
 
-def reconstruct_u3(state: ChartState3) -> UnitaryMatrix:
-    """Evolution operator at a chart point; special-unitary by construction.
-
-    A unitarity failure here signals an implementation bug, not bad
-    input: the normalized column frame is unitary for every finite
-    chart point.
-    """
-    return UnitaryMatrix(_unitaries_from_coords(
-        state.x, state.y, state.z, state.phi1, state.phi2))
-
-
-# --- flat-vector adapters for the integrator ---
-
-def pack_state(state: ChartState3) -> np.ndarray:
-    return np.array([state.x.real, state.x.imag,
-                     state.y.real, state.y.imag,
-                     state.z.real, state.z.imag,
-                     state.phi1, state.phi2])
-
-
-def state_from_vector(vec) -> ChartState3:
-    return ChartState3(complex(vec[0], vec[1]),
-                       complex(vec[2], vec[3]),
-                       complex(vec[4], vec[5]),
-                       float(vec[6]), float(vec[7]))
-
-
-def coords_from_states(states) -> tuple:
-    """(x, y, z, phi1, phi2) arrays from stacked flat states (N, 8)."""
-    states = np.asarray(states, dtype=float)
-    return (states[..., 0] + 1j * states[..., 1],
-            states[..., 2] + 1j * states[..., 3],
-            states[..., 4] + 1j * states[..., 5],
-            states[..., 6], states[..., 7])
-
-
-def reconstruct_batch(states) -> np.ndarray:
-    """Stacked evolution operators along a trajectory, shape (N, 3, 3)."""
-    return _unitaries_from_coords(*coords_from_states(states))
-
-
 def chart_rhs(ham):
-    """Flat-vector derivative function for a 3-level Hamiltonian."""
+    """Flat-vector derivative function for a 3-level Hamiltonian.
+
+        dx = -i * [v1 + (h2 - h1) x - conj(v1) x^2 + conj(v3) y - conj(v2) x y]
+        dy = -i * [v2 + (h3 - h1) y - conj(v2) y^2 + v3 x - conj(v1) x y]
+        dz = -i * [v3 + (h3 - h2) z - conj(v3) z^2 + (x z - y)(conj(v1) + conj(v2) z)]
+        dphi1 = -Re(h1 + conj(v1) x + conj(v2) y)
+        dphi2 =  Re(-h2 - conj(v3) z + conj(v1) x + conj(v2) x z)
+    """
     def rhs(t, vec):
-        s = ham.sample(t)
+        h1, h2, v1, v2, v3 = ham.sample(t)
         x = complex(vec[0], vec[1])
         y = complex(vec[2], vec[3])
         z = complex(vec[4], vec[5])
-        dx, dy, dz, dphi1, dphi2 = _chart_rates(
-            x, y, z, s.h1, s.h2, s.v1, s.v2, s.v3)
+        dx, dy, dz, dphi1, dphi2 = _chart_rates(x, y, z, h1, h2, v1, v2, v3)
         return np.array([dx.real, dx.imag, dy.real, dy.imag,
                          dz.real, dz.imag, dphi1, dphi2])
     return rhs
@@ -257,11 +170,17 @@ def delta_residuals(times, states, ham) -> tuple:
     x, y, z, _, _ = coords_from_states(states)
     if len(times) < 2:
         return np.zeros(len(times)), np.zeros(len(times))
-    d1 = 1.0 + np.abs(x) ** 2 + np.abs(y) ** 2
-    d2 = 1.0 + np.abs(z) ** 2 + np.abs(x * z - y) ** 2
+    d1, d2, _ = _deltas(x, y, z)
     _, _, v1, v2, v3 = ham.sample_grid(times)
-    rate1, rate2 = _log_delta_rate_values(x, y, z, v1, v2, v3)
+    rate1, rate2 = log_delta_rates(x, y, z, v1, v2, v3)
     order = 2 if len(times) > 2 else 1
     fd1 = np.gradient(np.log(d1), times, edge_order=order)
     fd2 = np.gradient(np.log(d2), times, edge_order=order)
     return np.abs(fd1 - rate1), np.abs(fd2 - rate2)
+
+
+def extra_residuals(times, states, ham) -> dict:
+    """Chart-specific residual columns by name: the two log-delta
+    identities of `delta_residuals`."""
+    d1_res, d2_res = delta_residuals(times, states, ham)
+    return {"delta1": d1_res, "delta2": d2_res}

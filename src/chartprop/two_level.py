@@ -8,8 +8,9 @@ as U = Q(z) * diag(e^{i phi}, e^{-i phi}) with
 so the full matrix flow collapses to one complex coordinate z on the
 Bloch sphere plus one real phase phi (3 real unknowns instead of 8).
 z obeys a Riccati equation and phi a quadrature; both right-hand sides
-live here, together with the reconstruction of U and flat-vector
-adapters for the integrator.
+live here, together with the reconstruction of U, all on the flat state
+vector the integrator advances. `three_level` exposes the same names.
+The zero state is the chart origin, the image of U = I.
 
 z covers the sphere minus one point. Trajectories can run off the chart
 in finite time (a genuine Riccati blow-up, not a numerical artifact);
@@ -18,71 +19,36 @@ anything with |z| at or beyond SINGULARITY_THRESHOLD counts as escaped.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .matrices import UnitaryMatrix
 
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 3  # flat layout: [Re z, Im z, phi]
 
-
-@dataclass(frozen=True)
-class ChartState2:
-    """Chart point: complex coordinate z and phase phi (radians)."""
-
-    z: complex
-    phi: float
-
-    def __post_init__(self):
-        z, phi = complex(self.z), float(self.phi)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)
-                and math.isfinite(phi)):
-            raise ValueError("chart state must be finite")
-        if abs(z) >= SINGULARITY_THRESHOLD:
-            raise ValueError(f"|z| = {abs(z):.3e} is outside the chart "
-                             f"(threshold {SINGULARITY_THRESHOLD:g})")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "phi", phi)
+COORD_COLUMNS = ("re_z", "im_z", "phi")
 
 
-@dataclass(frozen=True)
-class ChartDerivative2:
-    dz: complex
-    dphi: float
+def coords_from_states(states) -> tuple:
+    """(z, phi) arrays from stacked flat states of shape (N, 3)."""
+    states = np.asarray(states, dtype=float)
+    return states[..., 0] + 1j * states[..., 1], states[..., 2]
 
 
-def initial_state2() -> ChartState2:
-    """Chart origin, the image of U(0) = I."""
-    return ChartState2(0j, 0.0)
+def coord_block(states) -> np.ndarray:
+    """Output-table columns named by COORD_COLUMNS, shape (N, 3)."""
+    z, phi = coords_from_states(states)
+    return np.column_stack([z.real, z.imag, phi])
 
 
-def rhs2(state: ChartState2, h: float, v: complex) -> ChartDerivative2:
-    """Chart-coordinate rates for Hamiltonian entries (h, v) at one instant.
-
-        dz   = i * (conj(v) z^2 + 2 h z - v)
-        dphi = -(v conj(z) + conj(v) z + 2 h) / 2
-
-    The dphi expression is real analytically; its imaginary part is
-    asserted negligible and dropped rather than trusted silently.
-    """
-    z = state.z
-    dz = 1j * (v.conjugate() * z * z + 2.0 * h * z - v)
-    phase_sum = v * z.conjugate() + v.conjugate() * z + 2.0 * h
-    scale = 1.0 + abs(v) * abs(z) + abs(h)
-    if abs(phase_sum.imag) > 1e-13 * scale:
-        raise FloatingPointError(
-            f"phase rate picked up an imaginary part {phase_sum.imag:.3e}")
-    return ChartDerivative2(dz=dz, dphi=-0.5 * phase_sum.real)
+def extra_residuals(times, states, ham) -> dict:
+    """Chart-specific residual columns by name; this chart has none."""
+    return {}
 
 
-def _unitaries_from_coords(z, phi):
-    """Stacked evolution operators from coordinate arrays, shape (N, 2, 2)."""
-    z = np.asarray(z, dtype=complex)
-    phi = np.asarray(phi, dtype=float)
+def reconstruct_batch(states) -> np.ndarray:
+    """Stacked evolution operators along a trajectory, shape (N, 2, 2);
+    special-unitary by construction."""
+    z, phi = coords_from_states(states)
     root = np.sqrt(1.0 + np.abs(z) ** 2)
     ep = np.exp(1j * phi)
     em = np.conjugate(ep)
@@ -94,35 +60,12 @@ def _unitaries_from_coords(z, phi):
     return u
 
 
-def reconstruct_u2(state: ChartState2) -> UnitaryMatrix:
-    """Evolution operator at a chart point; special-unitary by construction."""
-    return UnitaryMatrix(_unitaries_from_coords(state.z, state.phi))
-
-
-# --- flat-vector adapters for the integrator ---
-
-def pack_state(state: ChartState2) -> np.ndarray:
-    return np.array([state.z.real, state.z.imag, state.phi])
-
-
-def state_from_vector(vec) -> ChartState2:
-    return ChartState2(complex(vec[0], vec[1]), float(vec[2]))
-
-
-def coords_from_states(states) -> tuple:
-    """(z, phi) arrays from stacked flat states of shape (N, 3)."""
-    states = np.asarray(states, dtype=float)
-    return states[..., 0] + 1j * states[..., 1], states[..., 2]
-
-
-def reconstruct_batch(states) -> np.ndarray:
-    """Stacked evolution operators along a trajectory, shape (N, 2, 2)."""
-    z, phi = coords_from_states(states)
-    return _unitaries_from_coords(z, phi)
-
-
 def chart_rhs(ham):
-    """Flat-vector derivative function for a 2-level Hamiltonian."""
+    """Flat-vector derivative function for a 2-level Hamiltonian.
+
+        dz   = i * (conj(v) z^2 + 2 h z - v)
+        dphi = -(v conj(z) + conj(v) z + 2 h) / 2
+    """
     def rhs(t, vec):
         h, v = ham.sample(t)
         z = complex(vec[0], vec[1])

@@ -33,10 +33,7 @@ SCENARIO_SEED = 20260817
 
 
 def chart_trajectory(module, ham, t_end, settings, samples):
-    if module is two_level:
-        init = module.pack_state(module.initial_state2())
-    else:
-        init = module.pack_state(module.initial_state3())
+    init = np.zeros(module.STATE_SIZE)
     return integrate(module.chart_rhs(ham), init, 0.0, t_end, settings,
                      samples, escape=module.escaped)
 
@@ -372,7 +369,7 @@ def test_criterion_7_mutation_sensitivity(record_criterion, scenario_pack):
         a, b = baseline(0.37, vec), shipped(0.37, vec)
         assert np.max(np.abs(a - b)) < 1e-13 * (1.0 + np.max(np.abs(b)))
 
-    init = three_level.pack_state(three_level.initial_state3())
+    init = np.zeros(three_level.STATE_SIZE)
     undetected = []
     weakest = np.inf
     for flip in range(22):

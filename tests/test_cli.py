@@ -111,12 +111,11 @@ def test_csv_values_round_trip_through_text(config2_path, tmp_path):
     main(["run", config2_path, "--samples", "10", "--output", str(out)])
     header, table = read_csv(out)
     from chartprop import IntegratorSettings, integrate, parse_config
-    from chartprop.two_level import chart_rhs, escaped, pack_state
-    from chartprop.two_level import initial_state2, reconstruct_batch
+    from chartprop.two_level import chart_rhs, escaped, reconstruct_batch
     cfg = parse_config(CONFIG2)
     settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
                                   abs_tol=cfg.abs_tol)
-    traj = integrate(chart_rhs(cfg.hamiltonian), pack_state(initial_state2()),
+    traj = integrate(chart_rhs(cfg.hamiltonian), np.zeros(3),
                      0.0, 1.0, settings, np.linspace(0, 1, 10),
                      escape=escaped)
     assert np.array_equal(table[:, 1], traj.states[:, 0])

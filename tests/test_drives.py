@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from chartprop import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
-                       Hamiltonian2, Hamiltonian3, PiecewiseDrive, SumDrive,
-                       config_to_dict, drive_from_spec, parse_config,
+                       Hamiltonian2, Hamiltonian3, PiecewiseDrive, RunConfig,
+                       SumDrive, config_to_dict, drive_from_spec, parse_config,
                        serialize_config)
 
 CONFIG3 = """
@@ -259,3 +259,20 @@ def test_config_round_trip_is_exact():
         for name in ("h1", "h2", "v1", "v2", "v3"):
             va, vb = getattr(a, name), getattr(b, name)
             assert abs(va - vb) <= 1e-14 * (1.0 + abs(va))
+
+
+@pytest.mark.parametrize("ham", [
+    Hamiltonian2(h=ConstantDrive(0.3), v=CosineDrive(0.5 + 0.1j, 1.2)),
+    Hamiltonian3(h1=ConstantDrive(0.1), h2=CosineDrive(0.2, 0.7),
+                 v1=GaussianDrive(0.4, 1.0, 0.5), v2=ConstantDrive(0.25j),
+                 v3=ConstantDrive(0.0)),
+], ids=["two_level", "three_level"])
+def test_config_built_in_code_derives_system(ham):
+    # the level count comes from the Hamiltonian and cannot be set apart
+    cfg = RunConfig(hamiltonian=ham, t_start=0.0, t_end=2.0, max_step=0.05)
+    assert cfg.system == ham.dim
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert again.system == ham.dim
+    with pytest.raises(TypeError):
+        RunConfig(system=5 - ham.dim, hamiltonian=ham, t_start=0.0, t_end=2.0)

@@ -2,177 +2,150 @@
 identities, and reconstruction."""
 
 import numpy as np
-import pytest
 
-from chartprop import (ChartState2, ChartState3, ConstantDrive, Hamiltonian3,
-                       HamiltonianSample3, HermitianTraceless,
-                       frobenius_distance, hermitian_expm, initial_state3,
-                       log_delta_rates, reconstruct_u3, rhs2, rhs3)
-from chartprop.three_level import (SINGULARITY_THRESHOLD, chart_rhs, delta1,
-                                   delta2, delta_residuals, escaped,
-                                   pack_state, reconstruct_batch,
-                                   state_from_vector)
+from chartprop import (ConstantDrive, Hamiltonian2, Hamiltonian3,
+                       HermitianTraceless, hermitian_expm, two_level)
+from chartprop.three_level import (chart_rhs, coords_from_states,
+                                   delta_residuals, log_delta_rates,
+                                   reconstruct_batch)
 
 
-def sample(h1=0.0, h2=0.0, v1=0j, v2=0j, v3=0j):
-    return HamiltonianSample3(h1, h2, v1, v2, v3)
+def state(x=0j, y=0j, z=0j, phi1=0.0, phi2=0.0):
+    x, y, z = complex(x), complex(y), complex(z)
+    return np.array([x.real, x.imag, y.real, y.imag, z.real, z.imag,
+                     phi1, phi2])
 
 
-def test_initial_state_is_chart_origin():
-    s = initial_state3()
-    assert s.x == s.y == s.z == 0.0
-    assert s.phi1 == s.phi2 == 0.0
-    assert frobenius_distance(reconstruct_u3(s).matrix, np.eye(3)) == 0.0
+def constant(h1=0.0, h2=0.0, v1=0j, v2=0j, v3=0j):
+    return Hamiltonian3(h1=ConstantDrive(h1), h2=ConstantDrive(h2),
+                        v1=ConstantDrive(v1), v2=ConstantDrive(v2),
+                        v3=ConstantDrive(v3))
+
+
+def rates(vec, **entries):
+    """(dx, dy, dz, dphi1, dphi2) from chart_rhs at one point, for
+    constant Hamiltonian entries."""
+    d = chart_rhs(constant(**entries))(0.0, vec)
+    assert d.dtype == np.float64
+    return (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]),
+            d[6], d[7])
+
+
+def random_complex(rng, scale=1.0):
+    return complex(*rng.normal(size=2)) * scale
+
+
+def deltas(vec):
+    x, y, z, _, _ = coords_from_states(vec)
+    return (1.0 + abs(x) ** 2 + abs(y) ** 2,
+            1.0 + abs(z) ** 2 + abs(x * z - y) ** 2)
 
 
 def test_rhs_origin_with_diagonal_hamiltonian():
     # Diagonal terms only wind the phases: dphi1 = -h1, dphi2 = -h2.
-    d = rhs3(initial_state3(), sample(h1=1.0, h2=-0.5))
-    assert (d.dx, d.dy, d.dz) == (0.0j, 0.0j, 0.0j)
-    assert d.dphi1 == -1.0
-    assert d.dphi2 == 0.5
+    dx, dy, dz, dphi1, dphi2 = rates(state(), h1=1.0, h2=-0.5)
+    assert (dx, dy, dz) == (0.0j, 0.0j, 0.0j)
+    assert dphi1 == -1.0
+    assert dphi2 == 0.5
 
 
 def test_rhs_origin_with_couplings():
     # At the origin each coordinate is seeded by its own coupling:
     # dx = -i v1, dy = -i v2, dz = -i v3.
-    d = rhs3(initial_state3(), sample(v1=1.0 + 0j, v2=2.0j, v3=-1.0 + 0j))
-    assert d.dx == -1.0j
-    assert d.dy == 2.0 + 0.0j
-    assert d.dz == 1.0j
-    assert d.dphi1 == 0.0
-    assert d.dphi2 == 0.0
+    dx, dy, dz, dphi1, dphi2 = rates(state(), v1=1.0 + 0j, v2=2.0j,
+                                     v3=-1.0 + 0j)
+    assert dx == -1.0j
+    assert dy == 2.0 + 0.0j
+    assert dz == 1.0j
+    assert dphi1 == 0.0
+    assert dphi2 == 0.0
 
 
 def test_rhs_quadratic_saturation():
     # x = 1 with real v1: the linear and quadratic Riccati terms cancel,
     # and the drive shows up only through the phases.
-    d = rhs3(ChartState3(1.0 + 0j, 0j, 0j, 0.0, 0.0), sample(v1=1.0 + 0j))
-    assert (d.dx, d.dy, d.dz) == (0.0j, 0.0j, 0.0j)
-    assert d.dphi1 == -1.0
-    assert d.dphi2 == 1.0
+    dx, dy, dz, dphi1, dphi2 = rates(state(x=1.0), v1=1.0 + 0j)
+    assert (dx, dy, dz) == (0.0j, 0.0j, 0.0j)
+    assert dphi1 == -1.0
+    assert dphi2 == 1.0
 
 
 def test_phase_rates_are_real_floats():
+    # Each phase rate is the real part of its closed form, exactly.
     rng = np.random.default_rng(9)
     for _ in range(100):
-        st = ChartState3(complex(*rng.normal(size=2)),
-                         complex(*rng.normal(size=2)),
-                         complex(*rng.normal(size=2)),
-                         rng.normal(), rng.normal())
-        ham = sample(rng.normal(), rng.normal(),
-                     complex(*rng.normal(size=2)),
-                     complex(*rng.normal(size=2)),
-                     complex(*rng.normal(size=2)))
-        d = rhs3(st, ham)
-        assert isinstance(d.dphi1, float)
-        assert isinstance(d.dphi2, float)
-
-
-def test_delta_normalizations():
-    st = ChartState3(1.0 + 1.0j, 2.0j, 0.5 + 0j, 0.0, 0.0)
-    assert delta1(st) == 1.0 + 2.0 + 4.0
-    cross = st.x * st.z - st.y
-    assert delta2(st) == 1.0 + 0.25 + abs(cross) ** 2
-    assert delta1(initial_state3()) == 1.0
-    assert delta2(initial_state3()) == 1.0
+        x, y, z = (random_complex(rng) for _ in range(3))
+        vec = state(x, y, z, rng.normal(), rng.normal())
+        h1, h2 = rng.normal(), rng.normal()
+        v1, v2, v3 = (random_complex(rng) for _ in range(3))
+        _, _, _, dphi1, dphi2 = rates(vec, h1=h1, h2=h2, v1=v1, v2=v2, v3=v3)
+        v1c, v2c, v3c = v1.conjugate(), v2.conjugate(), v3.conjugate()
+        assert dphi1 == -(h1 + v1c * x + v2c * y).real
+        assert dphi2 == (-h2 - v3c * z + v1c * x + v2c * x * z).real
 
 
 def test_log_delta_rates_examples():
     # x = 1, v1 = i: the first normalization grows at rate 2.
-    r1, r2 = log_delta_rates(ChartState3(1.0 + 0j, 0j, 0j, 0.0, 0.0),
-                             sample(v1=1.0j))
+    r1, r2 = log_delta_rates(1.0 + 0j, 0j, 0j, 1.0j, 0j, 0j)
     assert (r1, r2) == (2.0, 0.0)
     # z = i, v3 = 1: only the second normalization responds.
-    r1, r2 = log_delta_rates(ChartState3(0j, 0j, 1.0j, 0.0, 0.0),
-                             sample(v3=1.0 + 0j))
+    r1, r2 = log_delta_rates(0j, 0j, 1.0j, 0j, 0j, 1.0 + 0j)
     assert (r1, r2) == (0.0, -2.0)
 
 
 def test_log_delta_rates_match_flow_derivative():
     # d/dt ln Delta along the chart flow, by finite differences of the
-    # coordinates moved with the rhs, must agree with the closed form.
+    # state moved with the rhs, must agree with the closed form.
     rng = np.random.default_rng(10)
     for _ in range(50):
-        st = ChartState3(complex(*rng.normal(size=2)) * 0.8,
-                         complex(*rng.normal(size=2)) * 0.8,
-                         complex(*rng.normal(size=2)) * 0.8,
-                         rng.normal(), rng.normal())
-        ham = sample(rng.normal(), rng.normal(),
-                     complex(*rng.normal(size=2)),
-                     complex(*rng.normal(size=2)),
-                     complex(*rng.normal(size=2)))
-        d = rhs3(st, ham)
+        x, y, z = (random_complex(rng, 0.8) for _ in range(3))
+        vec = state(x, y, z, rng.normal(), rng.normal())
+        h1, h2 = rng.normal(), rng.normal()
+        v1, v2, v3 = (random_complex(rng) for _ in range(3))
+        d = chart_rhs(constant(h1, h2, v1, v2, v3))(0.0, vec)
         eps = 1e-7
-
-        def shifted(sign):
-            return ChartState3(st.x + sign * eps * d.dx,
-                               st.y + sign * eps * d.dy,
-                               st.z + sign * eps * d.dz,
-                               st.phi1 + sign * eps * d.dphi1,
-                               st.phi2 + sign * eps * d.dphi2)
-
-        plus, minus = shifted(1.0), shifted(-1.0)
-        fd1 = (np.log(delta1(plus)) - np.log(delta1(minus))) / (2 * eps)
-        fd2 = (np.log(delta2(plus)) - np.log(delta2(minus))) / (2 * eps)
-        r1, r2 = log_delta_rates(st, ham)
+        plus, minus = deltas(vec + eps * d), deltas(vec - eps * d)
+        fd1 = (np.log(plus[0]) - np.log(minus[0])) / (2 * eps)
+        fd2 = (np.log(plus[1]) - np.log(minus[1])) / (2 * eps)
+        r1, r2 = log_delta_rates(x, y, z, v1, v2, v3)
         assert abs(fd1 - r1) < 1e-6 * (1 + abs(r1))
         assert abs(fd2 - r2) < 1e-6 * (1 + abs(r2))
 
 
 def test_reconstruction_x_only_rotation():
-    u = reconstruct_u3(ChartState3(1.0 + 0j, 0j, 0j, 0.0, 0.0)).matrix
+    u = reconstruct_batch(state(x=1.0))
     s = 1 / np.sqrt(2)
     expected = np.array([[s, -s, 0], [s, s, 0], [0, 0, 1]], dtype=complex)
-    assert frobenius_distance(u, expected) < 1e-15
+    assert np.linalg.norm(u - expected) < 1e-15
 
 
 def test_reconstruction_column_structure():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        st = ChartState3(complex(*rng.normal(size=2)),
-                         complex(*rng.normal(size=2)),
-                         complex(*rng.normal(size=2)),
-                         rng.uniform(-3, 3), rng.uniform(-3, 3))
-        u = reconstruct_u3(st).matrix
-        d1, d2 = delta1(st), delta2(st)
+        x, y, z = (random_complex(rng) for _ in range(3))
+        phi1, phi2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        vec = state(x, y, z, phi1, phi2)
+        u = reconstruct_batch(vec)
+        d1, d2 = deltas(vec)
         # first column: (1, x, y) normalized, phase phi1
-        c1 = np.array([1.0, st.x, st.y]) * np.exp(1j * st.phi1) / np.sqrt(d1)
+        c1 = np.array([1.0, x, y]) * np.exp(1j * phi1) / np.sqrt(d1)
         assert np.max(np.abs(u[:, 0] - c1)) < 1e-14
         # third column: (conj(xz - y), -conj(z), 1) / sqrt(d2), phase
         # -(phi1 + phi2)
-        cross = st.x * st.z - st.y
-        c3 = (np.array([np.conj(cross), -np.conj(st.z), 1.0])
-              * np.exp(-1j * (st.phi1 + st.phi2)) / np.sqrt(d2))
+        cross = x * z - y
+        c3 = (np.array([np.conj(cross), -np.conj(z), 1.0])
+              * np.exp(-1j * (phi1 + phi2)) / np.sqrt(d2))
         assert np.max(np.abs(u[:, 2] - c3)) < 1e-14
-
-
-def test_reconstruction_unitary_across_magnitudes():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(1000):
-        scale = 10 ** rng.uniform(-3, 3)
-        st = ChartState3(complex(*rng.normal(size=2)) * scale,
-                         complex(*rng.normal(size=2)) * scale,
-                         complex(*rng.normal(size=2)) * scale,
-                         rng.uniform(-10, 10), rng.uniform(-10, 10))
-        u = reconstruct_u3(st).matrix
-        worst = max(worst, frobenius_distance(u.conj().T @ u, np.eye(3)))
-    assert worst < 1e-11
 
 
 def test_chart_matches_unitary_flow_locally():
     # Coordinates read off the exact propagator: x = u10/u00, y = u20/u00,
-    # z follows from the second column as (u21 - y w')/(u11 - x w') with
-    # the minor structure; simpler and equivalent: z = m21/m11 of the
-    # cofactor ratio. Here we avoid the algebra by extracting z from the
-    # third column instead: u[:, 2] is proportional to
+    # and z from the third column, which is proportional to
     # (conj(xz - y), -conj(z), 1).
     rng = np.random.default_rng(14)
     for _ in range(10):
         h1, h2 = rng.normal(size=2) * 0.6
-        v1, v2, v3 = (complex(*rng.normal(size=2)) * 0.6 for _ in range(3))
-        ham = sample(h1, h2, v1, v2, v3)
+        v1, v2, v3 = (random_complex(rng, 0.6) for _ in range(3))
         mat = np.array([
             [h1, np.conj(v1), np.conj(v2)],
             [v1, h2, np.conj(v3)],
@@ -192,11 +165,12 @@ def test_chart_matches_unitary_flow_locally():
         x0, y0, z0, phi0 = coords(t0)
         xp, yp, zp, phip = coords(t0 + dt)
         xm, ym, zm, phim = coords(t0 - dt)
-        d = rhs3(ChartState3(x0, y0, z0, phi0, 0.0), ham)
-        assert abs((xp - xm) / (2 * dt) - d.dx) < 1e-6
-        assert abs((yp - ym) / (2 * dt) - d.dy) < 1e-6
-        assert abs((zp - zm) / (2 * dt) - d.dz) < 1e-6
-        assert abs((phip - phim) / (2 * dt) - d.dphi1) < 1e-6
+        dx, dy, dz, dphi1, _ = rates(state(x0, y0, z0, phi0), h1=h1, h2=h2,
+                                     v1=v1, v2=v2, v3=v3)
+        assert abs((xp - xm) / (2 * dt) - dx) < 1e-6
+        assert abs((yp - ym) / (2 * dt) - dy) < 1e-6
+        assert abs((zp - zm) / (2 * dt) - dz) < 1e-6
+        assert abs((phip - phim) / (2 * dt) - dphi1) < 1e-6
 
 
 def test_two_level_block_embedding():
@@ -205,30 +179,18 @@ def test_two_level_block_embedding():
     # to the two-level phase.
     rng = np.random.default_rng(15)
     for _ in range(50):
-        z = complex(*rng.normal(size=2))
+        z = random_complex(rng)
         h = rng.normal()
-        v = complex(*rng.normal(size=2))
-        d3 = rhs3(ChartState3(z, 0j, 0j, 0.7, -0.7), sample(h, -h, v))
-        d2 = rhs2(ChartState2(z, 0.7), h, v)
-        assert abs(d3.dx - d2.dz) < 1e-15 * (1 + abs(d2.dz))
-        assert d3.dy == 0.0j
-        assert d3.dz == 0.0j
-        assert abs(d3.dphi1 - d2.dphi) < 1e-15 * (1 + abs(d2.dphi))
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        ChartState3(complex(np.nan, 0), 0j, 0j, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        ChartState3(0j, 2e6 + 0j, 0j, 0.0, 0.0)
-    ChartState3(0j, 0j, SINGULARITY_THRESHOLD * 0.99 + 0j, 0.0, 0.0)
-
-
-def test_pack_unpack_round_trip():
-    st = ChartState3(1.0 - 2.0j, 0.5j, -3.0 + 0.25j, 0.1, -0.2)
-    vec = pack_state(st)
-    assert vec.shape == (8,)
-    assert state_from_vector(vec) == st
+        v = random_complex(rng)
+        dx, dy, dz, dphi1, _ = rates(state(x=z, phi1=0.7, phi2=-0.7),
+                                     h1=h, h2=-h, v1=v)
+        ham2 = Hamiltonian2(h=ConstantDrive(h), v=ConstantDrive(v))
+        d2 = two_level.chart_rhs(ham2)(0.0, np.array([z.real, z.imag, 0.7]))
+        dz2, dphi2 = complex(d2[0], d2[1]), d2[2]
+        assert abs(dx - dz2) < 1e-15 * (1 + abs(dz2))
+        assert dy == 0.0j
+        assert dz == 0.0j
+        assert abs(dphi1 - dphi2) < 1e-15 * (1 + abs(dphi2))
 
 
 def test_batch_reconstruction_matches_single():
@@ -237,34 +199,12 @@ def test_batch_reconstruction_matches_single():
     batch = reconstruct_batch(states)
     assert batch.shape == (30, 3, 3)
     for i in range(0, 30, 5):
-        single = reconstruct_u3(state_from_vector(states[i])).matrix
+        single = reconstruct_batch(states[i])
         assert np.max(np.abs(batch[i] - single)) < 1e-15
 
 
-def test_chart_rhs_closure_matches_structured_form():
-    ham = Hamiltonian3(h1=ConstantDrive(0.1), h2=ConstantDrive(0.2),
-                       v1=ConstantDrive(0.3j), v2=ConstantDrive(0.4),
-                       v3=ConstantDrive(0.5 - 0.5j))
-    f = chart_rhs(ham)
-    vec = np.array([0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8])
-    out = f(0.0, vec)
-    d = rhs3(state_from_vector(vec), ham.sample(0.0))
-    expected = np.array([d.dx.real, d.dx.imag, d.dy.real, d.dy.imag,
-                         d.dz.real, d.dz.imag, d.dphi1, d.dphi2])
-    assert np.max(np.abs(out - expected)) < 1e-15
-
-
-def test_escape_predicate():
-    vec = np.zeros(8)
-    assert not escaped(vec)
-    vec[4] = 1.5e6
-    assert escaped(vec)
-
-
 def test_delta_residual_guards():
-    ham = Hamiltonian3(h1=ConstantDrive(0.0), h2=ConstantDrive(0.0),
-                       v1=ConstantDrive(0.5), v2=ConstantDrive(0.0),
-                       v3=ConstantDrive(0.0))
+    ham = constant(v1=0.5)
     r1, r2 = delta_residuals(np.array([0.0]), np.zeros((1, 8)), ham)
     assert np.array_equal(r1, [0.0]) and np.array_equal(r2, [0.0])
     times = np.array([0.0, 1e-3])
