@@ -128,8 +128,9 @@ def _json_text(columns, table, config, settings, trajectory) -> str:
         "status": trajectory.status,
         "singularity_time": trajectory.singularity_time,
     }
-    samples = [dict(zip(columns, (float(f"{v:.17g}") for v in row)))
-               for row in table]
+    # tolist gives Python floats, which json writes in the shortest form
+    # that round-trips, the same text as re-parsing f"{v:.17g}" gives.
+    samples = [dict(zip(columns, row.tolist())) for row in table]
     return json.dumps({"header": header, "samples": samples}, indent=1) + "\n"
 
 

@@ -14,7 +14,7 @@ errors with the path of the offending field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -54,6 +54,22 @@ def _as_complex(value, path):
     return complex(_as_float(value, path))
 
 
+def _coefficient(amplitude, real):
+    """The factor a closed-form scalar function multiplies by.
+
+    real=False: the complex amplitude itself. real=True: its real part
+    when the amplitude is exactly real, else None. An imaginary part of
+    -0.0 does not count as exactly real: the real part of
+    complex(a, -0.0) * x is a * x + 0.0, which is +0.0 where a * x is
+    -0.0, so a float function would not reproduce it to the bit.
+    """
+    if not real:
+        return amplitude
+    if amplitude.imag == 0.0 and math.copysign(1.0, amplitude.imag) > 0.0:
+        return amplitude.real
+    return None
+
+
 def _complex_out(value):
     # Emit real scalars as bare floats, everything else as [re, im].
     c = complex(value)
@@ -76,6 +92,19 @@ class ConstantDrive:
             return self.value
         return np.full(np.shape(t), self.value)
 
+    def scalar(self, real=False):
+        """This drive as a function of a scalar t, built once.
+
+        real=False gives complex values. real=True gives float values,
+        or None unless the parameters make the drive exactly real; then
+        no per-sample realness check is needed. Shapes without a closed
+        form (piecewise, sum) return None.
+        """
+        value = _coefficient(self.value, real)
+        if value is None:
+            return None
+        return lambda t: value
+
     def to_spec(self):
         return {"shape": "constant", "value": _complex_out(self.value)}
 
@@ -95,11 +124,20 @@ class CosineDrive:
 
     def evaluate(self, t):
         if isinstance(t, (float, int)):
-            # scalar fast path; evaluation sits inside integrator stages
-            return self.amplitude * math.cos(self.angular_frequency * t
-                                             + self.phase_offset)
+            return self.scalar()(t)
         return self.amplitude * np.cos(self.angular_frequency * np.asarray(t)
                                        + self.phase_offset)
+
+    def scalar(self, real=False):
+        """See ConstantDrive.scalar."""
+        amplitude = _coefficient(self.amplitude, real)
+        if amplitude is None:
+            return None
+        frequency, offset = self.angular_frequency, self.phase_offset
+
+        def at(t):
+            return amplitude * math.cos(frequency * t + offset)
+        return at
 
     def to_spec(self):
         return {
@@ -127,10 +165,21 @@ class GaussianDrive:
 
     def evaluate(self, t):
         if isinstance(t, (float, int)):
-            arg = (t - self.center) / self.width
-            return self.amplitude * math.exp(-0.5 * arg * arg)
+            return self.scalar()(t)
         arg = (np.asarray(t) - self.center) / self.width
         return self.amplitude * np.exp(-0.5 * arg * arg)
+
+    def scalar(self, real=False):
+        """See ConstantDrive.scalar."""
+        amplitude = _coefficient(self.amplitude, real)
+        if amplitude is None:
+            return None
+        center, width = self.center, self.width
+
+        def at(t):
+            arg = (t - center) / width
+            return amplitude * math.exp(-0.5 * arg * arg)
+        return at
 
     def to_spec(self):
         return {
@@ -162,6 +211,10 @@ class PiecewiseDrive:
         # np.interp clamps to the end values outside the knot range.
         return np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)
 
+    def scalar(self, real=False):
+        """None: no closed form; Hamiltonians sample it through evaluate."""
+        return None
+
     def to_spec(self):
         return {
             "shape": "piecewise",
@@ -186,6 +239,10 @@ class SumDrive:
         for term in self.terms[1:]:
             total = total + term.evaluate(t)
         return total
+
+    def scalar(self, real=False):
+        """None: no closed form; Hamiltonians sample it through evaluate."""
+        return None
 
     def to_spec(self):
         return {"shape": "sum", "terms": [term.to_spec() for term in self.terms]}
@@ -276,6 +333,20 @@ def _require_real(value, t, what):
     return c.real
 
 
+def _entry_sampler(drive, what=None):
+    """Scalar sampler of one Hamiltonian entry, built once per Hamiltonian.
+
+    A coupling (what=None) returns complex values. A diagonal entry,
+    named by `what`, returns float values: a closed-form drive with an
+    exactly real amplitude needs no check, and every other diagonal
+    drive is checked for realness at each sample.
+    """
+    if what is None:
+        return drive.scalar() or (lambda t: complex(drive.evaluate(t)))
+    return drive.scalar(real=True) or (
+        lambda t: _require_real(drive.evaluate(t), t, what))
+
+
 def _require_real_grid(values, what):
     c = np.asarray(values, dtype=complex)
     bad = np.abs(c.imag) > 1e-14 * (1.0 + np.abs(c))
@@ -301,13 +372,24 @@ class Hamiltonian2:
 
     h: DriveSignal
     v: DriveSignal
+    _samplers: tuple = field(init=False, repr=False, compare=False)
 
     dim = 2
 
+    def __post_init__(self):
+        object.__setattr__(self, "_samplers", (
+            _entry_sampler(self.h, "diagonal drive h"),
+            _entry_sampler(self.v)))
+
+    def __reduce__(self):
+        # Rebuild through __init__: the samplers are closures, which
+        # neither pickle nor need to.
+        return type(self), (self.h, self.v)
+
     def sample(self, t):
         """(h, v) at time t as (float, complex)."""
-        return (_require_real(self.h.evaluate(t), t, "diagonal drive h"),
-                complex(self.v.evaluate(t)))
+        h, v = self._samplers
+        return h(t), v(t)
 
     def matrix(self, t):
         h, v = self.sample(t)
@@ -337,8 +419,10 @@ class Hamiltonian2:
 class HamiltonianSample3(NamedTuple):
     """All independent 3x3 entries at one instant; h3 is derived.
 
-    A named tuple: cheap to build at every integrator stage, and a chart
-    right-hand side unpacks it as (h1, h2, v1, v2, v3).
+    The diagonal entries h1, h2 are floats and the couplings v1, v2, v3
+    complex, each from its entry's sampler. A named tuple: cheap to
+    build at every integrator stage, and a chart right-hand side unpacks
+    it as (h1, h2, v1, v2, v3).
     """
 
     h1: float
@@ -368,17 +452,25 @@ class Hamiltonian3:
     v1: DriveSignal
     v2: DriveSignal
     v3: DriveSignal
+    _samplers: tuple = field(init=False, repr=False, compare=False)
 
     dim = 3
 
+    def __post_init__(self):
+        object.__setattr__(self, "_samplers", (
+            _entry_sampler(self.h1, "diagonal drive h1"),
+            _entry_sampler(self.h2, "diagonal drive h2"),
+            _entry_sampler(self.v1),
+            _entry_sampler(self.v2),
+            _entry_sampler(self.v3)))
+
+    def __reduce__(self):
+        # see Hamiltonian2.__reduce__
+        return type(self), (self.h1, self.h2, self.v1, self.v2, self.v3)
+
     def sample(self, t) -> HamiltonianSample3:
-        return HamiltonianSample3(
-            _require_real(self.h1.evaluate(t), t, "diagonal drive h1"),
-            _require_real(self.h2.evaluate(t), t, "diagonal drive h2"),
-            complex(self.v1.evaluate(t)),
-            complex(self.v2.evaluate(t)),
-            complex(self.v3.evaluate(t)),
-        )
+        h1, h2, v1, v2, v3 = self._samplers
+        return HamiltonianSample3(h1(t), h2(t), v1(t), v2(t), v3(t))
 
     def matrix(self, t):
         s = self.sample(t)

@@ -14,15 +14,17 @@ trigger extra right-hand-side evaluations or step-size manipulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 # Dormand-Prince 5(4) tableau. _A rows hold the stage weights, _C the
-# stage times, _E the (5th minus 4th order) error weights including the
-# first-same-as-last stage, _D the dense-output weights.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# stage times (Python floats, so stage times stay plain floats), _E the
+# (5th minus 4th order) error weights including the first-same-as-last
+# stage, _D the dense-output weights.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     np.array([], dtype=float),
     np.array([1 / 5]),
@@ -144,12 +146,17 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     included in the output grid. escape, if given, is a predicate on
     the flat state; the run stops with singularity status once only
     escaping steps remain, bracketing the blow-up within one tiny step.
+
+    Floating-point overflow and invalid-operation warnings are
+    suppressed for the whole call, rhs and escape included: non-finite
+    values are handled explicitly, by shrinking the step or by raising
+    NonFiniteDerivativeError. The caller's error state is restored on
+    return and on every exception.
     """
     t_start = float(t_start)
     t_end = float(t_end)
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
-    span = t_end - t_start
 
     samples = np.unique(np.concatenate(
         (np.asarray(sample_times, dtype=float).ravel(), [t_start, t_end])))
@@ -160,9 +167,17 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     if y.ndim != 1:
         raise ValueError("initial state must be a flat vector")
 
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _dopri5(rhs, y, t_start, t_end, settings, samples, escape)
+
+
+def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
+    # The stepping loop of `integrate`, run inside its errstate.
+    span = t_end - t_start
     out_times = [t_start]
     out_states = [y.copy()]
     next_sample = 1  # samples[0] == t_start is already recorded
+    next_time = float(samples[1])  # samples holds t_start < t_end
 
     k1 = np.asarray(rhs(t_start, y), dtype=float)
     if not np.all(np.isfinite(k1)):
@@ -201,10 +216,12 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
         err_vec = h * (_E @ k)
         scale = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y),
                                                                  np.abs(y1))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # RMS norm; the same bits as np.sqrt(np.mean(q ** 2)) at half
+        # the cost on a vector this short.
+        q = err_vec / scale
+        err = math.sqrt(float(np.add.reduce(q * q)) / y.size)
 
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             # A wild stage (often overflow past a blow-up) poisons the
             # estimate; shrink hard and retry.
             h *= 0.1
@@ -235,8 +252,8 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
 
         # step accepted
         t1 = t_end if hits_end else t + h
-        end = np.searchsorted(samples, t1, side="right")
-        if end > next_sample:
+        if t1 >= next_time:
+            end = np.searchsorted(samples, t1, side="right")
             batch = samples[next_sample:end]
             rows = _dense_eval(y, y1, k, h, (batch - t) / h)
             if batch[-1] == t1:
@@ -244,6 +261,8 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
             out_times.extend(batch.tolist())
             out_states.extend(rows)
             next_sample = end
+            next_time = (float(samples[end]) if end < len(samples)
+                         else math.inf)
 
         fac11 = err ** _EXPO
         fac = fac11 / (facold ** _BETA)
@@ -254,7 +273,7 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
         facold = max(err, 1e-4)
         just_rejected = False
 
-        y = y1.copy()
+        y = y1  # never written in place, so no copy is needed
         k[0] = k[6]  # first-same-as-last
         t = t1
         h = h_next

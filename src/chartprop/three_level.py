@@ -139,23 +139,26 @@ def chart_rhs(ham):
         dphi1 = -Re(h1 + conj(v1) x + conj(v2) y)
         dphi2 =  Re(-h2 - conj(v3) z + conj(v1) x + conj(v2) x z)
     """
+    sample = ham.sample
+
     def rhs(t, vec):
-        h1, h2, v1, v2, v3 = ham.sample(t)
-        x = complex(vec[0], vec[1])
-        y = complex(vec[2], vec[3])
-        z = complex(vec[4], vec[5])
-        dx, dy, dz, dphi1, dphi2 = _chart_rates(x, y, z, h1, h2, v1, v2, v3)
-        return np.array([dx.real, dx.imag, dy.real, dy.imag,
-                         dz.real, dz.imag, dphi1, dphi2])
+        h1, h2, v1, v2, v3 = sample(t)
+        re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec.tolist()
+        dx, dy, dz, dphi1, dphi2 = _chart_rates(
+            complex(re_x, im_x), complex(re_y, im_y), complex(re_z, im_z),
+            h1, h2, v1, v2, v3)
+        return np.array((dx.real, dx.imag, dy.real, dy.imag,
+                         dz.real, dz.imag, dphi1, dphi2))
     return rhs
 
 
 def escaped(vec) -> bool:
     """True once any coordinate has left the chart's trusted region."""
     lim = SINGULARITY_THRESHOLD ** 2
-    return (vec[0] * vec[0] + vec[1] * vec[1] >= lim
-            or vec[2] * vec[2] + vec[3] * vec[3] >= lim
-            or vec[4] * vec[4] + vec[5] * vec[5] >= lim)
+    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec.tolist()
+    return (re_x * re_x + im_x * im_x >= lim
+            or re_y * re_y + im_y * im_y >= lim
+            or re_z * re_z + im_z * im_z >= lim)
 
 
 def delta_residuals(times, states, ham) -> tuple:

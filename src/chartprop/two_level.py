@@ -66,16 +66,20 @@ def chart_rhs(ham):
         dz   = i * (conj(v) z^2 + 2 h z - v)
         dphi = -(v conj(z) + conj(v) z + 2 h) / 2
     """
+    sample = ham.sample
+
     def rhs(t, vec):
-        h, v = ham.sample(t)
-        z = complex(vec[0], vec[1])
+        h, v = sample(t)
+        re_z, im_z, _ = vec.tolist()
+        z = complex(re_z, im_z)
         dz = 1j * (v.conjugate() * z * z + 2.0 * h * z - v)
         # v conj(z) + conj(v) z is exactly real in floating point
         dphi = -0.5 * (v * z.conjugate() + v.conjugate() * z + 2.0 * h).real
-        return np.array([dz.real, dz.imag, dphi])
+        return np.array((dz.real, dz.imag, dphi))
     return rhs
 
 
 def escaped(vec) -> bool:
     """True once the flat state has left the chart's trusted region."""
-    return vec[0] * vec[0] + vec[1] * vec[1] >= SINGULARITY_THRESHOLD ** 2
+    re_z, im_z, _ = vec.tolist()
+    return re_z * re_z + im_z * im_z >= SINGULARITY_THRESHOLD ** 2

@@ -1,7 +1,10 @@
 """Tests for drive signals, Hamiltonians, and config parsing."""
 
+import copy
+import dataclasses
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -129,6 +132,97 @@ def test_hamiltonian2_rejects_complex_diagonal():
     ham = Hamiltonian2(h=ConstantDrive(1.0j), v=ConstantDrive(0.0))
     with pytest.raises(ValueError):
         ham.sample(0.0)
+
+
+@pytest.mark.parametrize("entry", ["h1", "h2"])
+def test_hamiltonian3_rejects_complex_diagonal(entry):
+    drives = dict(h1=ConstantDrive(0.1), h2=ConstantDrive(0.2),
+                  v1=ConstantDrive(0.0), v2=ConstantDrive(0.0),
+                  v3=ConstantDrive(0.0))
+    drives[entry] = CosineDrive(1.0j, 1.0)
+    ham = Hamiltonian3(**drives)
+    with pytest.raises(ValueError, match=f"diagonal drive {entry}"):
+        ham.sample(0.0)
+
+
+# Every shape, with exactly real and with complex parameters. The edge
+# cases are an amplitude with imaginary part -0.0 (not exactly real:
+# it flips the sign of a zero product in complex arithmetic) and an
+# imaginary part small enough to pass the per-sample realness check.
+REAL_DRIVES = [
+    ConstantDrive(0.4),
+    ConstantDrive(complex(0.0, -0.0)),
+    ConstantDrive(complex(0.5, 1e-17)),
+    CosineDrive(-0.7, 1.3, 0.2),
+    CosineDrive(complex(0.0, -0.0), 1.0),
+    CosineDrive(complex(-0.0, 0.0), 1.0),
+    GaussianDrive(0.6, 1.0, 0.4),
+    GaussianDrive(complex(0.3, -0.0), 1.0, 0.4),
+    PiecewiseDrive((0.0, 1.0, 2.0), (0.1, -0.3, 0.2)),
+    SumDrive((ConstantDrive(0.1), CosineDrive(0.2, 2.0))),
+]
+COMPLEX_DRIVES = [
+    ConstantDrive(0.5 - 0.25j),
+    CosineDrive(0.4 + 0.1j, 1.1, -0.3),
+    GaussianDrive(-0.2 + 0.5j, 1.5, 0.7),
+    PiecewiseDrive((0.0, 2.0), (0.3j, 0.1 - 0.2j)),
+    SumDrive((ConstantDrive(0.1j), GaussianDrive(0.3, 1.0, 0.5))),
+]
+SAMPLE_TIMES = [0.0, 0.37, 2.0, 3, np.float64(0.9), np.float64(1.0) / 3]
+
+
+def _bits(value):
+    c = complex(value)
+    return c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("drive", REAL_DRIVES + COMPLEX_DRIVES, ids=repr)
+def test_coupling_sampler_matches_evaluate_bit_for_bit(drive):
+    ham2 = Hamiltonian2(h=ConstantDrive(0.0), v=drive)
+    ham3 = Hamiltonian3(h1=ConstantDrive(0.0), h2=ConstantDrive(0.0),
+                        v1=drive, v2=drive, v3=drive)
+    for t in SAMPLE_TIMES:
+        want = _bits(drive.evaluate(t))
+        _, v = ham2.sample(t)
+        s = ham3.sample(t)
+        for value in (v, s.v1, s.v2, s.v3):
+            assert type(value) is complex
+            assert _bits(value) == want
+
+
+@pytest.mark.parametrize("drive", REAL_DRIVES, ids=repr)
+def test_diagonal_sampler_matches_evaluate_bit_for_bit(drive):
+    zero = ConstantDrive(0.0)
+    ham2 = Hamiltonian2(h=drive, v=zero)
+    ham3 = Hamiltonian3(h1=drive, h2=drive, v1=zero, v2=zero, v3=zero)
+    for t in SAMPLE_TIMES:
+        want = complex(drive.evaluate(t)).real.hex()
+        h, _ = ham2.sample(t)
+        s = ham3.sample(t)
+        for value in (h, s.h1, s.h2):
+            assert type(value) is float
+            assert value.hex() == want
+
+
+@pytest.mark.parametrize("ham", [
+    Hamiltonian2(h=CosineDrive(0.3, 1.2), v=GaussianDrive(0.5 + 0.1j, 1.0,
+                                                          0.5)),
+    Hamiltonian3(h1=PiecewiseDrive((0.0, 2.0), (0.1, -0.1)),
+                 h2=ConstantDrive(complex(0.2, -0.0)),
+                 v1=CosineDrive(0.4j, 0.7), v2=ConstantDrive(0.25j),
+                 v3=SumDrive((ConstantDrive(0.1), GaussianDrive(0.2j, 1.0,
+                                                                0.3)))),
+], ids=["two_level", "three_level"])
+def test_hamiltonian_copies_compare_equal_and_sample_identically(ham):
+    copies = [pickle.loads(pickle.dumps(ham)), copy.deepcopy(ham),
+              copy.copy(ham), dataclasses.replace(ham)]
+    for other in copies:
+        assert other == ham
+        assert hash(other) == hash(ham)
+        for t in SAMPLE_TIMES:
+            assert ([_bits(x) for x in other.sample(t)]
+                    == [_bits(x) for x in ham.sample(t)])
+    assert "_samplers" not in repr(ham)
 
 
 def test_hamiltonian3_matrix_structure():

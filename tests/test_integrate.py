@@ -1,11 +1,14 @@
 """Tests for the adaptive integrator: accuracy, dense output, stop modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chartprop import (ChartSingularityError, ConvergenceScenario,
-                       IntegratorSettings, NonFiniteDerivativeError,
-                       StepLimitError, convergence_probe, integrate)
+                       IntegrationError, IntegratorSettings,
+                       NonFiniteDerivativeError, StepLimitError,
+                       convergence_probe, integrate)
 
 
 def decay(t, y):
@@ -167,3 +170,62 @@ def test_early_stop_trajectory_is_well_formed():
     assert np.all(np.isfinite(traj.states))
     assert traj.times[-1] == traj.singularity_time
     assert abs(traj.final_state[0]) < 1e6
+
+
+def test_sample_density_does_not_change_the_steps():
+    # Dense output only reads accepted steps: the RHS calls and the
+    # final state are the same with no interior samples and with many.
+    settings = IntegratorSettings(max_step=0.3)
+    finals, counts = [], []
+    for n in (2, 2001):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return rotation(t, y)
+        traj = integrate(counted, [1.0, 0.0], 0.0, 6.0, settings,
+                         np.linspace(0.0, 6.0, n))
+        assert len(traj.times) == n
+        finals.append(traj.final_state)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert np.array_equal(finals[0], finals[1])
+
+
+def test_sample_on_a_step_end():
+    # With a constant derivative every step passes error control and
+    # grows to max_step: the steps end at 0.125, 0.375, 0.625, 0.875, 1.
+    def constant(t, y):
+        return np.array([1.0, -2.0])
+    settings = IntegratorSettings(max_step=0.25, initial_step=0.125)
+    traj = integrate(constant, [0.0, 0.0], 0.0, 1.0, settings, [0.375, 0.5])
+    assert np.array_equal(traj.times, [0.0, 0.375, 0.5, 1.0])
+    # the sample on the step end is the step's own result: the same
+    # state as a run that ends there
+    short = integrate(constant, [0.0, 0.0], 0.0, 0.375, settings, [])
+    assert np.array_equal(short.times, [0.0, 0.375])
+    assert np.array_equal(traj.states[1], short.final_state)
+    assert np.allclose(traj.states[2], [0.5, -1.0], rtol=0, atol=1e-15)
+
+
+def test_error_state_restored_after_return_and_raise():
+    before = np.geterr()
+    settings = IntegratorSettings(max_step=0.1)
+    integrate(decay, [1.0], 0.0, 1.0, settings, [0.5])
+    assert np.geterr() == before
+    with pytest.raises(NonFiniteDerivativeError):
+        integrate(lambda t, y: np.full_like(y, np.nan), [1.0], 0.0, 1.0,
+                  settings, [0.5])
+    assert np.geterr() == before
+
+
+def test_overflowing_stage_warns_nothing():
+    # y' = y^2 from y(0) = 1 blows up at t = 1; without an escape
+    # predicate the stages overflow. That is handled by shrinking the
+    # step until the run fails with an IntegrationError, and must not
+    # surface as a RuntimeWarning (here turned into an exception).
+    settings = IntegratorSettings(max_step=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError):
+            integrate(lambda t, y: y * y, [1.0], 0.0, 2.0, settings, [2.0])
