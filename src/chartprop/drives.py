@@ -14,8 +14,8 @@ errors with the path of the offending field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 import yaml
@@ -54,19 +54,16 @@ def _as_complex(value, path):
     return complex(_as_float(value, path))
 
 
-def _coefficient(amplitude, real):
-    """The factor a closed-form scalar function multiplies by.
+def _exact_real(value):
+    """value.real when value is exactly real, else None.
 
-    real=False: the complex amplitude itself. real=True: its real part
-    when the amplitude is exactly real, else None. An imaginary part of
-    -0.0 does not count as exactly real: the real part of
+    An imaginary part of -0.0 does not count: the real part of
     complex(a, -0.0) * x is a * x + 0.0, which is +0.0 where a * x is
-    -0.0, so a float function would not reproduce it to the bit.
+    -0.0, so a float closure would not reproduce the complex one to the
+    bit.
     """
-    if not real:
-        return amplitude
-    if amplitude.imag == 0.0 and math.copysign(1.0, amplitude.imag) > 0.0:
-        return amplitude.real
+    if value.imag == 0.0 and math.copysign(1.0, value.imag) > 0.0:
+        return value.real
     return None
 
 
@@ -76,6 +73,34 @@ def _complex_out(value):
     if c.imag == 0.0:
         return c.real
     return [c.real, c.imag]
+
+
+# Scalar formulas of the cosine and Gaussian shapes, each written once:
+# the factory binds the parameters and returns a closure of t. A drive
+# keeps its complex closure for `evaluate`; a Hamiltonian samples an
+# entry with it, or with a float closure built from the real amplitude.
+
+def _cosine(amplitude, angular_frequency, phase_offset):
+    def at(t):
+        return amplitude * math.cos(angular_frequency * t + phase_offset)
+    return at
+
+
+def _gaussian(amplitude, center, width):
+    def at(t):
+        arg = (t - center) / width
+        return amplitude * math.exp(-0.5 * arg * arg)
+    return at
+
+
+class _RebuiltOnCopy:
+    """Mixin for frozen dataclasses that keep closures built in
+    __post_init__: pickling and copying rebuild the object through
+    __init__, because closures do not pickle."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)
@@ -96,11 +121,11 @@ class ConstantDrive:
         """This drive as a function of a scalar t, built once.
 
         real=False gives complex values. real=True gives float values,
-        or None unless the parameters make the drive exactly real; then
-        no per-sample realness check is needed. Shapes without a closed
-        form (piecewise, sum) return None.
+        or None unless the parameters make the drive exactly real, so
+        that no per-sample realness check is needed. A piecewise drive,
+        which has no closed form, returns None.
         """
-        value = _coefficient(self.value, real)
+        value = _exact_real(self.value) if real else self.value
         if value is None:
             return None
         return lambda t: value
@@ -110,34 +135,35 @@ class ConstantDrive:
 
 
 @dataclass(frozen=True)
-class CosineDrive:
+class CosineDrive(_RebuiltOnCopy):
     """amplitude * cos(angular_frequency * t + phase_offset)."""
 
     amplitude: complex
     angular_frequency: float
     phase_offset: float = 0.0
+    _at: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "angular_frequency", float(self.angular_frequency))
         object.__setattr__(self, "phase_offset", float(self.phase_offset))
+        object.__setattr__(self, "_at", _cosine(
+            self.amplitude, self.angular_frequency, self.phase_offset))
 
     def evaluate(self, t):
         if isinstance(t, (float, int)):
-            return self.scalar()(t)
+            return self._at(t)
         return self.amplitude * np.cos(self.angular_frequency * np.asarray(t)
                                        + self.phase_offset)
 
     def scalar(self, real=False):
         """See ConstantDrive.scalar."""
-        amplitude = _coefficient(self.amplitude, real)
+        if not real:
+            return self._at
+        amplitude = _exact_real(self.amplitude)
         if amplitude is None:
             return None
-        frequency, offset = self.angular_frequency, self.phase_offset
-
-        def at(t):
-            return amplitude * math.cos(frequency * t + offset)
-        return at
+        return _cosine(amplitude, self.angular_frequency, self.phase_offset)
 
     def to_spec(self):
         return {
@@ -149,12 +175,13 @@ class CosineDrive:
 
 
 @dataclass(frozen=True)
-class GaussianDrive:
+class GaussianDrive(_RebuiltOnCopy):
     """amplitude * exp(-(t - center)^2 / (2 width^2))."""
 
     amplitude: complex
     center: float
     width: float
+    _at: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
@@ -162,24 +189,23 @@ class GaussianDrive:
         object.__setattr__(self, "width", float(self.width))
         if not self.width > 0:
             raise ValueError(f"gaussian width must be positive, got {self.width}")
+        object.__setattr__(self, "_at", _gaussian(
+            self.amplitude, self.center, self.width))
 
     def evaluate(self, t):
         if isinstance(t, (float, int)):
-            return self.scalar()(t)
+            return self._at(t)
         arg = (np.asarray(t) - self.center) / self.width
         return self.amplitude * np.exp(-0.5 * arg * arg)
 
     def scalar(self, real=False):
         """See ConstantDrive.scalar."""
-        amplitude = _coefficient(self.amplitude, real)
+        if not real:
+            return self._at
+        amplitude = _exact_real(self.amplitude)
         if amplitude is None:
             return None
-        center, width = self.center, self.width
-
-        def at(t):
-            arg = (t - center) / width
-            return amplitude * math.exp(-0.5 * arg * arg)
-        return at
+        return _gaussian(amplitude, self.center, self.width)
 
     def to_spec(self):
         return {
@@ -241,8 +267,19 @@ class SumDrive:
         return total
 
     def scalar(self, real=False):
-        """None: no closed form; Hamiltonians sample it through evaluate."""
-        return None
+        """See ConstantDrive.scalar: the terms' functions summed in
+        order, or None when a term has none."""
+        parts = [term.scalar(real) for term in self.terms]
+        if any(part is None for part in parts):
+            return None
+        first, rest = parts[0], parts[1:]
+
+        def at(t):
+            total = first(t)
+            for part in rest:
+                total = total + part(t)
+            return total
+        return at
 
     def to_spec(self):
         return {"shape": "sum", "terms": [term.to_spec() for term in self.terms]}
@@ -337,8 +374,8 @@ def _entry_sampler(drive, what=None):
     """Scalar sampler of one Hamiltonian entry, built once per Hamiltonian.
 
     A coupling (what=None) returns complex values. A diagonal entry,
-    named by `what`, returns float values: a closed-form drive with an
-    exactly real amplitude needs no check, and every other diagonal
+    named by `what`, returns float values: a drive whose scalar function
+    is real by construction needs no check, and every other diagonal
     drive is checked for realness at each sample.
     """
     if what is None:
@@ -361,7 +398,7 @@ def _grid_values(drive, times):
 
 
 @dataclass(frozen=True)
-class Hamiltonian2:
+class Hamiltonian2(_RebuiltOnCopy):
     """Traceless Hermitian 2x2: diagonal (h, -h), off-diagonal coupling v.
 
     Matrix layout:
@@ -380,11 +417,6 @@ class Hamiltonian2:
         object.__setattr__(self, "_samplers", (
             _entry_sampler(self.h, "diagonal drive h"),
             _entry_sampler(self.v)))
-
-    def __reduce__(self):
-        # Rebuild through __init__: the samplers are closures, which
-        # neither pickle nor need to.
-        return type(self), (self.h, self.v)
 
     def sample(self, t):
         """(h, v) at time t as (float, complex)."""
@@ -437,7 +469,7 @@ class HamiltonianSample3(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Hamiltonian3:
+class Hamiltonian3(_RebuiltOnCopy):
     """Traceless Hermitian 3x3 with derived third diagonal entry.
 
     Matrix layout (* marks conjugation):
@@ -463,10 +495,6 @@ class Hamiltonian3:
             _entry_sampler(self.v1),
             _entry_sampler(self.v2),
             _entry_sampler(self.v3)))
-
-    def __reduce__(self):
-        # see Hamiltonian2.__reduce__
-        return type(self), (self.h1, self.h2, self.v1, self.v2, self.v3)
 
     def sample(self, t) -> HamiltonianSample3:
         h1, h2, v1, v2, v3 = self._samplers

@@ -160,6 +160,11 @@ REAL_DRIVES = [
     GaussianDrive(complex(0.3, -0.0), 1.0, 0.4),
     PiecewiseDrive((0.0, 1.0, 2.0), (0.1, -0.3, 0.2)),
     SumDrive((ConstantDrive(0.1), CosineDrive(0.2, 2.0))),
+    SumDrive((CosineDrive(0.3, 1.0), SumDrive((GaussianDrive(-0.2, 1.0, 0.5),
+                                               ConstantDrive(0.1))))),
+    SumDrive((GaussianDrive(0.2, 1.0, 0.5),
+              PiecewiseDrive((0.0, 3.0), (0.1, -0.1)))),
+    SumDrive((ConstantDrive(0.1 + 0.2j), ConstantDrive(0.3 - 0.2j))),
 ]
 COMPLEX_DRIVES = [
     ConstantDrive(0.5 - 0.25j),
@@ -167,6 +172,8 @@ COMPLEX_DRIVES = [
     GaussianDrive(-0.2 + 0.5j, 1.5, 0.7),
     PiecewiseDrive((0.0, 2.0), (0.3j, 0.1 - 0.2j)),
     SumDrive((ConstantDrive(0.1j), GaussianDrive(0.3, 1.0, 0.5))),
+    SumDrive((CosineDrive(0.2 + 0.1j, 1.0), PiecewiseDrive((0.0, 2.0),
+                                                         (0.0, 1.0j)))),
 ]
 SAMPLE_TIMES = [0.0, 0.37, 2.0, 3, np.float64(0.9), np.float64(1.0) / 3]
 
