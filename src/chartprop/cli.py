@@ -107,11 +107,18 @@ def trajectory_table(trajectory, unitaries, ham) -> tuple:
     return columns, table
 
 
-def _csv_text(columns, table) -> str:
-    lines = [",".join(columns)]
-    for row in table:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+_CSV_BLOCK = 1024  # table rows per write
+
+
+def _write_csv(columns, table, stream) -> None:
+    # Streamed in blocks of rows, each formatted by one %-operation on a
+    # prebuilt format; "%.17g" writes every float, nan and the
+    # infinities included, as f"{v:.17g}" does.
+    stream.write(",".join(columns) + "\n")
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for lo in range(0, len(table), _CSV_BLOCK):
+        block = table[lo:lo + _CSV_BLOCK]
+        stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _json_text(columns, table, config, settings, trajectory) -> str:
@@ -137,7 +144,7 @@ def _json_text(columns, table, config, settings, trajectory) -> str:
 def _write_table(columns, table, trajectory, config, settings,
                  output_format, stream) -> None:
     if output_format == "csv":
-        stream.write(_csv_text(columns, table))
+        _write_csv(columns, table, stream)
     else:
         stream.write(_json_text(columns, table, config, settings, trajectory))
 

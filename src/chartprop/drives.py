@@ -217,25 +217,32 @@ class GaussianDrive(_RebuiltOnCopy):
 
 
 @dataclass(frozen=True)
-class PiecewiseDrive:
+class PiecewiseDrive(_RebuiltOnCopy):
     """Linear interpolation through (t, value) knots, clamped outside."""
 
     times: tuple
     values: tuple
+    # (knot times, real parts, imaginary parts) as float arrays
+    _knots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("piecewise drive needs at least two (t, value) knots")
-        if not np.all(np.diff(np.asarray(self.times, dtype=float)) > 0):
+        ts = np.asarray(self.times, dtype=float)
+        if not np.all(np.diff(ts) > 0):
             raise ValueError("piecewise knot times must be strictly increasing")
+        vs = np.asarray(self.values, dtype=complex)
+        knots = (ts, vs.real.copy(), vs.imag.copy())
+        for array in knots:
+            array.flags.writeable = False
+        object.__setattr__(self, "_knots", knots)
 
     def evaluate(self, t):
-        ts = np.asarray(self.times, dtype=float)
-        vs = np.asarray(self.values, dtype=complex)
+        ts, re, im = self._knots
         # np.interp clamps to the end values outside the knot range.
-        return np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)
+        return np.interp(t, ts, re) + 1j * np.interp(t, ts, im)
 
     def scalar(self, real=False):
         """None: no closed form; Hamiltonians sample it through evaluate."""
@@ -425,7 +432,7 @@ class Hamiltonian2(_RebuiltOnCopy):
 
     def matrix(self, t):
         h, v = self.sample(t)
-        return np.array([[h, np.conj(v)], [v, -h]], dtype=complex)
+        return np.array([[h, v.conjugate()], [v, -h]], dtype=complex)
 
     def hermitian(self, t) -> HermitianTraceless:
         """Validated traceless Hermitian snapshot at time t."""
@@ -503,8 +510,8 @@ class Hamiltonian3(_RebuiltOnCopy):
     def matrix(self, t):
         s = self.sample(t)
         return np.array([
-            [s.h1, np.conj(s.v1), np.conj(s.v2)],
-            [s.v1, s.h2, np.conj(s.v3)],
+            [s.h1, s.v1.conjugate(), s.v2.conjugate()],
+            [s.v1, s.h2, s.v3.conjugate()],
             [s.v2, s.v3, s.h3],
         ], dtype=complex)
 

@@ -8,8 +8,12 @@ optional escape predicate, which lets it stop cleanly when a Riccati
 trajectory runs off its coordinate chart.
 
 Dense output uses the classic 4th-order interpolant attached to the
-pair, exact at both step endpoints, so requested sample times never
-trigger extra right-hand-side evaluations or step-size manipulation.
+pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
+step endpoints, so requested sample times never trigger extra
+right-hand-side evaluations or step-size manipulation. The stepping
+loop only records what the interpolant needs from each accepted step
+that holds samples; every sample is evaluated once, after the loop, in
+one vectorized pass over blocks of rows.
 """
 
 from __future__ import annotations
@@ -127,16 +131,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _dense_eval(y0, y1, k, h, thetas):
-    # 4th-order interpolant over one accepted step; exact at theta 0 and 1.
-    delta = y1 - y0
-    bspl = h * k[0] - delta
-    cont4 = delta - h * k[6] - bspl
-    cont5 = h * (_D @ k)
-    th = np.asarray(thetas)[:, None]
-    return y0 + th * (delta + (1.0 - th) * (bspl + th * (cont4 + (1.0 - th) * cont5)))
-
-
 def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
               sample_times, escape=None) -> Trajectory:
     """Propagate d/dt y = rhs(t, y) from t_start to t_end.
@@ -174,9 +168,15 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
 def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
     # The stepping loop of `integrate`, run inside its errstate.
     span = t_end - t_start
-    out_times = [t_start]
-    out_states = [y.copy()]
-    next_sample = 1  # samples[0] == t_start is already recorded
+    initial = y
+    # Per accepted step that holds samples, in order: its sample count,
+    # t, h and t1 in `steps`, and the vectors its interpolant needs in
+    # `record` (y, y1, k[0], k[6] and _D @ k along the first axis).
+    # `record` starts with room for 1024 steps, or one per sample when
+    # there are fewer samples, and doubles when it is full.
+    steps = []
+    record = np.empty((5, min(len(samples) - 1, 1024), y.size))
+    next_sample = 1  # samples[0] == t_start needs no step
     next_time = float(samples[1])  # samples holds t_start < t_end
 
     k1 = np.asarray(rhs(t_start, y), dtype=float)
@@ -253,13 +253,16 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
         # step accepted
         t1 = t_end if hits_end else t + h
         if t1 >= next_time:
-            end = np.searchsorted(samples, t1, side="right")
-            batch = samples[next_sample:end]
-            rows = _dense_eval(y, y1, k, h, (batch - t) / h)
-            if batch[-1] == t1:
-                rows[-1] = y1
-            out_times.extend(batch.tolist())
-            out_states.extend(rows)
+            end = int(np.searchsorted(samples, t1, side="right"))
+            n = len(steps)
+            if n == record.shape[1]:
+                record = np.concatenate((record, np.empty_like(record)),
+                                        axis=1)
+            record[0, n] = y
+            record[1, n] = y1
+            record[2:4, n] = k[0::6]
+            record[4, n] = _D @ k
+            steps.append((end - next_sample, t, h, t1))
             next_sample = end
             next_time = (float(samples[end]) if end < len(samples)
                          else math.inf)
@@ -278,15 +281,54 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
         t = t1
         h = h_next
 
-    if out_times[-1] != t:
-        # early stop: close the trajectory at the last committed state
-        out_times.append(t)
-        out_states.append(y.copy())
-
-    return Trajectory(times=np.array(out_times),
-                      states=np.array(out_states),
-                      status=status,
+    # An early stop (singularity, step limit) between two samples closes
+    # the trajectory with the last committed state.
+    closing = bool(samples[next_sample - 1] != t)
+    times = samples[:next_sample + closing].copy()
+    times[0] = t_start
+    states = np.empty((len(times), y.size))
+    states[0] = initial
+    _dense_rows(steps, record, samples[1:next_sample],
+                states[1:next_sample])
+    if closing:
+        times[-1] = t
+        states[-1] = y
+    return Trajectory(times=times, states=states, status=status,
                       singularity_time=singularity_time)
+
+
+_DENSE_BLOCK = 256  # sample rows per pass of _dense_rows
+
+
+def _dense_rows(steps, record, sample_times, out):
+    """Evaluate the dense output of the recorded steps at sample_times.
+
+    steps and record are those of `_dopri5`, and out gets one row per
+    sample. Every operation is the elementwise one a per-step
+    evaluation makes, so the rows are the same to the bit; a sample on
+    a step end gets the step's own result y1. Rows are computed in
+    blocks, which bounds the temporaries.
+    """
+    if not steps:
+        return
+    counts, t0, h, t1 = (np.array(column) for column in zip(*steps))
+    step_of = np.repeat(np.arange(len(steps)), counts)
+    for lo in range(0, len(sample_times), _DENSE_BLOCK):
+        block = slice(lo, lo + _DENSE_BLOCK)
+        i = step_of[block]
+        s = sample_times[block]
+        start, end, k0, k6, dk = record[:, i]
+        hi = h[i][:, None]
+        th = ((s - t0[i]) / h[i])[:, None]
+        delta = end - start
+        bspl = hi * k0 - delta
+        cont4 = delta - hi * k6 - bspl
+        cont5 = hi * dk
+        rows = start + th * (delta + (1.0 - th) * (
+            bspl + th * (cont4 + (1.0 - th) * cont5)))
+        on_end = s == t1[i]
+        rows[on_end] = end[on_end]
+        out[block] = rows
 
 
 @dataclass(frozen=True)

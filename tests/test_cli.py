@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from chartprop import cli
 from chartprop.cli import RunRequest, build_parser, main, run
 
 CONFIG2 = """
@@ -258,3 +259,67 @@ def test_repeat_runs_identical(config3_path, tmp_path):
     main(["run", config3_path, "--samples", "30", "--output", str(a)])
     main(["run", config3_path, "--samples", "30", "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def csv_reference(columns, table):
+    # The CSV text as one string with one f-string per value: the
+    # format the streamed writer must reproduce byte for byte.
+    lines = [",".join(columns)]
+    for row in table:
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_streamed_csv_matches_per_value_formatting():
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e16,
+                1e17, 0.1, 1.0 / 3.0]
+    rows = 2 * cli._CSV_BLOCK + 7     # not a whole number of blocks
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(
+        -300, 300, (rows, 5))
+    table.ravel()[:len(specials)] = specials
+    table[-1] = specials[-5:]
+    columns = ["t", "a", "b", "c", "d"]
+    stream = RecordingStream()
+    cli._write_table(columns, table, None, None, None, "csv", stream)
+    text = stream.getvalue()
+    assert text == csv_reference(columns, table)
+    # the header, then one write per block of rows; no write holds the
+    # whole file
+    assert len(stream.sizes) == 1 + 3
+    assert max(stream.sizes) < len(text) / 2
+
+
+def test_csv_file_and_stdout_match_per_value_formatting(config2_path,
+                                                        tmp_path, capsys):
+    from chartprop import IntegratorSettings, integrate, parse_config
+    from chartprop.two_level import chart_rhs, escaped, reconstruct_batch
+    samples = cli._CSV_BLOCK + 3
+    cfg = parse_config(CONFIG2)
+    settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
+                                  abs_tol=cfg.abs_tol)
+    traj = integrate(chart_rhs(cfg.hamiltonian), np.zeros(3), 0.0, 1.0,
+                     settings, np.linspace(0.0, 1.0, samples), escape=escaped)
+    columns, table = cli.trajectory_table(traj, reconstruct_batch(traj.states),
+                                          cfg.hamiltonian)
+    want = csv_reference(columns, table)
+
+    out = tmp_path / "out.csv"
+    assert main(["run", config2_path, "--samples", str(samples),
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert main(["run", config2_path, "--samples", str(samples)]) == 0
+    assert capsys.readouterr().out == want

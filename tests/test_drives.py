@@ -244,6 +244,69 @@ def test_hamiltonian3_matrix_structure():
     assert s.h3 == -(s.h1 + s.h2)
 
 
+# Constant and piecewise drives do the same arithmetic on a scalar t
+# and on a grid. The cosine and Gaussian shapes are left out: numpy's
+# SIMD cos and exp may differ from math.cos and math.exp in the last bit.
+@pytest.mark.parametrize("ham", [
+    Hamiltonian2(h=PiecewiseDrive((0.0, 1.0, 3.0), (0.1, -0.3, 0.2)),
+                 v=PiecewiseDrive((0.0, 2.0), (0.3j, -0.1 - 0.2j))),
+    Hamiltonian3(h1=PiecewiseDrive((0.0, 2.0), (0.1, -0.1)),
+                 h2=ConstantDrive(complex(-0.0, -0.0)),
+                 v1=ConstantDrive(0.5 - 0.25j),
+                 v2=ConstantDrive(complex(0.3, -0.0)),
+                 v3=SumDrive((ConstantDrive(0.1 + 0.2j),
+                              PiecewiseDrive((0.5, 1.5), (-0.4j, 0.2))))),
+], ids=["two_level", "three_level"])
+def test_matrix_matches_matrix_grid_bit_for_bit(ham):
+    for t in (-1.0, 0.0, 0.37, 1.0, 1.5, 2.0, 2.9, 7.0, np.float64(1.0) / 3):
+        m = ham.matrix(t)
+        assert m.dtype == complex
+        assert m.tobytes() == ham.matrix_grid([t])[0].tobytes()
+
+
+def _knot_formula(drive, t):
+    # PiecewiseDrive.evaluate as it was before its knot arrays were
+    # built once, at construction
+    ts = np.asarray(drive.times, dtype=float)
+    vs = np.asarray(drive.values, dtype=complex)
+    return np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)
+
+
+PIECEWISE = PiecewiseDrive((-1.0, 0.0, 0.5, 2.0),
+                           (0.3 - 0.1j, complex(-0.0, -0.0), 1.0j,
+                            -0.25 + 0.5j))
+
+
+def test_piecewise_evaluate_matches_knot_formula_bit_for_bit():
+    # scalars inside, on and outside the knot range
+    for t in (-3.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.7, 2.0, 9.0, 1,
+              np.float64(1.0) / 3):
+        got, want = PIECEWISE.evaluate(t), _knot_formula(PIECEWISE, t)
+        assert type(got) is type(want)
+        assert _bits(got) == _bits(want)
+    for ts in (np.linspace(-2.0, 3.0, 41), [0.3, 1.1],
+               np.array([[0.1, 2.5], [-4.0, 0.5]])):
+        got, want = PIECEWISE.evaluate(ts), _knot_formula(PIECEWISE, ts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_piecewise_copies_compare_equal_and_evaluate_identically():
+    ts = np.linspace(-2.0, 3.0, 41)
+    copies = [pickle.loads(pickle.dumps(PIECEWISE)), copy.deepcopy(PIECEWISE),
+              copy.copy(PIECEWISE), dataclasses.replace(PIECEWISE)]
+    for other in copies:
+        assert other == PIECEWISE
+        assert hash(other) == hash(PIECEWISE)
+        assert other.evaluate(ts).tobytes() == PIECEWISE.evaluate(ts).tobytes()
+    assert PIECEWISE != PiecewiseDrive(PIECEWISE.times,
+                                       PIECEWISE.values[:-1] + (0.0,))
+    assert "_knots" not in repr(PIECEWISE)
+    # the knot arrays built at construction cannot be changed afterwards
+    with pytest.raises(ValueError):
+        PIECEWISE._knots[1][0] = 5.0
+
+
 def test_sample_grid_matches_pointwise_samples():
     ham = Hamiltonian3(h1=CosineDrive(0.2, 1.0), h2=ConstantDrive(-0.1),
                        v1=GaussianDrive(0.5j, 2.0, 0.7),

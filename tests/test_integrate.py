@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from chartprop import (ChartSingularityError, ConvergenceScenario,
-                       IntegrationError, IntegratorSettings,
-                       NonFiniteDerivativeError, StepLimitError,
-                       convergence_probe, integrate)
+                       CosineDrive, Hamiltonian3, IntegrationError,
+                       IntegratorSettings, NonFiniteDerivativeError,
+                       StepLimitError, convergence_probe, integrate,
+                       three_level)
 
 
 def decay(t, y):
@@ -174,22 +175,25 @@ def test_early_stop_trajectory_is_well_formed():
 
 def test_sample_density_does_not_change_the_steps():
     # Dense output only reads accepted steps: the RHS calls and the
-    # final state are the same with no interior samples and with many.
+    # final state are the same with no interior samples and with many,
+    # also when only t_end, or nothing at all, is requested.
     settings = IntegratorSettings(max_step=0.3)
     finals, counts = [], []
-    for n in (2, 2001):
+    for grid in ([], [6.0], np.linspace(0.0, 6.0, 2),
+                 np.linspace(0.0, 6.0, 2001)):
         calls = []
 
         def counted(t, y):
             calls.append(t)
             return rotation(t, y)
-        traj = integrate(counted, [1.0, 0.0], 0.0, 6.0, settings,
-                         np.linspace(0.0, 6.0, n))
-        assert len(traj.times) == n
+        traj = integrate(counted, [1.0, 0.0], 0.0, 6.0, settings, grid)
+        assert len(traj.times) == max(len(grid), 2)
+        assert traj.status == "completed"
         finals.append(traj.final_state)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
-    assert np.array_equal(finals[0], finals[1])
+    assert len(set(counts)) == 1
+    for final in finals[1:]:
+        assert np.array_equal(final, finals[0])
 
 
 def test_sample_on_a_step_end():
@@ -229,3 +233,129 @@ def test_overflowing_stage_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
             integrate(lambda t, y: y * y, [1.0], 0.0, 2.0, settings, [2.0])
+
+
+def counting(rhs):
+    """rhs wrapped to count its calls in .calls."""
+    def counted(t, y):
+        counted.calls += 1
+        return rhs(t, y)
+    counted.calls = 0
+    return counted
+
+
+def blowup(t, y):
+    return y * y
+
+
+def escapes(y):
+    return abs(y[0]) >= 1e6
+
+
+COSINE3 = Hamiltonian3(h1=CosineDrive(0.3, 1.7), h2=CosineDrive(-0.2, 0.6, 0.4),
+                       v1=CosineDrive(0.6 - 0.2j, 1.1), v2=CosineDrive(0.4j, 0.9),
+                       v3=CosineDrive(0.2 + 0.2j, 2.3, 1.0))
+
+
+def test_extra_samples_leave_requested_samples_unchanged():
+    # Dense output of a sample depends only on the step that holds it:
+    # adding sample times B to a grid A changes neither the steps nor
+    # the bits of the rows at A, although A's rows then sit at other
+    # offsets in the evaluation blocks.
+    settings = IntegratorSettings(max_step=0.05)
+    grid_a = np.linspace(0.0, 6.0, 121)
+    grid_b = np.random.default_rng(7).uniform(0.0, 6.0, 997)
+    runs = []
+    for grid in (grid_a, np.concatenate((grid_a, grid_b))):
+        rhs = counting(three_level.chart_rhs(COSINE3))
+        traj = integrate(rhs, np.zeros(8), 0.0, 6.0, settings, grid,
+                         escape=three_level.escaped)
+        assert traj.status == "completed"
+        runs.append((traj, rhs.calls))
+    (a, calls_a), (ab, calls_ab) = runs
+    assert calls_a == calls_ab
+    assert len(ab.times) == 121 + 997
+    rows = np.searchsorted(ab.times, a.times)
+    assert np.array_equal(ab.times[rows], a.times)
+    assert np.array_equal(ab.states[rows], a.states)
+
+
+def test_many_samples_inside_one_step():
+    # A linear problem at a loose tolerance takes a few long steps, so
+    # each holds hundreds of samples, more than one evaluation block.
+    settings = IntegratorSettings(max_step=10.0, rel_tol=1e-6, abs_tol=1e-9)
+    rhs = counting(rotation)
+    grid = np.linspace(0.0, 6.0, 20001)
+    traj = integrate(rhs, [1.0, 0.0], 0.0, 6.0, settings, grid)
+    assert traj.status == "completed"
+    attempts = (rhs.calls - 1) // 6
+    assert len(grid) / attempts > 300
+    assert np.array_equal(traj.times, grid)
+    assert traj.states.shape == (20001, 2)
+    exact = np.column_stack((np.cos(grid), -np.sin(grid)))
+    assert np.max(np.abs(traj.states - exact)) < 1e-4
+    # the end of the run is a step end: it carries y1 itself
+    end_only = integrate(rotation, [1.0, 0.0], 0.0, 6.0, settings, [])
+    assert np.array_equal(traj.final_state, end_only.final_state)
+    # every 7th sample alone gives the same bits
+    sparse = integrate(rotation, [1.0, 0.0], 0.0, 6.0, settings, grid[::7])
+    assert np.array_equal(sparse.states[:-1], traj.states[::7])
+
+
+@pytest.mark.parametrize("settings, escape, status", [
+    (IntegratorSettings(max_step=0.05), escapes, "singularity"),
+    (IntegratorSettings(max_step=1e-3, max_steps=250), None, "step_limit"),
+], ids=["singularity", "step_limit"])
+def test_early_stop_rows_then_last_committed_state(settings, escape, status):
+    grid = np.linspace(0.0, 2.0, 201)
+    traj = integrate(blowup, [1.0], 0.0, 2.0, settings, grid, escape=escape)
+    assert traj.status == status
+    stop = traj.times[-1]
+    # the samples before the stop, then the stop time itself
+    before = grid[grid < stop]
+    assert np.array_equal(traj.times, np.append(before, stop))
+    assert traj.states.shape == (len(before) + 1, 1)
+    if status == "singularity":
+        assert stop == traj.singularity_time
+        assert 0.999 < stop < 1.0
+    exact = 1.0 / (1.0 - traj.times[:-1])
+    assert np.max(np.abs(traj.states[:-1, 0] / exact - 1.0)) < 1e-7
+    # The closing row is the last committed state: a run that requests
+    # the stop time as a sample takes the same steps and returns that
+    # state there, as its step-end result, with the same earlier rows.
+    again = integrate(blowup, [1.0], 0.0, 2.0, settings,
+                      np.append(grid, stop), escape=escape)
+    assert again.status == status
+    assert np.array_equal(again.times, traj.times)
+    assert np.array_equal(again.states, traj.states)
+
+
+@pytest.mark.parametrize("grid, t_end, escape", [
+    (np.linspace(0.0, 1.0, 37), 1.0, None),
+    ([1.0], 1.0, None),
+    ([], 1.0, None),
+    (np.linspace(0.0, 2.0, 21), 2.0, escapes),
+], ids=["completed", "end_only", "no_samples", "singularity"])
+def test_states_are_a_c_contiguous_float64_matrix(grid, t_end, escape):
+    traj = integrate(blowup if escape else rotation,
+                     [1.0] if escape else [1.0, 0.0], 0.0, t_end,
+                     IntegratorSettings(max_step=0.05), grid, escape=escape)
+    d = 1 if escape else 2
+    assert traj.states.shape == (len(traj.times), d)
+    assert traj.states.dtype == np.float64
+    assert traj.states.flags.c_contiguous
+    assert traj.times.dtype == np.float64
+    assert traj.times.flags.c_contiguous
+    # what integrate_schrodinger relies on: pairs of columns view as
+    # complex without a copy
+    if d == 2:
+        assert traj.states.view(complex).shape == (len(traj.times), 1)
+
+
+def test_first_time_is_t_start_itself():
+    # A requested -0.0 merges with t_start = 0.0; the trajectory still
+    # starts at t_start, sign of zero included.
+    settings = IntegratorSettings(max_step=0.1)
+    traj = integrate(decay, [1.0], 0.0, 1.0, settings, [-0.0, 0.5])
+    assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
+    assert not np.signbit(traj.times[0])
