@@ -20,6 +20,23 @@ def rotation(t, y):
     return np.array([y[1], -y[0]])
 
 
+def counting(rhs):
+    """rhs wrapped to count its calls in .calls."""
+    def counted(t, y):
+        counted.calls += 1
+        return rhs(t, y)
+    counted.calls = 0
+    return counted
+
+
+def blowup(t, y):
+    return y * y
+
+
+def escapes(y):
+    return abs(y[0]) >= 1e6
+
+
 def test_settings_validation():
     s = IntegratorSettings(max_step=0.5)
     assert s.rel_tol == 1e-9
@@ -181,16 +198,12 @@ def test_sample_density_does_not_change_the_steps():
     finals, counts = [], []
     for grid in ([], [6.0], np.linspace(0.0, 6.0, 2),
                  np.linspace(0.0, 6.0, 2001)):
-        calls = []
-
-        def counted(t, y):
-            calls.append(t)
-            return rotation(t, y)
-        traj = integrate(counted, [1.0, 0.0], 0.0, 6.0, settings, grid)
+        rhs = counting(rotation)
+        traj = integrate(rhs, [1.0, 0.0], 0.0, 6.0, settings, grid)
         assert len(traj.times) == max(len(grid), 2)
         assert traj.status == "completed"
         finals.append(traj.final_state)
-        counts.append(len(calls))
+        counts.append(rhs.calls)
     assert len(set(counts)) == 1
     for final in finals[1:]:
         assert np.array_equal(final, finals[0])
@@ -233,23 +246,6 @@ def test_overflowing_stage_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
             integrate(lambda t, y: y * y, [1.0], 0.0, 2.0, settings, [2.0])
-
-
-def counting(rhs):
-    """rhs wrapped to count its calls in .calls."""
-    def counted(t, y):
-        counted.calls += 1
-        return rhs(t, y)
-    counted.calls = 0
-    return counted
-
-
-def blowup(t, y):
-    return y * y
-
-
-def escapes(y):
-    return abs(y[0]) >= 1e6
 
 
 COSINE3 = Hamiltonian3(h1=CosineDrive(0.3, 1.7), h2=CosineDrive(-0.2, 0.6, 0.4),
