@@ -8,9 +8,11 @@ Usage:
 
 The trajectory table goes to --output (default: standard output); the
 run report goes to standard error as `key = value` lines, so piping
-the table stays clean. Exit codes: 0 success, 1 config or IO trouble,
-2 chart singularity (the math ran off the coordinate chart; the rows
-up to the blow-up are still written).
+the table stays clean. Exit codes: 0 success, 1 config, IO or
+integration trouble (a run that exhausts its step budget included; its
+rows up to the last step are still written), 2 chart singularity (the
+math ran off the coordinate chart; the rows up to the blow-up are
+still written).
 """
 
 from __future__ import annotations
@@ -208,20 +210,25 @@ def _run_impl(request: RunRequest):
 
     report_fields["wall_time_s"] = time.perf_counter() - started
     report = RunReport(**report_fields)
-    code = 2 if trajectory.status == "singularity" else 0
-    return code, report
+    if trajectory.status == "singularity":
+        return 2, report, (f"chart singularity near t = "
+                           f"{trajectory.singularity_time:.12g}; "
+                           f"trajectory truncated")
+    if trajectory.status == "step_limit":
+        return 1, report, (f"step limit hit at t = "
+                           f"{trajectory.times[-1]:.12g}; trajectory truncated")
+    return 0, report, None
 
 
 def run(request: RunRequest) -> int:
     """Execute one run request; returns the process exit code."""
     try:
-        code, report = _run_impl(request)
+        code, report, truncation = _run_impl(request)
     except (ConfigError, OSError, IntegrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if report.status == "singularity":
-        print(f"chart singularity near t = {report.singularity_time:.12g}; "
-              f"trajectory truncated", file=sys.stderr)
+    if truncation is not None:
+        print(truncation, file=sys.stderr)
     for line in report.as_lines():
         print(line, file=sys.stderr)
     return code

@@ -20,8 +20,6 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 import yaml
 
-from .matrices import HermitianTraceless
-
 
 class ConfigError(ValueError):
     """Config document rejected; message carries the field path."""
@@ -42,6 +40,13 @@ def _as_float(value, path):
         except ValueError:
             raise ConfigError(f"{path}: expected a number, got {value!r}") from None
     raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
+
+
+def _as_finite(value, path):
+    number = _as_float(value, path)
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {number}")
+    return number
 
 
 def _as_complex(value, path):
@@ -391,21 +396,76 @@ def _entry_sampler(drive, what=None):
         lambda t: _require_real(drive.evaluate(t), t, what))
 
 
-def _require_real_grid(values, what):
-    c = np.asarray(values, dtype=complex)
-    bad = np.abs(c.imag) > 1e-14 * (1.0 + np.abs(c))
-    if np.any(bad):
+def _grid_values(drive, times, what=None):
+    """One entry over a whole time grid: complex for a coupling (what
+    is None), real and checked for a diagonal entry named by `what`."""
+    out = np.broadcast_to(np.asarray(drive.evaluate(times), dtype=complex),
+                          np.shape(times))
+    if what is None:
+        return out
+    if np.any(np.abs(out.imag) > 1e-14 * (1.0 + np.abs(out))):
         raise ValueError(f"{what} must evaluate real everywhere on the grid")
-    return c.real.copy()
+    return out.real.copy()
 
 
-def _grid_values(drive, times):
-    out = drive.evaluate(times)
-    return np.broadcast_to(np.asarray(out, dtype=complex), np.shape(times))
+class _Hamiltonian(_RebuiltOnCopy):
+    """Traceless Hermitian dim x dim matrix built from its independent drives.
+
+    Each subclass is a frozen dataclass with one drive field per name in
+    KEYS, plus `_samplers`, and sets the layout:
+
+    * `dim`, the number of levels;
+    * `KEYS`, the dim - 1 real diagonal drives first, then the complex
+      couplings in lower-triangle column order;
+    * `_SLOTS`, the matrix in row-major order, each slot an index into
+      (diagonal drives, derived diagonal, couplings, conjugated couplings).
+
+    `sample(t)` returns the KEYS values at t in that order; it stays a
+    short explicit method in each subclass, since the chart right-hand
+    side calls it at every integrator stage.
+    """
+
+    def _drives(self):
+        # (drive, label) per key; only diagonal drives carry a label
+        n = self.dim - 1
+        return [(getattr(self, key), f"diagonal drive {key}" if i < n else None)
+                for i, key in enumerate(self.KEYS)]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_samplers", tuple(
+            _entry_sampler(drive, what) for drive, what in self._drives()))
+
+    def _entries(self, values):
+        # Matrix entries in row-major order from KEYS values, scalars or
+        # arrays alike. The derived diagonal is -h for two levels and
+        # -(h1 + h2) for three: a sum that started from 0 would turn
+        # -0.0 + -0.0 into +0.0.
+        n = self.dim - 1
+        table = [*values[:n], -sum(values[1:n], values[0]), *values[n:]]
+        table += [v.conjugate() for v in values[n:]]
+        return [table[slot] for slot in self._SLOTS]
+
+    def matrix(self, t) -> np.ndarray:
+        """The Hamiltonian matrix at time t."""
+        return np.array(self._entries(self.sample(t)),
+                        dtype=complex).reshape(self.dim, self.dim)
+
+    def sample_grid(self, times) -> tuple:
+        """The KEYS values as arrays over a whole time grid."""
+        times = np.asarray(times, dtype=float)
+        return tuple(_grid_values(drive, times, what)
+                     for drive, what in self._drives())
+
+    def matrix_grid(self, times) -> np.ndarray:
+        """Stacked Hamiltonian matrices over a time grid, shape (N, dim, dim)."""
+        out = np.empty(np.shape(times) + (self.dim * self.dim,), dtype=complex)
+        for k, entry in enumerate(self._entries(self.sample_grid(times))):
+            out[..., k] = entry
+        return out.reshape(np.shape(times) + (self.dim, self.dim))
 
 
 @dataclass(frozen=True)
-class Hamiltonian2(_RebuiltOnCopy):
+class Hamiltonian2(_Hamiltonian):
     """Traceless Hermitian 2x2: diagonal (h, -h), off-diagonal coupling v.
 
     Matrix layout:
@@ -419,40 +479,14 @@ class Hamiltonian2(_RebuiltOnCopy):
     _samplers: tuple = field(init=False, repr=False, compare=False)
 
     dim = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "_samplers", (
-            _entry_sampler(self.h, "diagonal drive h"),
-            _entry_sampler(self.v)))
+    KEYS = ("h", "v")
+    _SLOTS = (0, 3,
+              2, 1)
 
     def sample(self, t):
         """(h, v) at time t as (float, complex)."""
         h, v = self._samplers
         return h(t), v(t)
-
-    def matrix(self, t):
-        h, v = self.sample(t)
-        return np.array([[h, v.conjugate()], [v, -h]], dtype=complex)
-
-    def hermitian(self, t) -> HermitianTraceless:
-        """Validated traceless Hermitian snapshot at time t."""
-        return HermitianTraceless(self.matrix(t))
-
-    def sample_grid(self, times) -> tuple:
-        """(h, v) arrays over a whole time grid."""
-        times = np.asarray(times, dtype=float)
-        return (_require_real_grid(_grid_values(self.h, times), "diagonal drive h"),
-                _grid_values(self.v, times))
-
-    def matrix_grid(self, times) -> np.ndarray:
-        """Stacked Hamiltonian matrices over a time grid, shape (N, 2, 2)."""
-        h, v = self.sample_grid(times)
-        out = np.empty(np.shape(times) + (2, 2), dtype=complex)
-        out[..., 0, 0] = h
-        out[..., 0, 1] = np.conjugate(v)
-        out[..., 1, 0] = v
-        out[..., 1, 1] = -h
-        return out
 
 
 class HamiltonianSample3(NamedTuple):
@@ -476,7 +510,7 @@ class HamiltonianSample3(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Hamiltonian3(_RebuiltOnCopy):
+class Hamiltonian3(_Hamiltonian):
     """Traceless Hermitian 3x3 with derived third diagonal entry.
 
     Matrix layout (* marks conjugation):
@@ -494,54 +528,14 @@ class Hamiltonian3(_RebuiltOnCopy):
     _samplers: tuple = field(init=False, repr=False, compare=False)
 
     dim = 3
-
-    def __post_init__(self):
-        object.__setattr__(self, "_samplers", (
-            _entry_sampler(self.h1, "diagonal drive h1"),
-            _entry_sampler(self.h2, "diagonal drive h2"),
-            _entry_sampler(self.v1),
-            _entry_sampler(self.v2),
-            _entry_sampler(self.v3)))
+    KEYS = ("h1", "h2", "v1", "v2", "v3")
+    _SLOTS = (0, 6, 7,
+              3, 1, 8,
+              4, 5, 2)
 
     def sample(self, t) -> HamiltonianSample3:
         h1, h2, v1, v2, v3 = self._samplers
         return HamiltonianSample3(h1(t), h2(t), v1(t), v2(t), v3(t))
-
-    def matrix(self, t):
-        s = self.sample(t)
-        return np.array([
-            [s.h1, s.v1.conjugate(), s.v2.conjugate()],
-            [s.v1, s.h2, s.v3.conjugate()],
-            [s.v2, s.v3, s.h3],
-        ], dtype=complex)
-
-    def hermitian(self, t) -> HermitianTraceless:
-        """Validated traceless Hermitian snapshot at time t."""
-        return HermitianTraceless(self.matrix(t))
-
-    def sample_grid(self, times) -> tuple:
-        """(h1, h2, v1, v2, v3) arrays over a whole time grid."""
-        times = np.asarray(times, dtype=float)
-        return (_require_real_grid(_grid_values(self.h1, times), "diagonal drive h1"),
-                _require_real_grid(_grid_values(self.h2, times), "diagonal drive h2"),
-                _grid_values(self.v1, times),
-                _grid_values(self.v2, times),
-                _grid_values(self.v3, times))
-
-    def matrix_grid(self, times) -> np.ndarray:
-        """Stacked Hamiltonian matrices over a time grid, shape (N, 3, 3)."""
-        h1, h2, v1, v2, v3 = self.sample_grid(times)
-        out = np.empty(np.shape(times) + (3, 3), dtype=complex)
-        out[..., 0, 0] = h1
-        out[..., 0, 1] = np.conjugate(v1)
-        out[..., 0, 2] = np.conjugate(v2)
-        out[..., 1, 0] = v1
-        out[..., 1, 1] = h2
-        out[..., 1, 2] = np.conjugate(v3)
-        out[..., 2, 0] = v2
-        out[..., 2, 1] = v3
-        out[..., 2, 2] = -(h1 + h2)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -569,28 +563,25 @@ class RunConfig:
         return self.hamiltonian.dim
 
 
-_H2_KEYS = ("h", "v")
-_H3_KEYS = ("h1", "h2", "v1", "v2", "v3")
+_HAMILTONIANS = {2: Hamiltonian2, 3: Hamiltonian3}
 
 
 def _parse_hamiltonian(mapping, system, t_start, t_end):
     if not isinstance(mapping, dict):
         raise ConfigError("hamiltonian: expected a mapping of drives")
-    keys = _H2_KEYS if system == 2 else _H3_KEYS
-    allowed = set(keys) | ({"h3"} if system == 3 else set())
+    cls = _HAMILTONIANS[system]
+    allowed = set(cls.KEYS) | ({"h3"} if system == 3 else set())
     extra = set(mapping) - allowed
     if extra:
         raise ConfigError(f"hamiltonian: unexpected keys {sorted(extra)} "
                           f"for a {system}-level system")
     drives = {}
-    for key in keys:
+    for key in cls.KEYS:
         if key not in mapping:
             raise ConfigError(f"hamiltonian.{key}: required for a "
                               f"{system}-level system")
         drives[key] = drive_from_spec(mapping[key], f"hamiltonian.{key}")
-    if system == 2:
-        return Hamiltonian2(**drives)
-    ham = Hamiltonian3(**drives)
+    ham = cls(**drives)
     if "h3" in mapping:
         # Redundant entry tolerated only when consistent with tracelessness.
         h3 = drive_from_spec(mapping["h3"], "hamiltonian.h3")
@@ -637,8 +628,8 @@ def parse_config(source) -> RunConfig:
     for key in ("start", "end"):
         if key not in time_map:
             raise ConfigError(f"time.{key}: required")
-    t_start = _as_float(time_map["start"], "time.start")
-    t_end = _as_float(time_map["end"], "time.end")
+    t_start = _as_finite(time_map["start"], "time.start")
+    t_end = _as_finite(time_map["end"], "time.end")
     if not t_end > t_start:
         raise ConfigError(f"time: end ({t_end}) must be greater than "
                           f"start ({t_start})")
@@ -652,11 +643,11 @@ def parse_config(source) -> RunConfig:
         if extra:
             raise ConfigError(f"integrator: unexpected keys {sorted(extra)}")
         if "rel_tol" in integ:
-            rel_tol = _as_float(integ["rel_tol"], "integrator.rel_tol")
+            rel_tol = _as_finite(integ["rel_tol"], "integrator.rel_tol")
         if "abs_tol" in integ:
-            abs_tol = _as_float(integ["abs_tol"], "integrator.abs_tol")
+            abs_tol = _as_finite(integ["abs_tol"], "integrator.abs_tol")
         if "max_step" in integ:
-            max_step = _as_float(integ["max_step"], "integrator.max_step")
+            max_step = _as_finite(integ["max_step"], "integrator.max_step")
         if rel_tol <= 0 or abs_tol <= 0:
             raise ConfigError("integrator: tolerances must be positive")
         if max_step is not None and max_step <= 0:
@@ -670,7 +661,6 @@ def parse_config(source) -> RunConfig:
 def config_to_dict(config: RunConfig) -> dict:
     """Plain-data form of a config; parse_config inverts it."""
     ham = config.hamiltonian
-    keys = _H2_KEYS if config.system == 2 else _H3_KEYS
     return {
         "system": config.system,
         "time": {"start": config.t_start, "end": config.t_end},
@@ -679,7 +669,7 @@ def config_to_dict(config: RunConfig) -> dict:
             "abs_tol": config.abs_tol,
             "max_step": config.max_step,
         },
-        "hamiltonian": {key: getattr(ham, key).to_spec() for key in keys},
+        "hamiltonian": {key: getattr(ham, key).to_spec() for key in ham.KEYS},
     }
 
 

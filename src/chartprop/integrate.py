@@ -154,7 +154,8 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
 
     samples = np.unique(np.concatenate(
         (np.asarray(sample_times, dtype=float).ravel(), [t_start, t_end])))
-    if samples[0] < t_start or samples[-1] > t_end:
+    # np.unique sorts a nan last, where the second comparison fails on it
+    if not (samples[0] >= t_start and samples[-1] <= t_end):
         raise ValueError("sample times must lie within [t_start, t_end]")
 
     y = np.array(initial, dtype=float)

@@ -56,10 +56,6 @@ class UnitaryMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class HermitianTraceless:
@@ -77,10 +73,6 @@ class HermitianTraceless:
             raise MatrixInvariantError(f"trace off zero by {tr:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 def hermitian_expm(h: HermitianTraceless, t: float) -> UnitaryMatrix:

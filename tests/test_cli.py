@@ -1,6 +1,7 @@
 """Tests for the command-line entry point and trajectory file formats."""
 
 import csv
+import functools
 import io
 import json
 
@@ -209,6 +210,23 @@ def test_singularity_exit_code(tmp_path, capsys):
     fields = dict(line.split(" = ") for line in err.strip().splitlines()
                   if " = " in line)
     assert abs(float(fields["singularity_time"]) - np.pi / 2) < 1e-3
+
+
+def test_step_limit_is_exit_one(config2_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "IntegratorSettings", functools.partial(
+        cli.IntegratorSettings, max_steps=5))
+    out = tmp_path / "out.csv"
+    code = main(["run", config2_path, "--samples", "40", "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "status = step_limit" in err
+    # truncated trajectory still emitted, up to the last committed step
+    header, table = read_csv(out)
+    assert header == COLUMNS2
+    assert 1 < len(table) < 40
+    notice = err.splitlines()[0]
+    assert notice == (f"step limit hit at t = {table[-1, 0]:.12g}; "
+                      f"trajectory truncated")
 
 
 def test_missing_config_is_exit_one(tmp_path, capsys):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from chartprop import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
-                       Hamiltonian2, Hamiltonian3, PiecewiseDrive, RunConfig,
-                       SumDrive, config_to_dict, drive_from_spec, parse_config,
-                       serialize_config)
+                       Hamiltonian2, Hamiltonian3, HermitianTraceless,
+                       PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
+                       drive_from_spec, parse_config, serialize_config)
 
 CONFIG3 = """
 system: 3
@@ -125,12 +125,12 @@ def test_hamiltonian2_matrix_structure():
     assert m[1, 0] == 0.5 + 0.2j
     h, v = ham.sample(1.7)
     assert h == 0.3 and v == 0.5 + 0.2j
-    ham.hermitian(0.0)  # validates Hermitian and traceless
+    HermitianTraceless(ham.matrix(0.0))  # validates Hermitian and traceless
 
 
 def test_hamiltonian2_rejects_complex_diagonal():
     ham = Hamiltonian2(h=ConstantDrive(1.0j), v=ConstantDrive(0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="diagonal drive h"):
         ham.sample(0.0)
 
 
@@ -242,6 +242,20 @@ def test_hamiltonian3_matrix_structure():
     assert np.array_equal(m, m.conj().T)
     s = ham.sample(0.0)
     assert s.h3 == -(s.h1 + s.h2)
+
+
+def test_derived_diagonal_keeps_the_sign_of_zero():
+    # -(h1 + h2) with h1 = h2 = -0.0 is +0.0; a sum started from 0 would
+    # give -0.0 instead
+    zero = ConstantDrive(complex(-0.0, 0.0))
+    ham = Hamiltonian3(h1=zero, h2=zero, v1=ConstantDrive(0.1),
+                       v2=ConstantDrive(0.2j), v3=ConstantDrive(0.3))
+    t = 0.5
+    want = -(-0.0 + -0.0)
+    assert math.copysign(1.0, want) == 1.0
+    for value in (ham.matrix(t)[2, 2], ham.matrix_grid([t])[0, 2, 2],
+                  ham.sample(t).h3):
+        assert _bits(value) == _bits(want)
 
 
 # Constant and piecewise drives do the same arithmetic on a scalar t
@@ -359,6 +373,11 @@ hamiltonian:
     ("system: 4", "system"),
     ("time: {start: 1.0, end: 1.0}", "time"),
     ("extra_key: 1", "unexpected"),
+    ("time: {start: .inf, end: 2.0}", "time.start"),
+    ("time: {start: 0.0, end: .inf}", "time.end"),
+    ("integrator: {rel_tol: .nan}", "integrator.rel_tol"),
+    ("integrator: {abs_tol: .nan}", "integrator.abs_tol"),
+    ("integrator: {max_step: .inf}", "integrator.max_step"),
 ])
 def test_parse_config_rejects_bad_documents(mutation, fragment):
     base = """

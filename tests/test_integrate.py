@@ -99,6 +99,8 @@ def test_input_validation():
         integrate(decay, [1.0], 1.0, 0.0, settings, [])
     with pytest.raises(ValueError):
         integrate(decay, [1.0], 0.0, 1.0, settings, [2.0])
+    with pytest.raises(ValueError, match="within"):
+        integrate(decay, [1.0], 0.0, 1.0, settings, [0.5, np.nan])
     with pytest.raises(ValueError):
         integrate(decay, [[1.0, 2.0]], 0.0, 1.0, settings, [0.5])
 
