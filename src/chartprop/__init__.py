@@ -12,7 +12,7 @@ from .drives import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                      PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
                      drive_from_spec, parse_config, serialize_config)
 from .integrate import (ChartSingularityError, ConvergenceScenario,
-                        IntegrationError, IntegratorSettings,
+                        IntegrationError, IntegrationStats, IntegratorSettings,
                         NonFiniteDerivativeError, StepLimitError, Trajectory,
                         convergence_probe, integrate)
 from .matrices import (HermitianTraceless, MatrixInvariantError,
@@ -24,8 +24,8 @@ from .reference import (ComparisonReport, OracleTrajectory, compare,
 __all__ = [
     "ChartSingularityError", "ComparisonReport", "ConfigError",
     "ConstantDrive", "ConvergenceScenario", "CosineDrive", "GaussianDrive",
-    "Hamiltonian2", "Hamiltonian3", "HamiltonianSample3",
-    "HermitianTraceless", "IntegrationError", "IntegratorSettings",
+    "Hamiltonian2", "Hamiltonian3", "HamiltonianSample3", "HermitianTraceless",
+    "IntegrationError", "IntegrationStats", "IntegratorSettings",
     "MatrixInvariantError", "NonFiniteDerivativeError", "OracleTrajectory",
     "PiecewiseDrive", "RunConfig", "StepLimitError", "SumDrive", "Trajectory",
     "UnitaryMatrix", "compare", "config_to_dict", "convergence_probe",

@@ -8,7 +8,11 @@ Usage:
 
 The trajectory table goes to --output (default: standard output); the
 run report goes to standard error as `key = value` lines, so piping
-the table stays clean. Exit codes: 0 success, 1 config, IO or
+the table stays clean. The report includes the step accounting of the
+chart run (`chart_*` lines) and, with --compare-oracle, of the oracle
+(`oracle_*` lines). The chart run measures step errors with the chart's
+error weights, so the tolerances act on the evolution operator; the
+oracle runs unweighted. Exit codes: 0 success, 1 config, IO or
 integration trouble (a run that exhausts its step budget included; its
 rows up to the last step are still written), 2 chart singularity (the
 math ran off the coordinate chart; the rows up to the blow-up are
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -28,7 +33,8 @@ import numpy as np
 
 from . import three_level, two_level
 from .drives import ConfigError, config_to_dict, parse_config
-from .integrate import IntegrationError, IntegratorSettings, integrate
+from .integrate import (IntegrationError, IntegrationStats,
+                        IntegratorSettings, integrate)
 from .reference import (compare, integrate_schrodinger, schrodinger_residuals,
                         unitarity_errors)
 
@@ -50,11 +56,21 @@ class RunRequest:
             raise ValueError("samples must be at least 2")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown format {self.output_format!r}")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Summary numbers for one run; all residuals are non-negative."""
+    """Summary numbers for one run; all residuals are non-negative.
+
+    chart_stats and oracle_stats are the step accounting of the chart
+    integration and of the direct-matrix oracle; each field becomes a
+    line of its own, prefixed with chart_ or oracle_.
+    """
 
     status: str
     max_unitarity_error: float
@@ -65,6 +81,8 @@ class RunReport:
     max_frobenius_error: Optional[float] = None
     time_of_max_error: Optional[float] = None
     oracle_unitarity_drift: Optional[float] = None
+    chart_stats: Optional[IntegrationStats] = None
+    oracle_stats: Optional[IntegrationStats] = None
     wall_time_s: Optional[float] = None
 
     def as_lines(self) -> list:
@@ -73,9 +91,15 @@ class RunReport:
         keys = ("status", "singularity_time", "max_unitarity_error",
                 "max_schrodinger_residual", "max_delta1_residual",
                 "max_delta2_residual", "max_frobenius_error",
-                "time_of_max_error", "oracle_unitarity_drift", "wall_time_s")
-        return [f"{k} = {fmt(getattr(self, k))}"
-                for k in keys if getattr(self, k) is not None]
+                "time_of_max_error", "oracle_unitarity_drift")
+        fields = [(k, getattr(self, k)) for k in keys]
+        for prefix in ("chart", "oracle"):
+            stats = getattr(self, f"{prefix}_stats")
+            if stats is not None:
+                fields += [(f"{prefix}_{k}", v)
+                           for k, v in vars(stats).items()]
+        fields.append(("wall_time_s", self.wall_time_s))
+        return [f"{k} = {fmt(v)}" for k, v in fields if v is not None]
 
 
 # The one place a chart is chosen; both modules expose the same interface.
@@ -174,13 +198,15 @@ def _run_impl(request: RunRequest):
 
     trajectory = integrate(chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE),
                            config.t_start, config.t_end, settings, grid,
-                           escape=chart.escaped)
+                           escape=chart.escaped,
+                           error_weight=chart.error_weight)
 
     unitaries = chart.reconstruct_batch(trajectory.states)
     report_fields = {
         "status": trajectory.status,
         "singularity_time": trajectory.singularity_time,
         "max_unitarity_error": float(np.max(unitarity_errors(unitaries))),
+        "chart_stats": trajectory.stats,
     }
 
     if request.compare_oracle and len(trajectory.times) >= 2:
@@ -191,6 +217,7 @@ def _run_impl(request: RunRequest):
         report_fields["max_frobenius_error"] = oracle_report.max_frobenius_error
         report_fields["time_of_max_error"] = oracle_report.time_of_max
         report_fields["oracle_unitarity_drift"] = oracle_report.oracle_drift
+        report_fields["oracle_stats"] = oracle.stats
 
     # The table carries every residual array; the report takes its maxima
     # from there rather than computing the residuals a second time.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -418,7 +419,8 @@ class _Hamiltonian(_RebuiltOnCopy):
     * `KEYS`, the dim - 1 real diagonal drives first, then the complex
       couplings in lower-triangle column order;
     * `_SLOTS`, the matrix in row-major order, each slot an index into
-      (diagonal drives, derived diagonal, couplings, conjugated couplings).
+      (KEYS values, derived diagonal, conjugated couplings), and
+      `_pick = itemgetter(*_SLOTS)`, which selects them in one call.
 
     `sample(t)` returns the KEYS values at t in that order; it stays a
     short explicit method in each subclass, since the chart right-hand
@@ -435,19 +437,21 @@ class _Hamiltonian(_RebuiltOnCopy):
         object.__setattr__(self, "_samplers", tuple(
             _entry_sampler(drive, what) for drive, what in self._drives()))
 
-    def _entries(self, values):
-        # Matrix entries in row-major order from KEYS values, scalars or
-        # arrays alike. The derived diagonal is -h for two levels and
+    def _entries(self, values, conjugate):
+        # Matrix entries in row-major order from KEYS values: Python
+        # scalars with conjugate=complex.conjugate, arrays with
+        # np.conjugate. The derived diagonal is -h for two levels and
         # -(h1 + h2) for three: a sum that started from 0 would turn
         # -0.0 + -0.0 into +0.0.
         n = self.dim - 1
-        table = [*values[:n], -sum(values[1:n], values[0]), *values[n:]]
-        table += [v.conjugate() for v in values[n:]]
-        return [table[slot] for slot in self._SLOTS]
+        return self._pick((*values, -sum(values[1:n], values[0]),
+                           *map(conjugate, values[n:])))
 
     def matrix(self, t) -> np.ndarray:
         """The Hamiltonian matrix at time t."""
-        return np.array(self._entries(self.sample(t)),
+        # The direct-matrix oracle calls this at every stage, hence the
+        # one-call table and entry selection.
+        return np.array(self._entries(self.sample(t), complex.conjugate),
                         dtype=complex).reshape(self.dim, self.dim)
 
     def sample_grid(self, times) -> tuple:
@@ -459,7 +463,8 @@ class _Hamiltonian(_RebuiltOnCopy):
     def matrix_grid(self, times) -> np.ndarray:
         """Stacked Hamiltonian matrices over a time grid, shape (N, dim, dim)."""
         out = np.empty(np.shape(times) + (self.dim * self.dim,), dtype=complex)
-        for k, entry in enumerate(self._entries(self.sample_grid(times))):
+        entries = self._entries(self.sample_grid(times), np.conjugate)
+        for k, entry in enumerate(entries):
             out[..., k] = entry
         return out.reshape(np.shape(times) + (self.dim, self.dim))
 
@@ -481,7 +486,8 @@ class Hamiltonian2(_Hamiltonian):
     dim = 2
     KEYS = ("h", "v")
     _SLOTS = (0, 3,
-              2, 1)
+              1, 2)
+    _pick = itemgetter(*_SLOTS)
 
     def sample(self, t):
         """(h, v) at time t as (float, complex)."""
@@ -530,8 +536,9 @@ class Hamiltonian3(_Hamiltonian):
     dim = 3
     KEYS = ("h1", "h2", "v1", "v2", "v3")
     _SLOTS = (0, 6, 7,
-              3, 1, 8,
-              4, 5, 2)
+              2, 1, 8,
+              3, 4, 5)
+    _pick = itemgetter(*_SLOTS)
 
     def sample(self, t) -> HamiltonianSample3:
         h1, h2, v1, v2, v3 = self._samplers

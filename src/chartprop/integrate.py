@@ -76,6 +76,10 @@ class NonFiniteDerivativeError(IntegrationError):
         super().__init__(f"non-finite derivative at t = {time:.12g}")
 
 
+def _positive(value) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class IntegratorSettings:
     """Step-control parameters.
@@ -92,16 +96,42 @@ class IntegratorSettings:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
+        # Finite as well as positive: an infinite tolerance switches
+        # error control off, and an infinite step has no size.
+        if not (_positive(self.rel_tol) and _positive(self.abs_tol)):
+            raise ValueError("tolerances must be finite and positive")
+        if not _positive(self.max_step):
+            raise ValueError("max_step must be finite and positive")
         if self.initial_step is None:
             object.__setattr__(self, "initial_step", self.max_step / 100.0)
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
+        if not _positive(self.initial_step):
+            raise ValueError("initial_step must be finite and positive")
         if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
+
+
+@dataclass(frozen=True)
+class IntegrationStats:
+    """What one integration run cost, counted in the stepping loop.
+
+    Every attempt evaluates the six stages after the first, and the
+    run evaluates the first stage once, so rhs_calls is always
+    1 + 6 * attempts. An attempt ends in exactly one of: an accepted
+    step, an error rejection, a retry after a non-finite error estimate
+    or weight, an escape halving, or, once, the stop that brackets a
+    chart singularity. smallest_step and largest_step span the accepted
+    steps, the shortened last one included; both are None when no step
+    was accepted.
+    """
+
+    attempts: int
+    accepted: int
+    error_rejections: int
+    nonfinite_retries: int
+    escape_halvings: int
+    rhs_calls: int
+    smallest_step: Optional[float]
+    largest_step: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -111,12 +141,14 @@ class Trajectory:
     times is strictly increasing and starts at t_start. For a completed
     run it ends at t_end; for an early stop (singularity, step limit)
     it ends at the last committed step time and `status` says why.
+    stats holds the run's step accounting.
     """
 
     times: np.ndarray            # (N,)
     states: np.ndarray           # (N, d) flat real states
     status: str                  # "completed" | "singularity" | "step_limit"
     singularity_time: Optional[float] = None
+    stats: Optional[IntegrationStats] = None
 
     def require_completed(self) -> "Trajectory":
         if self.status == "singularity":
@@ -132,7 +164,7 @@ class Trajectory:
 
 
 def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
-              sample_times, escape=None) -> Trajectory:
+              sample_times, escape=None, error_weight=None) -> Trajectory:
     """Propagate d/dt y = rhs(t, y) from t_start to t_end.
 
     rhs maps (t, flat state) to a flat derivative array. sample_times
@@ -140,6 +172,20 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     included in the output grid. escape, if given, is a predicate on
     the flat state; the run stops with singularity status once only
     escaping steps remain, bracketing the blow-up within one tiny step.
+
+    The error estimate of a step from y to y1 is measured against the
+    scale abs_tol + rel_tol * max(|y|, |y1|), componentwise. error_weight,
+    if given, maps a flat state to nonnegative per-component weights
+    that take the place of |y| there: the scale becomes
+    abs_tol + rel_tol * max(w(y), w(y1)). A chart passes how little an
+    error in each component moves the operator it stands for, so that
+    the tolerances act on the operator rather than on the coordinates
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4). w(y) is kept from
+    the previous accepted step, so each attempt makes one weight call.
+    A non-finite weight fails the attempt the way a non-finite error
+    estimate does: the step shrinks and is retried. Without
+    error_weight the run is the same to the bit as one that never had
+    the option.
 
     Floating-point overflow and invalid-operation warnings are
     suppressed for the whole call, rhs and escape included: non-finite
@@ -163,10 +209,11 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
         raise ValueError("initial state must be a flat vector")
 
     with np.errstate(invalid="ignore", over="ignore"):
-        return _dopri5(rhs, y, t_start, t_end, settings, samples, escape)
+        return _dopri5(rhs, y, t_start, t_end, settings, samples, escape,
+                       error_weight)
 
 
-def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
+def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
     # The stepping loop of `integrate`, run inside its errstate.
     span = t_end - t_start
     initial = y
@@ -195,7 +242,14 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
     status = None
     singularity_time = None
     t = t_start
-    attempts = 0
+    # Step accounting for IntegrationStats, as plain Python numbers.
+    attempts = accepted = error_rejections = nonfinite_retries = 0
+    escape_halvings = 0
+    smallest_step = math.inf
+    largest_step = 0.0
+    # w is the error weight of y, carried from step to step; both stay
+    # None without error_weight.
+    w = w1 = None if error_weight is None else error_weight(y)
 
     while True:
         if t >= t_end:
@@ -215,8 +269,16 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
         y1 = yi  # the 7th stage input is the 5th-order result
 
         err_vec = h * (_E @ k)
-        scale = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(y),
-                                                                 np.abs(y1))
+        if error_weight is None:
+            scale = settings.abs_tol + settings.rel_tol * np.maximum(
+                np.abs(y), np.abs(y1))
+        else:
+            w1 = error_weight(y1)
+            scale = settings.abs_tol + settings.rel_tol * np.maximum(w, w1)
+            if not math.isfinite(float(np.add.reduce(scale))):
+                # An infinite weight would scale the error away; fail
+                # the estimate instead, as a wild stage does.
+                scale = math.nan
         # RMS norm; the same bits as np.sqrt(np.mean(q ** 2)) at half
         # the cost on a vector this short.
         q = err_vec / scale
@@ -227,6 +289,7 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
             # estimate; shrink hard and retry.
             h *= 0.1
             just_rejected = True
+            nonfinite_retries += 1
             if h < h_floor:
                 raise NonFiniteDerivativeError(t)
             continue
@@ -235,6 +298,7 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
             fac11 = err ** _EXPO
             h = h / min(_FAC_MAX, fac11 / _SAFETY)
             just_rejected = True
+            error_rejections += 1
             if h < h_floor:
                 raise IntegrationError(f"step size underflow at t = {t:.12g}")
             continue
@@ -249,9 +313,15 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
                 break
             h *= 0.5
             just_rejected = True
+            escape_halvings += 1
             continue
 
         # step accepted
+        accepted += 1
+        if h < smallest_step:
+            smallest_step = h
+        if h > largest_step:
+            largest_step = h
         t1 = t_end if hits_end else t + h
         if t1 >= next_time:
             end = int(np.searchsorted(samples, t1, side="right"))
@@ -278,6 +348,7 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
         just_rejected = False
 
         y = y1  # never written in place, so no copy is needed
+        w = w1
         k[0] = k[6]  # first-same-as-last
         t = t1
         h = h_next
@@ -294,8 +365,16 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape):
     if closing:
         times[-1] = t
         states[-1] = y
+    stats = IntegrationStats(
+        attempts=attempts, accepted=accepted,
+        error_rejections=error_rejections,
+        nonfinite_retries=nonfinite_retries,
+        escape_halvings=escape_halvings,
+        rhs_calls=1 + (n_stages - 1) * attempts,
+        smallest_step=smallest_step if accepted else None,
+        largest_step=largest_step if accepted else None)
     return Trajectory(times=times, states=states, status=status,
-                      singularity_time=singularity_time)
+                      singularity_time=singularity_time, stats=stats)
 
 
 _DENSE_BLOCK = 256  # sample rows per pass of _dense_rows

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import IntegratorSettings, integrate
+from .integrate import IntegrationStats, IntegratorSettings, integrate
 from .matrices import HermitianTraceless, hermitian_expm
 
 
@@ -51,12 +51,13 @@ class OracleTrajectory:
     """Directly integrated evolution operators on a sample grid.
 
     drift is the worst unitarity deviation along the run; it is
-    recorded, never corrected.
+    recorded, never corrected. stats is the run's step accounting.
     """
 
     times: np.ndarray        # (N,)
     unitaries: np.ndarray    # (N, dim, dim)
     drift: float
+    stats: Optional[IntegrationStats] = None
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ def integrate_schrodinger(ham, t_start, t_end, settings: IntegratorSettings,
     unitaries = np.ascontiguousarray(traj.states).view(complex)
     unitaries = unitaries.reshape(len(traj.times), dim, dim)
     drift = float(np.max(unitarity_errors(unitaries)))
-    return OracleTrajectory(times=traj.times, unitaries=unitaries, drift=drift)
+    return OracleTrajectory(times=traj.times, unitaries=unitaries, drift=drift,
+                            stats=traj.stats)
 
 
 def exact_constant_unitaries(h: HermitianTraceless, times) -> np.ndarray:

@@ -152,6 +152,21 @@ def chart_rhs(ham):
     return rhs
 
 
+def error_weight(vec) -> np.ndarray:
+    """Per-component error weights of a flat state for `integrate`.
+
+    An error dc in a chart coordinate c moves the operator by about
+    |dc| / (1 + |c|^2), the Fubini-Study line element, while an error in
+    a phase moves it by about its own size. So both parts of x, y and z
+    get 1 + |c|^2 and the phases get 1.
+    """
+    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec.tolist()
+    wx = 1.0 + (re_x * re_x + im_x * im_x)
+    wy = 1.0 + (re_y * re_y + im_y * im_y)
+    wz = 1.0 + (re_z * re_z + im_z * im_z)
+    return np.array((wx, wx, wy, wy, wz, wz, 1.0, 1.0))
+
+
 def escaped(vec) -> bool:
     """True once any coordinate has left the chart's trusted region."""
     lim = SINGULARITY_THRESHOLD ** 2

@@ -8,8 +8,9 @@ as U = Q(z) * diag(e^{i phi}, e^{-i phi}) with
 so the full matrix flow collapses to one complex coordinate z on the
 Bloch sphere plus one real phase phi (3 real unknowns instead of 8).
 z obeys a Riccati equation and phi a quadrature; both right-hand sides
-live here, together with the reconstruction of U, all on the flat state
-vector the integrator advances. `three_level` exposes the same names.
+live here, together with the reconstruction of U and the error weights
+that measure integration errors in the geometry of U, all on the flat
+state vector the integrator advances. `three_level` exposes the same names.
 The zero state is the chart origin, the image of U = I.
 
 z covers the sphere minus one point. Trajectories can run off the chart
@@ -77,6 +78,18 @@ def chart_rhs(ham):
         dphi = -0.5 * (v * z.conjugate() + v.conjugate() * z + 2.0 * h).real
         return np.array((dz.real, dz.imag, dphi))
     return rhs
+
+
+def error_weight(vec) -> np.ndarray:
+    """Per-component error weights of a flat state for `integrate`.
+
+    An error dz moves the operator by about |dz| / (1 + |z|^2), the
+    Fubini-Study line element, while an error in phi moves it by about
+    |dphi|. So both parts of z get 1 + |z|^2 and phi gets 1.
+    """
+    re_z, im_z, _ = vec.tolist()
+    wz = 1.0 + (re_z * re_z + im_z * im_z)
+    return np.array((wz, wz, 1.0))
 
 
 def escaped(vec) -> bool:

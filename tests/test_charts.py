@@ -15,7 +15,7 @@ CHARTS = pytest.mark.parametrize("chart", [two_level, three_level],
                                  ids=["two_level", "three_level"])
 
 INTERFACE = {"SINGULARITY_THRESHOLD", "STATE_SIZE", "COORD_COLUMNS",
-             "chart_rhs", "escaped", "reconstruct_batch",
+             "chart_rhs", "escaped", "error_weight", "reconstruct_batch",
              "coords_from_states", "coord_block", "extra_residuals"}
 
 # The object-form chart API and the unused matrix helpers are gone.
@@ -117,3 +117,27 @@ def test_output_blocks_match_column_names(chart):
     assert list(extra) == ([] if chart is two_level else ["delta1", "delta2"])
     for values in extra.values():
         assert values.shape == (40,)
+
+
+@CHARTS
+def test_error_weight_is_one_plus_squared_modulus(chart):
+    # 1 + |c|^2 for both parts of each chart coordinate c, 1 per phase
+    rng = np.random.default_rng(11)
+    scales = 10 ** rng.uniform(-3, 3, size=200)
+    states = random_states(rng, chart, 200, scales)
+    pairs = coordinate_pairs(chart)
+    for vec in states:
+        weight = chart.error_weight(vec)
+        assert weight.shape == (chart.STATE_SIZE,)
+        assert weight.dtype == np.float64
+        parts = vec[:2 * pairs].reshape(pairs, 2)
+        modulus2 = parts[:, 0] * parts[:, 0] + parts[:, 1] * parts[:, 1]
+        assert np.array_equal(weight[:2 * pairs],
+                              np.repeat(1.0 + modulus2, 2))
+        coords = parts[:, 0] + 1j * parts[:, 1]
+        assert np.allclose(weight[0:2 * pairs:2], 1.0 + np.abs(coords) ** 2,
+                           rtol=1e-15, atol=0)
+        assert np.array_equal(weight[2 * pairs:],
+                              np.ones(chart.STATE_SIZE - 2 * pairs))
+    assert np.array_equal(chart.error_weight(np.zeros(chart.STATE_SIZE)),
+                          np.ones(chart.STATE_SIZE))

@@ -113,13 +113,14 @@ def test_csv_values_round_trip_through_text(config2_path, tmp_path):
     main(["run", config2_path, "--samples", "10", "--output", str(out)])
     header, table = read_csv(out)
     from chartprop import IntegratorSettings, integrate, parse_config
-    from chartprop.two_level import chart_rhs, escaped, reconstruct_batch
+    from chartprop.two_level import (chart_rhs, error_weight, escaped,
+                                     reconstruct_batch)
     cfg = parse_config(CONFIG2)
     settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
                                   abs_tol=cfg.abs_tol)
     traj = integrate(chart_rhs(cfg.hamiltonian), np.zeros(3),
                      0.0, 1.0, settings, np.linspace(0, 1, 10),
-                     escape=escaped)
+                     escape=escaped, error_weight=error_weight)
     assert np.array_equal(table[:, 1], traj.states[:, 0])
     assert np.array_equal(table[:, 3], traj.states[:, 2])
     us = reconstruct_batch(traj.states)
@@ -191,6 +192,66 @@ def test_compare_oracle_report(config2_path, capsys, tmp_path):
     fields = dict(line.split(" = ") for line in err.strip().splitlines()
                   if " = " in line)
     assert float(fields["max_frobenius_error"]) < 1e-6
+
+
+def report_fields(err):
+    return dict(line.split(" = ") for line in err.strip().splitlines()
+                if " = " in line)
+
+
+STAT_KEYS = ("attempts", "accepted", "error_rejections", "nonfinite_retries",
+             "escape_halvings", "rhs_calls", "smallest_step", "largest_step")
+
+
+def test_report_lists_run_counters(config3_path, capsys, tmp_path):
+    from chartprop import IntegratorSettings, integrate, parse_config
+    from chartprop import three_level
+    out = tmp_path / "x.json"
+    assert main(["run", config3_path, "--samples", "7", "--format", "json",
+                 "--output", str(out)]) == 0
+    fields = report_fields(capsys.readouterr().err)
+    assert not any(key.startswith("oracle_") for key in fields)
+    # the counters of the chart run the CLI makes, with its error weights
+    cfg = parse_config(CONFIG3)
+    settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
+                                  abs_tol=cfg.abs_tol)
+    stats = integrate(three_level.chart_rhs(cfg.hamiltonian), np.zeros(8),
+                      0.0, 2.0, settings, np.linspace(0.0, 2.0, 7),
+                      escape=three_level.escaped,
+                      error_weight=three_level.error_weight).stats
+    for key in STAT_KEYS:
+        value = getattr(stats, key)
+        assert fields[f"chart_{key}"] == (f"{value:.17g}"
+                                          if isinstance(value, float)
+                                          else str(value))
+    assert int(fields["chart_rhs_calls"]) == 1 + 6 * stats.attempts
+    # wall time stays last, and the counters stay out of the JSON header
+    assert list(fields)[-1] == "wall_time_s"
+    header = json.loads(out.read_text())["header"]
+    assert set(header) == {"system", "settings", "config", "status",
+                           "singularity_time"}
+
+
+def test_compare_oracle_reports_oracle_counters(config2_path, capsys,
+                                                tmp_path):
+    main(["run", config2_path, "--samples", "5", "--compare-oracle",
+          "--output", str(tmp_path / "x.csv")])
+    fields = report_fields(capsys.readouterr().err)
+    for prefix in ("chart", "oracle"):
+        for key in STAT_KEYS:
+            assert f"{prefix}_{key}" in fields
+        attempts = int(fields[f"{prefix}_attempts"])
+        assert int(fields[f"{prefix}_rhs_calls"]) == 1 + 6 * attempts
+
+
+@pytest.mark.parametrize("flags", [["--rel-tol", "inf"], ["--abs-tol", "inf"],
+                                   ["--rel-tol", "nan"], ["--abs-tol", "-1"]])
+def test_non_finite_tolerance_is_exit_one(config2_path, capsys, tmp_path,
+                                          flags):
+    out = tmp_path / "x.csv"
+    assert main(["run", config2_path, "--output", str(out), *flags]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_singularity_exit_code(tmp_path, capsys):
@@ -323,13 +384,15 @@ def test_streamed_csv_matches_per_value_formatting():
 def test_csv_file_and_stdout_match_per_value_formatting(config2_path,
                                                         tmp_path, capsys):
     from chartprop import IntegratorSettings, integrate, parse_config
-    from chartprop.two_level import chart_rhs, escaped, reconstruct_batch
+    from chartprop.two_level import (chart_rhs, error_weight, escaped,
+                                     reconstruct_batch)
     samples = cli._CSV_BLOCK + 3
     cfg = parse_config(CONFIG2)
     settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
                                   abs_tol=cfg.abs_tol)
     traj = integrate(chart_rhs(cfg.hamiltonian), np.zeros(3), 0.0, 1.0,
-                     settings, np.linspace(0.0, 1.0, samples), escape=escaped)
+                     settings, np.linspace(0.0, 1.0, samples), escape=escaped,
+                     error_weight=error_weight)
     columns, table = cli.trajectory_table(traj, reconstruct_batch(traj.states),
                                           cfg.hamiltonian)
     want = csv_reference(columns, table)

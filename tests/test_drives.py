@@ -278,6 +278,39 @@ def test_matrix_matches_matrix_grid_bit_for_bit(ham):
         assert m.tobytes() == ham.matrix_grid([t])[0].tobytes()
 
 
+def _explicit_matrix(ham, t):
+    # The matrix layout of the class docstrings, written out entry by
+    # entry from the sampled values.
+    if ham.dim == 2:
+        h, v = ham.sample(t)
+        rows = [[h, v.conjugate()],
+                [v, -h]]
+    else:
+        h1, h2, v1, v2, v3 = ham.sample(t)
+        rows = [[h1, v1.conjugate(), v2.conjugate()],
+                [v1, h2, v3.conjugate()],
+                [v2, v3, -(h1 + h2)]]
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("ham", [
+    Hamiltonian2(h=CosineDrive(0.7, 1.3, 0.2),
+                 v=SumDrive((GaussianDrive(0.4 - 0.9j, 1.0, 0.8),
+                             ConstantDrive(complex(-0.0, 0.1))))),
+    Hamiltonian2(h=ConstantDrive(-0.0), v=ConstantDrive(complex(0.0, -0.0))),
+    Hamiltonian3(h1=CosineDrive(0.3, 1.7), h2=GaussianDrive(-0.2, 0.5, 1.1),
+                 v1=CosineDrive(0.6 - 0.2j, 1.1),
+                 v2=PiecewiseDrive((0.0, 2.0), (0.4j, -0.3 + 0.1j)),
+                 v3=ConstantDrive(complex(-0.0, -0.0))),
+], ids=["two_level", "two_level_zeros", "three_level"])
+def test_matrix_matches_explicit_layout_bit_for_bit(ham):
+    for t in (0.0, 0.37, -1.25, 2.0, 0, 3, -2, np.float64(0.37),
+              np.float64(1.0) / 3):
+        m = ham.matrix(t)
+        assert m.dtype == complex and m.shape == (ham.dim, ham.dim)
+        assert m.tobytes() == _explicit_matrix(ham, t).tobytes()
+
+
 def _knot_formula(drive, t):
     # PiecewiseDrive.evaluate as it was before its knot arrays were
     # built once, at construction

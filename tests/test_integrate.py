@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from chartprop import (ChartSingularityError, ConvergenceScenario,
-                       CosineDrive, Hamiltonian3, IntegrationError,
-                       IntegratorSettings, NonFiniteDerivativeError,
-                       StepLimitError, convergence_probe, integrate,
-                       three_level)
+from chartprop import (ChartSingularityError, ConstantDrive,
+                       ConvergenceScenario, CosineDrive, Hamiltonian2,
+                       Hamiltonian3, IntegrationError, IntegratorSettings,
+                       NonFiniteDerivativeError, StepLimitError,
+                       convergence_probe, integrate, three_level, two_level)
 
 
 def decay(t, y):
@@ -51,6 +51,15 @@ def test_settings_validation():
         IntegratorSettings(max_step=1.0, initial_step=-1.0)
     with pytest.raises(ValueError):
         IntegratorSettings(max_step=1.0, max_steps=0)
+
+
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "max_step",
+                                  "initial_step"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_settings_reject_non_finite_values(name, value):
+    values = {"max_step": 0.1, name: value}
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorSettings(**values)
 
 
 def test_exponential_decay_accuracy():
@@ -357,3 +366,90 @@ def test_first_time_is_t_start_itself():
     traj = integrate(decay, [1.0], 0.0, 1.0, settings, [-0.0, 0.5])
     assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
     assert not np.signbit(traj.times[0])
+
+
+# Chart runs for the step accounting: a driven two-level system, a
+# driven three-level system, and the tangent orbit h = 0, v = 1 that
+# leaves the chart at t = pi / 2.
+CHART_RUNS = pytest.mark.parametrize("chart, ham, t_end, status", [
+    (two_level, Hamiltonian2(h=ConstantDrive(0.3), v=CosineDrive(0.8, 2.0)),
+     6.0, "completed"),
+    (three_level, COSINE3, 6.0, "completed"),
+    (two_level, Hamiltonian2(h=ConstantDrive(0.0), v=ConstantDrive(1.0)),
+     2.0, "singularity"),
+], ids=["two_level", "three_level", "pole"])
+
+
+@CHART_RUNS
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_stats_account_for_every_attempt(chart, ham, t_end, status, weighted):
+    rhs = counting(chart.chart_rhs(ham))
+    settings = IntegratorSettings(max_step=0.05)
+    traj = integrate(rhs, np.zeros(chart.STATE_SIZE), 0.0, t_end, settings,
+                     np.linspace(0.0, t_end, 41), escape=chart.escaped,
+                     error_weight=chart.error_weight if weighted else None)
+    assert traj.status == status
+    stats = traj.stats
+    assert stats.rhs_calls == rhs.calls == 1 + 6 * stats.attempts
+    # each attempt ends one way; the singular stop ends the last one
+    assert stats.attempts == (stats.accepted + stats.error_rejections
+                              + stats.nonfinite_retries
+                              + stats.escape_halvings
+                              + (status == "singularity"))
+    assert stats.accepted > 0
+    assert 0 < stats.smallest_step <= stats.largest_step <= 0.05
+    assert all(type(value) in (int, float) for value in vars(stats).values())
+    if status == "singularity":
+        assert stats.escape_halvings > 0
+
+
+def test_stats_of_a_run_without_accepted_steps():
+    settings = IntegratorSettings(max_step=0.1, max_steps=3)
+    traj = integrate(blowup, [1e5], 0.0, 1.0, settings, [], escape=escapes)
+    assert traj.status == "step_limit"
+    stats = traj.stats
+    assert stats.attempts == 3 and stats.accepted == 0
+    assert stats.smallest_step is None and stats.largest_step is None
+
+
+@CHART_RUNS
+def test_identity_weight_reproduces_the_plain_run(chart, ham, t_end, status):
+    # w(y) = |y| is the scale of a run without error_weight, so the
+    # weighted path must give the same bits, steps and counters.
+    settings = IntegratorSettings(max_step=0.05)
+    grid = np.linspace(0.0, t_end, 41)
+    runs = [integrate(chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE), 0.0,
+                      t_end, settings, grid, escape=chart.escaped,
+                      error_weight=weight)
+            for weight in (None, lambda y: np.abs(y))]
+    plain, weighted = runs
+    assert plain.status == weighted.status == status
+    assert plain.singularity_time == weighted.singularity_time
+    assert np.array_equal(plain.times, weighted.times)
+    assert plain.states.tobytes() == weighted.states.tobytes()
+    assert plain.stats == weighted.stats
+
+
+def test_infinite_weight_fails_the_step():
+    # y' = -50 (y - 1) from y(0) = 0: a first step of length 1 is far
+    # outside the stability region and lands at a wild y1. A weight of
+    # inf there would scale the error estimate to zero; instead the step
+    # must be retried, shorter, like a non-finite estimate.
+    def stiff(t, y):
+        return -50.0 * (y - 1.0)
+
+    def wild_is_infinite(y):
+        return np.full(y.shape, np.inf if abs(y[0]) > 2.0 else 1.0)
+
+    settings = IntegratorSettings(max_step=1.0, initial_step=1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    traj = integrate(stiff, [0.0], 0.0, 1.0, settings, grid,
+                     error_weight=wild_is_infinite)
+    assert traj.status == "completed"
+    assert traj.stats.nonfinite_retries >= 1
+    exact = 1.0 - np.exp(-50.0 * grid)
+    assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-8
+    # a weight that is never finite leaves no step to accept
+    with pytest.raises(NonFiniteDerivativeError):
+        integrate(stiff, [0.0], 0.0, 1.0, settings, grid,
+                  error_weight=lambda y: np.full(y.shape, np.nan))
