@@ -182,10 +182,9 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     the tolerances act on the operator rather than on the coordinates
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4). w(y) is kept from
     the previous accepted step, so each attempt makes one weight call.
-    A non-finite weight fails the attempt the way a non-finite error
-    estimate does: the step shrinks and is retried. Without
-    error_weight the run is the same to the bit as one that never had
-    the option.
+    A non-finite scale, from an infinite weight or without error_weight
+    an overflowing state, fails the attempt the way a non-finite error
+    estimate does: the step shrinks and is retried.
 
     Floating-point overflow and invalid-operation warnings are
     suppressed for the whole call, rhs and escape included: non-finite
@@ -247,9 +246,10 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
     escape_halvings = 0
     smallest_step = math.inf
     largest_step = 0.0
-    # w is the error weight of y, carried from step to step; both stay
-    # None without error_weight.
-    w = w1 = None if error_weight is None else error_weight(y)
+    # w is the error weight of y, carried from step to step; |y| stands
+    # in without error_weight.
+    weight = np.abs if error_weight is None else error_weight
+    w = weight(y)
 
     while True:
         if t >= t_end:
@@ -269,16 +269,13 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
         y1 = yi  # the 7th stage input is the 5th-order result
 
         err_vec = h * (_E @ k)
-        if error_weight is None:
-            scale = settings.abs_tol + settings.rel_tol * np.maximum(
-                np.abs(y), np.abs(y1))
-        else:
-            w1 = error_weight(y1)
-            scale = settings.abs_tol + settings.rel_tol * np.maximum(w, w1)
-            if not math.isfinite(float(np.add.reduce(scale))):
-                # An infinite weight would scale the error away; fail
-                # the estimate instead, as a wild stage does.
-                scale = math.nan
+        w1 = weight(y1)
+        scale = settings.abs_tol + settings.rel_tol * np.maximum(w, w1)
+        # An infinite weight would scale the error away; fail the
+        # estimate instead, as a wild stage does. A Python sum of the
+        # list is a quarter of the cost of np.add.reduce here.
+        if not math.isfinite(sum(scale.tolist())):
+            scale = math.nan
         # RMS norm; the same bits as np.sqrt(np.mean(q ** 2)) at half
         # the cost on a vector this short.
         q = err_vec / scale
