@@ -17,12 +17,26 @@ integration trouble (a run that exhausts its step budget included; its
 rows up to the last step are still written), 2 chart singularity (the
 math ran off the coordinate chart; the rows up to the blow-up are
 still written).
+
+With --compare-oracle the oracle runs in a forked child process while
+this one builds and writes the table; where os.fork does not exist it
+runs inline, before the table. Both paths give the same output and
+report. The `oracle_wait_s` report line says how long the run waited
+for the oracle after writing the table. The rows are always written
+first: when the oracle fails (for instance by exhausting the step
+budget) the run still writes them and any truncation notice, then exits
+1 with an `error:` line naming the oracle failure. Python 3.12 and later
+warn (DeprecationWarning) when a process with threads forks, and numpy's
+BLAS may have started threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass
@@ -63,7 +77,9 @@ class RunReport:
 
     chart_stats and oracle_stats are the step accounting of the chart
     integration and of the direct-matrix oracle; each field becomes a
-    line of its own, prefixed with chart_ or oracle_.
+    line of its own, prefixed with chart_ or oracle_. oracle_wait_s and
+    wall_time_s are wall-clock seconds: how long the run waited for the
+    oracle after writing the table, and the whole run.
     """
 
     status: str
@@ -77,6 +93,7 @@ class RunReport:
     oracle_unitarity_drift: Optional[float] = None
     chart_stats: Optional[IntegrationStats] = None
     oracle_stats: Optional[IntegrationStats] = None
+    oracle_wait_s: Optional[float] = None
     wall_time_s: Optional[float] = None
 
     def as_lines(self) -> list:
@@ -92,7 +109,8 @@ class RunReport:
             if stats is not None:
                 fields += [(f"{prefix}_{k}", v)
                            for k, v in vars(stats).items()]
-        fields.append(("wall_time_s", self.wall_time_s))
+        fields += [("oracle_wait_s", self.oracle_wait_s),
+                   ("wall_time_s", self.wall_time_s)]
         return [f"{k} = {fmt(v)}" for k, v in fields if v is not None]
 
 
@@ -141,8 +159,11 @@ def _write_csv(columns, table, stream) -> None:
         stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _json_text(columns, table, config, settings, trajectory) -> str:
-    header = {
+_JSON_BLOCK = 256  # table rows per write; a JSON row is ~1.7x a CSV row
+
+
+def _json_header(config, settings, trajectory) -> dict:
+    return {
         "system": config.system,
         "settings": {
             "rel_tol": settings.rel_tol,
@@ -155,10 +176,40 @@ def _json_text(columns, table, config, settings, trajectory) -> str:
         "status": trajectory.status,
         "singularity_time": trajectory.singularity_time,
     }
-    # tolist gives Python floats, which json writes in the shortest form
-    # that round-trips, the same text as re-parsing f"{v:.17g}" gives.
-    samples = [dict(zip(columns, row.tolist())) for row in table]
-    return json.dumps({"header": header, "samples": samples}, indent=1) + "\n"
+
+
+def _json_float(value) -> str:
+    # The text json.dumps gives a float, non-finite values included.
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_json(columns, table, header, stream) -> None:
+    # Writes json.dumps({"header": header, "samples": rows}, indent=1)
+    # plus a newline, rows being one {column: value} object per table
+    # row, streamed in blocks of rows like the CSV. A row is one
+    # %-operation on a prebuilt template; str of a Python float is the
+    # shortest text that round-trips, which is what json writes.
+    # A table has at least the row of the start time.
+    head = json.dumps({"header": header}, indent=1)   # ends in "\n}"
+    stream.write(head[:-2] + ',\n "samples": [\n')
+    row_format = ("  {\n"
+                  + ",\n".join(f"   {json.dumps(name)}: %s" for name in columns)
+                  + "\n  }")
+    for lo in range(0, len(table), _JSON_BLOCK):
+        block = table[lo:lo + _JSON_BLOCK]
+        values = block.ravel().tolist()
+        if not np.isfinite(block).all():
+            values = [_json_float(v) for v in values]
+        if lo:
+            stream.write(",\n")
+        stream.write(",\n".join([row_format] * len(block)) % tuple(values))
+    stream.write("\n ]\n}\n")
 
 
 def _write_table(columns, table, trajectory, config, settings,
@@ -166,7 +217,8 @@ def _write_table(columns, table, trajectory, config, settings,
     if output_format == "csv":
         _write_csv(columns, table, stream)
     else:
-        stream.write(_json_text(columns, table, config, settings, trajectory))
+        _write_json(columns, table,
+                    _json_header(config, settings, trajectory), stream)
 
 
 def emit_trajectory(trajectory, unitaries, config, settings, output_format,
@@ -175,6 +227,102 @@ def emit_trajectory(trajectory, unitaries, config, settings, output_format,
     columns, table = trajectory_table(trajectory, unitaries, config.hamiltonian)
     _write_table(columns, table, trajectory, config, settings, output_format,
                  stream)
+
+
+def _oracle_outcome(ham, settings, times, unitaries) -> tuple:
+    """Integrate the direct-matrix oracle on the chart run's sample times
+    and compare: (the report fields it fills, None), or (None, the
+    exception it raised)."""
+    try:
+        oracle = integrate_schrodinger(ham, times[0], times[-1], settings,
+                                       times)
+        oracle_report = compare(times, unitaries, oracle)
+    except Exception as exc:
+        return None, exc
+    return {"max_frobenius_error": oracle_report.max_frobenius_error,
+            "time_of_max_error": oracle_report.time_of_max,
+            "oracle_unitarity_drift": oracle_report.oracle_drift,
+            "oracle_stats": oracle.stats}, None
+
+
+def _oracle_result(outcome) -> dict:
+    fields, exc = outcome
+    if exc is not None:
+        raise IntegrationError(f"direct-matrix oracle failed: {exc}") from exc
+    return fields
+
+
+# Where fork exists, the oracle runs in a child process while this one
+# writes the table; elsewhere it runs inline, before the table.
+_CAN_FORK = hasattr(os, "fork")
+
+
+class _OracleCheck:
+    """The oracle comparison of one run, started before the table is
+    written; result() waits for it and returns its report fields or
+    raises IntegrationError, close() ends a child still running.
+
+    The child gets a copy of the inputs by fork, runs the same functions
+    the inline path runs, and sends back only the pickled outcome: the
+    report fields or the exception, a few hundred bytes. It writes
+    nothing to standard output or error and leaves through os._exit, so
+    no buffered output, atexit handler or test teardown runs twice.
+    """
+
+    def __init__(self, ham, settings, times, unitaries):
+        args = (ham, settings, times, unitaries)
+        self._pid = None
+        if not _CAN_FORK:
+            self._outcome = _oracle_outcome(*args)
+            return
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                # Nothing the child might print (a warning) reaches the
+                # streams the parent is writing.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, 1)
+                os.dup2(devnull, 2)
+                payload = pickle.dumps(_oracle_outcome(*args))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self._pid = pid
+        self._pipe = os.fdopen(read_fd, "rb")
+
+    def result(self) -> dict:
+        if self._pid is None:
+            return _oracle_result(self._outcome)
+        with self._pipe:
+            payload = self._pipe.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not payload:
+            raise IntegrationError(
+                f"direct-matrix oracle worker ended without a result "
+                f"(exit status {os.waitstatus_to_exitcode(status)})")
+        return _oracle_result(pickle.loads(payload))
+
+    def close(self) -> None:
+        if self._pid is not None:
+            import signal   # only a failed run gets here; keeps import lean
+            self._pipe.close()
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
 
 
 def _run_impl(request: RunRequest):
@@ -203,53 +351,59 @@ def _run_impl(request: RunRequest):
         "chart_stats": trajectory.stats,
     }
 
+    oracle = None
     if request.compare_oracle and len(trajectory.times) >= 2:
-        oracle = integrate_schrodinger(ham, trajectory.times[0],
-                                       trajectory.times[-1],
-                                       settings, trajectory.times)
-        oracle_report = compare(trajectory.times, unitaries, oracle)
-        report_fields["max_frobenius_error"] = oracle_report.max_frobenius_error
-        report_fields["time_of_max_error"] = oracle_report.time_of_max
-        report_fields["oracle_unitarity_drift"] = oracle_report.oracle_drift
-        report_fields["oracle_stats"] = oracle.stats
+        oracle = _OracleCheck(ham, settings, trajectory.times, unitaries)
+    try:
+        # The table carries every residual array; the report takes its
+        # maxima from there rather than computing the residuals again.
+        columns, table = trajectory_table(trajectory, unitaries, ham)
+        for name, column in zip(columns, table.T):
+            if name.startswith("residual_"):
+                key = name.removeprefix("residual_")
+                report_fields[f"max_{key}_residual"] = float(np.max(column))
 
-    # The table carries every residual array; the report takes its maxima
-    # from there rather than computing the residuals a second time.
-    columns, table = trajectory_table(trajectory, unitaries, ham)
-    for name, column in zip(columns, table.T):
-        if name.startswith("residual_"):
-            key = name.removeprefix("residual_")
-            report_fields[f"max_{key}_residual"] = float(np.max(column))
-
-    if request.output_path is None:
-        _write_table(columns, table, trajectory, config, settings,
-                     request.output_format, sys.stdout)
-    else:
-        with open(request.output_path, "w", encoding="utf-8") as fh:
+        if request.output_path is None:
             _write_table(columns, table, trajectory, config, settings,
-                         request.output_format, fh)
+                         request.output_format, sys.stdout)
+        else:
+            with open(request.output_path, "w", encoding="utf-8") as fh:
+                _write_table(columns, table, trajectory, config, settings,
+                             request.output_format, fh)
+
+        if trajectory.status == "singularity":
+            code, truncation = 2, (f"chart singularity near t = "
+                                   f"{trajectory.singularity_time:.12g}; "
+                                   f"trajectory truncated")
+        elif trajectory.status == "step_limit":
+            code, truncation = 1, (f"step limit hit at t = "
+                                   f"{trajectory.times[-1]:.12g}; "
+                                   f"trajectory truncated")
+        else:
+            code, truncation = 0, None
+        # The notice goes out with the rows, before an oracle failure.
+        if truncation is not None:
+            print(truncation, file=sys.stderr)
+
+        if oracle is not None:
+            waited = time.perf_counter()
+            report_fields.update(oracle.result())
+            report_fields["oracle_wait_s"] = time.perf_counter() - waited
+    finally:
+        if oracle is not None:
+            oracle.close()
 
     report_fields["wall_time_s"] = time.perf_counter() - started
-    report = RunReport(**report_fields)
-    if trajectory.status == "singularity":
-        return 2, report, (f"chart singularity near t = "
-                           f"{trajectory.singularity_time:.12g}; "
-                           f"trajectory truncated")
-    if trajectory.status == "step_limit":
-        return 1, report, (f"step limit hit at t = "
-                           f"{trajectory.times[-1]:.12g}; trajectory truncated")
-    return 0, report, None
+    return code, RunReport(**report_fields)
 
 
 def run(request: RunRequest) -> int:
     """Execute one run request; returns the process exit code."""
     try:
-        code, report, truncation = _run_impl(request)
+        code, report = _run_impl(request)
     except (ConfigError, OSError, IntegrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if truncation is not None:
-        print(truncation, file=sys.stderr)
     for line in report.as_lines():
         print(line, file=sys.stderr)
     return code

@@ -56,24 +56,36 @@ class IntegrationError(RuntimeError):
     """Base class for integration failures."""
 
 
-class ChartSingularityError(IntegrationError):
+class _TimedIntegrationError(IntegrationError):
+    # A failure at one time; the message is _MESSAGE formatted with it.
+    # Pickling and copying rebuild the error from that time, not from
+    # the formatted message in args, so it can cross a process boundary.
+    _MESSAGE = ""
+
+    def __init__(self, time):
+        self.time = time
+        super().__init__(self._MESSAGE.format(time))
+
+    def __reduce__(self):
+        return type(self), (self.time,), self.__dict__
+
+
+class ChartSingularityError(_TimedIntegrationError):
     """The trajectory ran off its coordinate chart (Riccati blow-up)."""
 
-    def __init__(self, time):
-        self.time = time
-        super().__init__(f"chart singularity near t = {time:.12g}")
+    _MESSAGE = "chart singularity near t = {:.12g}"
 
 
-class StepLimitError(IntegrationError):
+class StepLimitError(_TimedIntegrationError):
     """The step budget ran out before reaching the end time."""
 
+    _MESSAGE = "step limit hit at t = {:.12g}"
 
-class NonFiniteDerivativeError(IntegrationError):
+
+class NonFiniteDerivativeError(_TimedIntegrationError):
     """The right-hand side returned NaN or infinity."""
 
-    def __init__(self, time):
-        self.time = time
-        super().__init__(f"non-finite derivative at t = {time:.12g}")
+    _MESSAGE = "non-finite derivative at t = {:.12g}"
 
 
 def _positive(value) -> bool:
@@ -154,8 +166,7 @@ class Trajectory:
         if self.status == "singularity":
             raise ChartSingularityError(self.singularity_time)
         if self.status == "step_limit":
-            raise StepLimitError(
-                f"step limit hit at t = {self.times[-1]:.12g}")
+            raise StepLimitError(float(self.times[-1]))
         return self
 
     @property

@@ -4,11 +4,16 @@ import csv
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chartprop import cli
+import chartprop
+from chartprop import NonFiniteDerivativeError, cli
 from chartprop.cli import RunRequest, build_parser, main, run
 
 CONFIG2 = """
@@ -404,3 +409,207 @@ def test_csv_file_and_stdout_match_per_value_formatting(config2_path,
     capsys.readouterr()
     assert main(["run", config2_path, "--samples", str(samples)]) == 0
     assert capsys.readouterr().out == want
+
+
+def json_reference(header, columns, table):
+    # The document as one json.dumps call: the text the streamed writer
+    # must reproduce byte for byte.
+    samples = [dict(zip(columns, row.tolist())) for row in table]
+    return json.dumps({"header": header, "samples": samples}, indent=1) + "\n"
+
+
+def special_table(rows):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, 1.7976931348623157e308, 1e16,
+                1e-7, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(
+        -300, 300, (rows, 5))
+    table.ravel()[:len(specials)] = specials
+    table[-1] = specials[-5:]
+    return table
+
+
+JSON_HEADER = {"system": 2, "settings": {"rel_tol": 1e-9, "max_steps": 10},
+               "config": {"hamiltonian": {"h": {"shape": "constant",
+                                                "value": -0.0}}},
+               "status": "completed", "singularity_time": None}
+
+
+def test_streamed_json_matches_one_dumps(tmp_path, capsys):
+    columns = ["t", "re_z", "im_z", "phi", "residual_schrodinger"]
+    full = special_table(2 * cli._JSON_BLOCK + 7)  # not whole blocks
+    for rows in (len(full), 1):
+        table = full[:rows]
+        want = json_reference(JSON_HEADER, columns, table)
+        stream = RecordingStream()
+        cli._write_json(columns, table, JSON_HEADER, stream)
+        assert stream.getvalue() == want
+        if rows > cli._JSON_BLOCK:
+            # the header, then blocks of rows; no write holds the file
+            assert max(stream.sizes) < len(want) / 2
+        path = tmp_path / "out.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            cli._write_json(columns, table, JSON_HEADER, fh)
+        assert path.read_text(encoding="utf-8") == want
+        capsys.readouterr()
+        cli._write_json(columns, table, JSON_HEADER, sys.stdout)
+        assert capsys.readouterr().out == want
+
+
+def test_json_run_matches_one_dumps(config3_path, tmp_path):
+    # the whole run's document, header included, as json.dumps writes it
+    out = tmp_path / "out.json"
+    assert main(["run", config3_path, "--samples", str(cli._JSON_BLOCK + 5),
+                 "--format", "json", "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
+# --- the oracle worker ------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the oracle runs inline without fork")
+WALL_CLOCK_LINES = ("wall_time_s = ", "oracle_wait_s = ")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def steady_lines(err):
+    return [line for line in err.splitlines()
+            if not line.startswith(WALL_CLOCK_LINES)]
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+@pytest.mark.parametrize("patch", ["max_steps", "non_finite"])
+def test_oracle_failure_still_writes_the_rows(config2_path, tmp_path, capsys,
+                                              monkeypatch, fork, patch):
+    if fork and not hasattr(os, "fork"):
+        pytest.skip("no fork")
+    monkeypatch.setattr(cli, "_CAN_FORK", fork)
+    if patch == "max_steps":
+        # the chart stops at its step budget; the oracle, which needs
+        # more steps per unit time, stops earlier
+        monkeypatch.setattr(cli, "IntegratorSettings", functools.partial(
+            cli.IntegratorSettings, max_steps=5))
+    else:
+        def failing(*args, **kwargs):
+            raise NonFiniteDerivativeError(1.25)
+        # the child is forked from this process, so it sees the patch
+        monkeypatch.setattr(cli, "integrate_schrodinger", failing)
+    out = tmp_path / "out.csv"
+    code = main(["run", config2_path, "--samples", "40", "--compare-oracle",
+                 "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    header, table = read_csv(out)
+    assert header == COLUMNS2
+    if patch == "max_steps":
+        assert 1 < len(table) < 40
+        assert err[0] == (f"step limit hit at t = {table[-1, 0]:.12g}; "
+                          f"trajectory truncated")
+        assert err[1].startswith("error: direct-matrix oracle failed: "
+                                 "step limit hit at t = ")
+        assert len(err) == 2
+    else:
+        assert len(table) == 40
+        assert err == ["error: direct-matrix oracle failed: "
+                       "non-finite derivative at t = 1.25"]
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("fixture", ["config2_path", "config3_path"])
+def test_forked_and_inline_oracle_report_the_same(request, tmp_path, capsys,
+                                                  monkeypatch, fixture):
+    path = request.getfixturevalue(fixture)
+    runs = []
+    for fork in (True, False):
+        monkeypatch.setattr(cli, "_CAN_FORK", fork)
+        out = tmp_path / f"{fork}.csv"
+        assert main(["run", path, "--samples", "64", "--compare-oracle",
+                     "--output", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().err))
+    (forked_bytes, forked_err), (inline_bytes, inline_err) = runs
+    assert forked_bytes == inline_bytes
+    assert steady_lines(forked_err) == steady_lines(inline_err)
+    assert "max_frobenius_error = " in forked_err
+    assert_no_child_left()
+
+
+def test_oracle_wait_line_only_with_the_oracle(config2_path, tmp_path,
+                                               capsys):
+    out = str(tmp_path / "x.csv")
+    for flags, count in (([], 0), (["--compare-oracle"], 1)):
+        assert main(["run", config2_path, "--samples", "9", "--output", out,
+                     *flags]) == 0
+        err = capsys.readouterr().err.splitlines()
+        waits = [line for line in err if line.startswith("oracle_wait_s = ")]
+        assert len(waits) == count
+        assert err[-1].startswith("wall_time_s = ")
+        if count:
+            assert err[-2] == waits[0]
+            assert float(waits[0].split(" = ")[1]) >= 0.0
+
+
+@needs_fork
+def test_no_oracle_child_outlives_the_run(config2_path, tmp_path, capsys,
+                                          monkeypatch):
+    out = str(tmp_path / "x.csv")
+    assert main(["run", config2_path, "--compare-oracle", "--output",
+                 out]) == 0
+    assert_no_child_left()
+    # an output path that cannot be opened ends the run before the wait
+    bad = str(tmp_path / "missing" / "x.csv")
+    assert main(["run", config2_path, "--compare-oracle", "--output",
+                 bad]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert_no_child_left()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "_write_table", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", config2_path, "--compare-oracle", "--output", out])
+    assert_no_child_left()
+
+
+@needs_fork
+def test_oracle_worker_that_dies_is_an_error(config2_path, tmp_path, capsys,
+                                             monkeypatch):
+    # a child that ends without sending a result (killed, out of memory)
+    monkeypatch.setattr(cli, "integrate_schrodinger",
+                        lambda *args: os._exit(3))
+    out = tmp_path / "x.csv"
+    assert main(["run", config2_path, "--samples", "9", "--compare-oracle",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: direct-matrix oracle worker ended without a result "
+        "(exit status 3)\n")
+    assert len(read_csv(out)[1]) == 9
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_process_stdout_matches_output_file(config3_path, tmp_path, fmt):
+    # The oracle child is forked after the parent flushed its streams and
+    # writes nothing itself, so standard output carries exactly the file.
+    src = str(Path(chartprop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    argv = [sys.executable, "-m", "chartprop", "run", config3_path,
+            "--samples", "300", "--compare-oracle", "--format", fmt]
+    out = tmp_path / f"out.{fmt}"
+    to_file = subprocess.run(argv + ["--output", str(out)], env=env,
+                             capture_output=True)
+    to_stdout = subprocess.run(argv, env=env, capture_output=True)
+    assert to_file.returncode == 0 and to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
+    assert (steady_lines(to_stdout.stderr.decode())
+            == steady_lines(to_file.stderr.decode()))
+    assert to_stdout.stderr.decode().count("oracle_wait_s = ") == 1

@@ -1,5 +1,7 @@
 """Tests for the adaptive integrator: accuracy, dense output, stop modes."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -147,6 +149,30 @@ def test_non_finite_rhs_raises():
     with pytest.raises(NonFiniteDerivativeError):
         integrate(lambda t, y: np.full_like(y, np.inf), [1.0], 0.0, 1.0,
                   settings, [0.5])
+
+
+@pytest.mark.parametrize("error", [
+    IntegrationError("integration failed"),
+    ChartSingularityError(1.5707953),
+    StepLimitError(np.float64(3.04921740775)),
+    NonFiniteDerivativeError(1.25),
+], ids=lambda e: type(e).__name__)
+def test_integration_errors_survive_pickle_and_copy(error):
+    # A run's error may cross a process boundary; it must come back as
+    # the same error, message and time included.
+    for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error)):
+        assert type(clone) is type(error)
+        assert str(clone) == str(error)
+        assert getattr(clone, "time", None) == getattr(error, "time", None)
+
+
+def test_step_limit_error_names_the_last_time():
+    settings = IntegratorSettings(max_step=1e-4, max_steps=10)
+    traj = integrate(decay, [1.0], 0.0, 1.0, settings, [0.5])
+    with pytest.raises(StepLimitError) as caught:
+        traj.require_completed()
+    assert caught.value.time == traj.times[-1]
+    assert str(caught.value) == f"step limit hit at t = {traj.times[-1]:.12g}"
 
 
 def test_runs_are_deterministic():
