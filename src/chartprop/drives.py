@@ -14,6 +14,7 @@ errors with the path of the offending field.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Callable, NamedTuple, Union
@@ -99,6 +100,36 @@ def _gaussian(amplitude, center, width):
     return at
 
 
+def _linear(times, values):
+    """np.interp(t, times, values) at one scalar t, in Python floats.
+
+    The clamping outside the knots, the slope of each segment, the
+    arithmetic and np.interp's retry from the right knot when the left
+    one gives NaN are all the same, so the value is the same to the
+    bit. A NaN t gives NaN.
+    """
+    first, last = times[0], times[-1]
+    slopes = tuple((f1 - f0) / (t1 - t0) for t0, t1, f0, f1
+                   in zip(times, times[1:], values, values[1:]))
+
+    def at(t):
+        t = float(t)
+        if not first <= t < last:
+            if t != t:
+                return t
+            return values[0] if t < first else values[-1]
+        j = bisect_right(times, t) - 1
+        if t == times[j]:
+            return values[j]
+        value = slopes[j] * (t - times[j]) + values[j]
+        if value != value:
+            value = slopes[j] * (t - times[j + 1]) + values[j + 1]
+            if value != value and values[j] == values[j + 1]:
+                value = values[j]
+        return value
+    return at
+
+
 class _RebuiltOnCopy:
     """Mixin for frozen dataclasses that keep closures built in
     __post_init__: pickling and copying rebuild the object through
@@ -128,8 +159,8 @@ class ConstantDrive:
 
         real=False gives complex values. real=True gives float values,
         or None unless the parameters make the drive exactly real, so
-        that no per-sample realness check is needed. A piecewise drive,
-        which has no closed form, returns None.
+        that no per-sample realness check is needed. At a scalar t each
+        function gives the bits of `evaluate`, or of its real part.
         """
         value = _exact_real(self.value) if real else self.value
         if value is None:
@@ -251,8 +282,16 @@ class PiecewiseDrive(_RebuiltOnCopy):
         return np.interp(t, ts, re) + 1j * np.interp(t, ts, im)
 
     def scalar(self, real=False):
-        """None: no closed form; Hamiltonians sample it through evaluate."""
-        return None
+        """See ConstantDrive.scalar. The complex value is composed as in
+        evaluate, re + 1j * im; with every imaginary knot value +0.0 its
+        real part is re + 0.0, which turns a -0.0 into +0.0."""
+        re = _linear(self.times, tuple(v.real for v in self.values))
+        if real:
+            if any(_exact_real(v) is None for v in self.values):
+                return None
+            return lambda t: re(t) + 0.0
+        im = _linear(self.times, tuple(v.imag for v in self.values))
+        return lambda t: re(t) + 1j * im(t)
 
     def to_spec(self):
         return {
@@ -392,7 +431,7 @@ def _entry_sampler(drive, what=None):
     drive is checked for realness at each sample.
     """
     if what is None:
-        return drive.scalar() or (lambda t: complex(drive.evaluate(t)))
+        return drive.scalar()
     return drive.scalar(real=True) or (
         lambda t: _require_real(drive.evaluate(t), t, what))
 

@@ -24,25 +24,27 @@ from typing import Optional
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau. _A rows hold the stage weights, _C the
-# stage times (Python floats, so stage times stay plain floats), _E the
-# (5th minus 4th order) error weights including the first-same-as-last
-# stage, _D the dense-output weights.
+# Dormand-Prince 5(4) tableau as Python floats, so that the stepping
+# loop does plain float arithmetic. _A[i] holds the weights of stage
+# i + 1's input, _C the stage times, _E the (5th minus 4th order) error
+# weights including the first-same-as-last stage, _D the dense-output
+# weights. The second stage's weight is zero in _A[6], _E and _D, and
+# the loop leaves it out.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
-    np.array([], dtype=float),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
-_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-               -10690763975 / 1880347072, 701980252875 / 199316789632,
-               -1453857185 / 822651844, 69997945 / 29380423])
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+      -17253 / 339200, 22 / 525, -1 / 40)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 # PI controller constants (step exponent 1/5 with 0.04 Lund stabilization).
 _EXPO = 0.17
@@ -178,24 +180,29 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
               sample_times, escape=None, error_weight=None) -> Trajectory:
     """Propagate d/dt y = rhs(t, y) from t_start to t_end.
 
-    rhs maps (t, flat state) to a flat derivative array. sample_times
-    must lie within [t_start, t_end]; t_start and t_end are always
-    included in the output grid. escape, if given, is a predicate on
-    the flat state; the run stops with singularity status once only
-    escaping steps remain, bracketing the blow-up within one tiny step.
+    The step loop runs on Python floats, which on states of a few
+    components costs a fraction of the equivalent numpy calls. So
+    rhs(t, y) receives y as a list of d Python floats and returns a
+    sequence of d reals: a tuple or a list, or a 1-D array, which works
+    but is slower. escape and error_weight receive the same list.
+    sample_times must lie within [t_start, t_end]; t_start and t_end
+    are always included in the output grid. escape, if given, is a
+    predicate on the flat state; the run stops with singularity status
+    once only escaping steps remain, bracketing the blow-up within one
+    tiny step.
 
     The error estimate of a step from y to y1 is measured against the
     scale abs_tol + rel_tol * max(|y|, |y1|), componentwise. error_weight,
-    if given, maps a flat state to nonnegative per-component weights
-    that take the place of |y| there: the scale becomes
-    abs_tol + rel_tol * max(w(y), w(y1)). A chart passes how little an
-    error in each component moves the operator it stands for, so that
-    the tolerances act on the operator rather than on the coordinates
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4). w(y) is kept from
-    the previous accepted step, so each attempt makes one weight call.
-    A non-finite scale, from an infinite weight or without error_weight
-    an overflowing state, fails the attempt the way a non-finite error
-    estimate does: the step shrinks and is retried.
+    if given, maps a flat state to a sequence of d nonnegative
+    per-component weights that take the place of |y| there: the scale
+    becomes abs_tol + rel_tol * max(w(y), w(y1)). A chart passes how
+    little an error in each component moves the operator it stands for,
+    so that the tolerances act on the operator rather than on the
+    coordinates (Hairer, Norsett & Wanner, Solving ODEs I, II.4). w(y)
+    is kept from the previous accepted step, so each attempt makes one
+    weight call. A non-finite scale, from a NaN or infinite weight or
+    without error_weight an overflowing state, fails the attempt the way
+    a non-finite error estimate does: the step shrinks and is retried.
 
     Floating-point overflow and invalid-operation warnings are
     suppressed for the whole call, rhs and escape included: non-finite
@@ -223,29 +230,46 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
                        error_weight)
 
 
-def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
-    # The stepping loop of `integrate`, run inside its errstate.
+def _magnitudes(y):
+    # The error weight of a run without error_weight.
+    return [abs(v) for v in y]
+
+
+def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
+            error_weight):
+    # The stepping loop of `integrate`, run inside its errstate. The
+    # state, the stages k1..k7 and the weights are sequences of Python
+    # floats; each stage input is one comprehension over the components.
+    _, c2, c3, c4, c5, _, _ = _C  # the last two stages sit at t + h
+    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A[1:]
+    e1, _, e3, e4, e5, e6, e7 = _E
+    d1, _, d3, d4, d5, d6, d7 = _D
+    abs_tol = settings.abs_tol
+    rel_tol = settings.rel_tol
+    max_step = settings.max_step
+
     span = t_end - t_start
-    initial = y
+    size = initial.size
+    y = initial.tolist()
     # Per accepted step that holds samples, in order: its sample count,
     # t, h and t1 in `steps`, and the vectors its interpolant needs in
-    # `record` (y, y1, k[0], k[6] and _D @ k along the first axis).
+    # `record` (y, y1, k1, k7 and the _D-weighted sum of the stages).
     # `record` starts with room for 1024 steps, or one per sample when
     # there are fewer samples, and doubles when it is full.
     steps = []
-    record = np.empty((5, min(len(samples) - 1, 1024), y.size))
+    record = np.empty((5, min(len(samples) - 1, 1024), size))
     next_sample = 1  # samples[0] == t_start needs no step
     next_time = float(samples[1])  # samples holds t_start < t_end
 
-    k1 = np.asarray(rhs(t_start, y), dtype=float)
+    k1 = rhs(t_start, y)
+    if np.shape(k1) != (size,):
+        raise ValueError(f"rhs returned shape {np.shape(k1)}, "
+                         f"expected ({size},)")
     if not np.all(np.isfinite(k1)):
         raise NonFiniteDerivativeError(t_start)
 
-    n_stages = 7
-    k = np.empty((n_stages, y.size))
-    k[0] = k1
-
-    h = min(settings.initial_step, settings.max_step, span)
+    h = min(settings.initial_step, max_step, span)
     h_floor = 1e-12 * span
     facold = 1e-4
     just_rejected = False
@@ -257,10 +281,12 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
     escape_halvings = 0
     smallest_step = math.inf
     largest_step = 0.0
-    # w is the error weight of y, carried from step to step; |y| stands
-    # in without error_weight.
-    weight = np.abs if error_weight is None else error_weight
-    w = weight(y)
+    # w is the error weight of y, carried from step to step. The error
+    # norm's comparison passes a NaN in w1 on to the scale but drops
+    # one in w; w1 is checked before it becomes w, so only the first w
+    # can hold a NaN, and as inf it fails every attempt the same way.
+    weight = _magnitudes if error_weight is None else error_weight
+    w = [v if v == v else math.inf for v in weight(y)]
 
     while True:
         if t >= t_end:
@@ -271,26 +297,46 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
             break
         attempts += 1
 
-        h = min(h, settings.max_step, t_end - t)
+        h = min(h, max_step, t_end - t)
         hits_end = (h == t_end - t)
 
-        for i in range(1, n_stages):
-            yi = y + h * (_A[i] @ k[:i])
-            k[i] = rhs(t + _C[i] * h, yi)
-        y1 = yi  # the 7th stage input is the 5th-order result
+        k2 = rhs(t + c2 * h, [v + h * (a21 * p1)
+                              for v, p1 in zip(y, k1)])
+        k3 = rhs(t + c3 * h, [v + h * (a31 * p1 + a32 * p2)
+                              for v, p1, p2 in zip(y, k1, k2)])
+        k4 = rhs(t + c4 * h, [v + h * (a41 * p1 + a42 * p2 + a43 * p3)
+                              for v, p1, p2, p3 in zip(y, k1, k2, k3)])
+        k5 = rhs(t + c5 * h, [v + h * (a51 * p1 + a52 * p2 + a53 * p3
+                                       + a54 * p4)
+                              for v, p1, p2, p3, p4
+                              in zip(y, k1, k2, k3, k4)])
+        k6 = rhs(t + h, [v + h * (a61 * p1 + a62 * p2 + a63 * p3
+                                  + a64 * p4 + a65 * p5)
+                         for v, p1, p2, p3, p4, p5
+                         in zip(y, k1, k2, k3, k4, k5)])
+        # the 7th stage input is the 5th-order result
+        y1 = [v + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+              for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = rhs(t + h, y1)
 
-        err_vec = h * (_E @ k)
+        # RMS norm of the error estimate against its scale. An infinite
+        # weight would scale the error away, so a non-finite scale fails
+        # the estimate, as a wild stage does; so does a zero scale,
+        # which only a negative weight can give.
         w1 = weight(y1)
-        scale = settings.abs_tol + settings.rel_tol * np.maximum(w, w1)
-        # An infinite weight would scale the error away; fail the
-        # estimate instead, as a wild stage does. A Python sum of the
-        # list is a quarter of the cost of np.add.reduce here.
-        if not math.isfinite(sum(scale.tolist())):
-            scale = math.nan
-        # RMS norm; the same bits as np.sqrt(np.mean(q ** 2)) at half
-        # the cost on a vector this short.
-        q = err_vec / scale
-        err = math.sqrt(float(np.add.reduce(q * q)) / y.size)
+        total = scale_sum = 0.0
+        try:
+            for a, b, p1, p3, p4, p5, p6, p7 in zip(w, w1, k1, k3, k4, k5,
+                                                    k6, k7):
+                scale = abs_tol + rel_tol * (a if a > b else b)
+                q = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
+                         + e7 * p7) / scale
+                total += q * q
+                scale_sum += scale
+            err = (math.sqrt(total / size) if math.isfinite(scale_sum)
+                   else math.nan)
+        except ZeroDivisionError:
+            err = math.nan
 
         if not math.isfinite(err):
             # A wild stage (often overflow past a blow-up) poisons the
@@ -337,10 +383,10 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
             if n == record.shape[1]:
                 record = np.concatenate((record, np.empty_like(record)),
                                         axis=1)
-            record[0, n] = y
-            record[1, n] = y1
-            record[2:4, n] = k[0::6]
-            record[4, n] = _D @ k
+            record[:, n] = (
+                y, y1, k1, k7,
+                [d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7
+                 for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
             steps.append((end - next_sample, t, h, t1))
             next_sample = end
             next_time = (float(samples[end]) if end < len(samples)
@@ -355,9 +401,9 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
         facold = max(err, 1e-4)
         just_rejected = False
 
-        y = y1  # never written in place, so no copy is needed
+        y = y1
         w = w1
-        k[0] = k[6]  # first-same-as-last
+        k1 = k7  # first-same-as-last
         t = t1
         h = h_next
 
@@ -366,7 +412,7 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
     closing = bool(samples[next_sample - 1] != t)
     times = samples[:next_sample + closing].copy()
     times[0] = t_start
-    states = np.empty((len(times), y.size))
+    states = np.empty((len(times), size))
     states[0] = initial
     _dense_rows(steps, record, samples[1:next_sample],
                 states[1:next_sample])
@@ -378,7 +424,7 @@ def _dopri5(rhs, y, t_start, t_end, settings, samples, escape, error_weight):
         error_rejections=error_rejections,
         nonfinite_retries=nonfinite_retries,
         escape_halvings=escape_halvings,
-        rhs_calls=1 + (n_stages - 1) * attempts,
+        rhs_calls=1 + 6 * attempts,
         smallest_step=smallest_step if accepted else None,
         largest_step=largest_step if accepted else None)
     return Trajectory(times=times, states=states, status=status,

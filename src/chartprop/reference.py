@@ -29,11 +29,13 @@ from .matrices import HermitianTraceless, hermitian_expm
 def _schrodinger_rhs(ham):
     dim = ham.dim
 
+    # The integrator passes the state as a list of floats and takes a
+    # list back; the product itself stays one numpy matmul.
     def rhs(t, vec):
-        u = vec.view(complex).reshape(dim, dim)
+        u = np.array(vec).view(complex).reshape(dim, dim)
         du = ham.matrix(t) @ u
         du *= -1j
-        return du.ravel().view(float)
+        return du.ravel().view(float).tolist()
 
     return rhs
 

@@ -143,16 +143,16 @@ def chart_rhs(ham):
 
     def rhs(t, vec):
         h1, h2, v1, v2, v3 = sample(t)
-        re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec.tolist()
+        re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
         dx, dy, dz, dphi1, dphi2 = _chart_rates(
             complex(re_x, im_x), complex(re_y, im_y), complex(re_z, im_z),
             h1, h2, v1, v2, v3)
-        return np.array((dx.real, dx.imag, dy.real, dy.imag,
-                         dz.real, dz.imag, dphi1, dphi2))
+        return (dx.real, dx.imag, dy.real, dy.imag,
+                dz.real, dz.imag, dphi1, dphi2)
     return rhs
 
 
-def error_weight(vec) -> np.ndarray:
+def error_weight(vec) -> tuple:
     """Per-component error weights of a flat state for `integrate`.
 
     An error dc in a chart coordinate c moves the operator by about
@@ -160,17 +160,17 @@ def error_weight(vec) -> np.ndarray:
     a phase moves it by about its own size. So both parts of x, y and z
     get 1 + |c|^2 and the phases get 1.
     """
-    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec.tolist()
+    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
     wx = 1.0 + (re_x * re_x + im_x * im_x)
     wy = 1.0 + (re_y * re_y + im_y * im_y)
     wz = 1.0 + (re_z * re_z + im_z * im_z)
-    return np.array((wx, wx, wy, wy, wz, wz, 1.0, 1.0))
+    return wx, wx, wy, wy, wz, wz, 1.0, 1.0
 
 
 def escaped(vec) -> bool:
     """True once any coordinate has left the chart's trusted region."""
     lim = SINGULARITY_THRESHOLD ** 2
-    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec.tolist()
+    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
     return (re_x * re_x + im_x * im_x >= lim
             or re_y * re_y + im_y * im_y >= lim
             or re_z * re_z + im_z * im_z >= lim)

@@ -71,28 +71,28 @@ def chart_rhs(ham):
 
     def rhs(t, vec):
         h, v = sample(t)
-        re_z, im_z, _ = vec.tolist()
+        re_z, im_z, _ = vec
         z = complex(re_z, im_z)
         dz = 1j * (v.conjugate() * z * z + 2.0 * h * z - v)
         # v conj(z) + conj(v) z is exactly real in floating point
         dphi = -0.5 * (v * z.conjugate() + v.conjugate() * z + 2.0 * h).real
-        return np.array((dz.real, dz.imag, dphi))
+        return dz.real, dz.imag, dphi
     return rhs
 
 
-def error_weight(vec) -> np.ndarray:
+def error_weight(vec) -> tuple:
     """Per-component error weights of a flat state for `integrate`.
 
     An error dz moves the operator by about |dz| / (1 + |z|^2), the
     Fubini-Study line element, while an error in phi moves it by about
     |dphi|. So both parts of z get 1 + |z|^2 and phi gets 1.
     """
-    re_z, im_z, _ = vec.tolist()
+    re_z, im_z, _ = vec
     wz = 1.0 + (re_z * re_z + im_z * im_z)
-    return np.array((wz, wz, 1.0))
+    return wz, wz, 1.0
 
 
 def escaped(vec) -> bool:
     """True once the flat state has left the chart's trusted region."""
-    re_z, im_z, _ = vec.tolist()
+    re_z, im_z, _ = vec
     return re_z * re_z + im_z * im_z >= SINGULARITY_THRESHOLD ** 2

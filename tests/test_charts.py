@@ -127,9 +127,10 @@ def test_error_weight_is_one_plus_squared_modulus(chart):
     states = random_states(rng, chart, 200, scales)
     pairs = coordinate_pairs(chart)
     for vec in states:
-        weight = chart.error_weight(vec)
-        assert weight.shape == (chart.STATE_SIZE,)
-        assert weight.dtype == np.float64
+        weight = chart.error_weight(vec.tolist())
+        assert len(weight) == chart.STATE_SIZE
+        assert all(type(value) is float for value in weight)
+        weight = np.array(weight)
         parts = vec[:2 * pairs].reshape(pairs, 2)
         modulus2 = parts[:, 0] * parts[:, 0] + parts[:, 1] * parts[:, 1]
         assert np.array_equal(weight[:2 * pairs],
@@ -141,3 +142,34 @@ def test_error_weight_is_one_plus_squared_modulus(chart):
                               np.ones(chart.STATE_SIZE - 2 * pairs))
     assert np.array_equal(chart.error_weight(np.zeros(chart.STATE_SIZE)),
                           np.ones(chart.STATE_SIZE))
+
+
+@CHARTS
+def test_chart_functions_take_an_array_a_list_or_a_tuple(chart):
+    # The integrator passes lists; scipy's solvers and array callers
+    # pass ndarrays. Every form gives the same values, and chart_rhs
+    # and error_weight return tuples.
+    rng = np.random.default_rng(13)
+    limit = chart.SINGULARITY_THRESHOLD
+    scales = np.concatenate((10 ** rng.uniform(-3, 3, size=40),
+                             [0.9 * limit, 1.1 * limit, 2.0 * limit]))
+    states = random_states(rng, chart, len(scales), scales)
+    if chart is two_level:
+        ham = Hamiltonian2(h=ConstantDrive(0.3), v=ConstantDrive(0.2 - 0.5j))
+    else:
+        ham = Hamiltonian3(h1=ConstantDrive(0.3), h2=ConstantDrive(-0.1),
+                           v1=ConstantDrive(0.2 - 0.5j),
+                           v2=ConstantDrive(0.4j), v3=ConstantDrive(-0.7))
+    rhs = chart.chart_rhs(ham)
+    escapes = set()
+    for vec in states:
+        forms = (vec, vec.tolist(), tuple(vec.tolist()))
+        for fn in (lambda v: rhs(0.4, v), chart.error_weight):
+            outs = [fn(form) for form in forms]
+            for out in outs:
+                assert type(out) is tuple and len(out) == chart.STATE_SIZE
+            assert outs[1] == outs[0] == outs[2]
+        flags = {bool(chart.escaped(form)) for form in forms}
+        assert len(flags) == 1
+        escapes |= flags
+    assert escapes == {False, True}

@@ -354,6 +354,60 @@ def test_piecewise_copies_compare_equal_and_evaluate_identically():
         PIECEWISE._knots[1][0] = 5.0
 
 
+# Piecewise drives for the scalar sampler: signed zeros among the
+# values, a real drive, values of 1e300 across a 1e-300 segment, and
+# infinite values, which take np.interp's retry from the right knot.
+# An imaginary part of -0.0 or 1e-17 passes the realness check but
+# leaves the drive without a float function.
+PIECEWISE_SCALARS = [
+    PIECEWISE,
+    PiecewiseDrive((0.0, 1.0, 3.0), (-0.0, 0.0, -0.3)),
+    PiecewiseDrive((-2.0, 0.0, 1e-300, 1.0),
+                   (1e300, -1e300, 2.0 + 1j, complex(-0.0, 0.0))),
+    PiecewiseDrive((0.0, 1.0, 3.0, 4.0), (math.inf, math.inf, 1.0, -math.inf)),
+    PiecewiseDrive((0.0, 2.0), (complex(0.1, -0.0), 0.3)),
+    PiecewiseDrive((0.0, 2.0), (complex(0.1, 1e-17), 0.3)),
+]
+PIECEWISE_SCALARS += [
+    SumDrive((GaussianDrive(0.2, 1.0, 0.5), PIECEWISE_SCALARS[1])),
+    SumDrive((PIECEWISE, ConstantDrive(complex(-0.0, -0.0)),
+              PIECEWISE_SCALARS[2])),
+]
+
+
+def _piecewise_times(drive):
+    """Knot times, midpoints, random points between knots, points
+    outside, signed zeros, infinities and NaN."""
+    knots = sorted({t for term in getattr(drive, "terms", (drive,))
+                    if isinstance(term, PiecewiseDrive) for t in term.times})
+    rng = np.random.default_rng(17)
+    times = list(knots) + [-0.0, 0.0, -1e9, 1e9, -math.inf, math.inf,
+                           math.nan, knots[0] - 1.0, knots[-1] + 1.0]
+    for a, b in zip(knots, knots[1:]):
+        times += [(a + b) / 2, *rng.uniform(a, b, 200).tolist()]
+    return times
+
+
+@pytest.mark.parametrize("drive", PIECEWISE_SCALARS, ids=repr)
+def test_piecewise_scalar_matches_evaluate_bit_for_bit(drive):
+    at = drive.scalar()
+    at_real = drive.scalar(real=True)
+    exactly_real = all(
+        v.imag == 0.0 and math.copysign(1.0, v.imag) > 0.0
+        for term in getattr(drive, "terms", (drive,))
+        for v in getattr(term, "values", (term.evaluate(0.0),)))
+    assert (at_real is not None) == exactly_real
+    for t in _piecewise_times(drive):
+        want = complex(drive.evaluate(t))
+        got = at(t)
+        assert type(got) is complex
+        assert _bits(got) == _bits(want), t
+        if at_real is not None:
+            got = at_real(t)
+            assert type(got) is float
+            assert got.hex() == want.real.hex(), t
+
+
 def test_sample_grid_matches_pointwise_samples():
     ham = Hamiltonian3(h1=CosineDrive(0.2, 1.0), h2=ConstantDrive(-0.1),
                        v1=GaussianDrive(0.5j, 2.0, 0.7),

@@ -1,6 +1,7 @@
 """Tests for the adaptive integrator: accuracy, dense output, stop modes."""
 
 import copy
+import math
 import pickle
 import warnings
 
@@ -15,7 +16,7 @@ from chartprop import (ChartSingularityError, ConstantDrive,
 
 
 def decay(t, y):
-    return -y
+    return [-v for v in y]
 
 
 def rotation(t, y):
@@ -32,7 +33,12 @@ def counting(rhs):
 
 
 def blowup(t, y):
-    return y * y
+    return [v * v for v in y]
+
+
+def stiff(t, y):
+    # y' = -50 (y - 1), one copy per component
+    return [-50.0 * (v - 1.0) for v in y]
 
 
 def escapes(y):
@@ -129,7 +135,7 @@ def test_escape_stops_near_blowup():
     # y' = y^2 from y(0) = 1 blows up at t = 1; the escape predicate
     # must stop the run just below the threshold, close to the pole.
     settings = IntegratorSettings(max_step=0.1)
-    traj = integrate(lambda t, y: y * y, [1.0], 0.0, 2.0, settings,
+    traj = integrate(blowup, [1.0], 0.0, 2.0, settings,
                      np.linspace(0, 2, 21),
                      escape=lambda y: abs(y[0]) >= 1e6)
     assert traj.status == "singularity"
@@ -142,12 +148,12 @@ def test_escape_stops_near_blowup():
 
 def test_non_finite_rhs_raises():
     def bad(t, y):
-        return np.full_like(y, np.nan) if t > 0.5 else -y
+        return [math.nan] * len(y) if t > 0.5 else decay(t, y)
     settings = IntegratorSettings(max_step=0.1)
     with pytest.raises(NonFiniteDerivativeError):
         integrate(bad, [1.0], 0.0, 1.0, settings, [0.9])
     with pytest.raises(NonFiniteDerivativeError):
-        integrate(lambda t, y: np.full_like(y, np.inf), [1.0], 0.0, 1.0,
+        integrate(lambda t, y: [math.inf] * len(y), [1.0], 0.0, 1.0,
                   settings, [0.5])
 
 
@@ -216,7 +222,7 @@ def test_convergence_probe_errors_fall_with_tolerance():
 
 def test_early_stop_trajectory_is_well_formed():
     settings = IntegratorSettings(max_step=0.05)
-    traj = integrate(lambda t, y: y * y, [1.0], 0.0, 2.0, settings,
+    traj = integrate(blowup, [1.0], 0.0, 2.0, settings,
                      np.linspace(0, 2, 201),
                      escape=lambda y: abs(y[0]) >= 1e6)
     # every emitted sample lies at or before the stop time, grid strictly
@@ -268,7 +274,7 @@ def test_error_state_restored_after_return_and_raise():
     integrate(decay, [1.0], 0.0, 1.0, settings, [0.5])
     assert np.geterr() == before
     with pytest.raises(NonFiniteDerivativeError):
-        integrate(lambda t, y: np.full_like(y, np.nan), [1.0], 0.0, 1.0,
+        integrate(lambda t, y: [math.nan] * len(y), [1.0], 0.0, 1.0,
                   settings, [0.5])
     assert np.geterr() == before
 
@@ -282,7 +288,7 @@ def test_overflowing_stage_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
-            integrate(lambda t, y: y * y, [1.0], 0.0, 2.0, settings, [2.0])
+            integrate(blowup, [1.0], 0.0, 2.0, settings, [2.0])
 
 
 COSINE3 = Hamiltonian3(h1=CosineDrive(0.3, 1.7), h2=CosineDrive(-0.2, 0.6, 0.4),
@@ -461,11 +467,8 @@ def test_infinite_weight_fails_the_step():
     # outside the stability region and lands at a wild y1. A weight of
     # inf there would scale the error estimate to zero; instead the step
     # must be retried, shorter, like a non-finite estimate.
-    def stiff(t, y):
-        return -50.0 * (y - 1.0)
-
     def wild_is_infinite(y):
-        return np.full(y.shape, np.inf if abs(y[0]) > 2.0 else 1.0)
+        return np.full(len(y), np.inf if abs(y[0]) > 2.0 else 1.0)
 
     settings = IntegratorSettings(max_step=1.0, initial_step=1.0)
     grid = np.linspace(0.0, 1.0, 11)
@@ -478,4 +481,173 @@ def test_infinite_weight_fails_the_step():
     # a weight that is never finite leaves no step to accept
     with pytest.raises(NonFiniteDerivativeError):
         integrate(stiff, [0.0], 0.0, 1.0, settings, grid,
-                  error_weight=lambda y: np.full(y.shape, np.nan))
+                  error_weight=lambda y: np.full(len(y), np.nan))
+
+
+# The state reaches rhs, escape and error_weight as a list of floats;
+# rhs may return a tuple, a list or an array.
+RETURN_TYPES = pytest.mark.parametrize("wrap", [tuple, list, np.array],
+                                       ids=["tuple", "list", "array"])
+
+
+@CHART_RUNS
+def test_rhs_return_type_does_not_change_the_run(chart, ham, t_end, status):
+    settings = IntegratorSettings(max_step=0.05)
+    grid = np.linspace(0.0, t_end, 41)
+    seen = []
+
+    def run(wrap):
+        rhs = chart.chart_rhs(ham)
+
+        def wrapped(t, y):
+            seen.append(type(y))
+            return wrap(rhs(t, y))
+        return integrate(wrapped, np.zeros(chart.STATE_SIZE), 0.0, t_end,
+                         settings, grid, escape=chart.escaped,
+                         error_weight=chart.error_weight)
+
+    runs = [run(wrap) for wrap in (tuple, list, np.array)]
+    assert set(seen) == {list}
+    first = runs[0]
+    assert first.status == status
+    for other in runs[1:]:
+        assert other.status == first.status
+        assert other.singularity_time == first.singularity_time
+        assert np.array_equal(other.times, first.times)
+        assert other.states.tobytes() == first.states.tobytes()
+        assert other.stats == first.stats
+
+
+@RETURN_TYPES
+def test_escape_and_weight_receive_the_state_as_a_list(wrap):
+    seen = set()
+
+    def weight(y):
+        seen.add(("weight", type(y), type(y[0])))
+        return [abs(v) for v in y]
+
+    def escape(y):
+        seen.add(("escape", type(y), type(y[0])))
+        return False
+
+    traj = integrate(lambda t, y: wrap([y[1], -y[0]]), [1.0, 0.0], 0.0, 1.0,
+                     IntegratorSettings(max_step=0.25), [0.5],
+                     escape=escape, error_weight=weight)
+    assert traj.status == "completed"
+    element = np.float64 if wrap is np.array else float
+    assert seen == {("weight", list, float), ("weight", list, element),
+                    ("escape", list, element)}
+
+
+def test_rhs_of_the_wrong_length_is_rejected():
+    settings = IntegratorSettings(max_step=0.1)
+    for bad in ((1.0,), [1.0, 2.0, 3.0], np.zeros((2, 1)), 1.0):
+        with pytest.raises(ValueError, match="rhs returned shape"):
+            integrate(lambda t, y: bad, [1.0, 0.0], 0.0, 1.0, settings, [])
+
+
+@pytest.mark.parametrize("wild", [0, 1])
+def test_nan_weight_only_in_y1_fails_the_attempt(wild):
+    # The first step of length 1 lands at a wild y1, whose weight has a
+    # NaN in component `wild`; the weight of y stays finite. Python's
+    # max(a, nan) is a, but the attempt must fail as with an infinite
+    # weight: the same retries, steps and bits.
+    def weight_of(bad):
+        def weight(y):
+            w = [1.0, 1.0]
+            if abs(y[0]) > 2.0:
+                w[wild] = bad
+            return w
+        return weight
+
+    settings = IntegratorSettings(max_step=1.0, initial_step=1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    nan_run, inf_run = (integrate(stiff, [0.0, 0.0], 0.0, 1.0, settings,
+                                  grid, error_weight=weight_of(bad))
+                        for bad in (np.nan, np.inf))
+    assert nan_run.status == "completed"
+    assert nan_run.stats.nonfinite_retries >= 1
+    assert nan_run.stats == inf_run.stats
+    assert nan_run.states.tobytes() == inf_run.states.tobytes()
+    exact = 1.0 - np.exp(-50.0 * grid)
+    assert np.max(np.abs(nan_run.states[:, 0] - exact)) < 1e-8
+
+
+def test_nan_weight_of_the_initial_state_fails_every_attempt():
+    # w(y) is carried from the last accepted step; a NaN in the first
+    # one must fail every attempt, as a NaN scale does.
+    def nan_at_start(y):
+        return [math.nan if y[0] == 1.0 else 1.0, 1.0]
+
+    settings = IntegratorSettings(max_step=0.1)
+    with pytest.raises(NonFiniteDerivativeError):
+        integrate(decay, [1.0, 1.0], 0.0, 1.0, settings, [],
+                  error_weight=nan_at_start)
+    # with max_steps below the number of retries, the run stops at t_start
+    traj = integrate(decay, [1.0, 1.0], 0.0, 1.0,
+                     IntegratorSettings(max_step=0.1, max_steps=3), [],
+                     error_weight=nan_at_start)
+    assert traj.status == "step_limit"
+    assert traj.stats.nonfinite_retries == 3
+    assert np.array_equal(traj.times, [0.0])
+
+
+def test_zero_scale_fails_the_attempt_without_zero_division():
+    # A weight of -abs_tol / rel_tol makes the scale exactly 0 (powers
+    # of two keep the product exact). The attempt must fail like a
+    # non-finite estimate, not raise ZeroDivisionError.
+    settings = IntegratorSettings(max_step=0.1, rel_tol=2.0 ** -30,
+                                  abs_tol=2.0 ** -40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDerivativeError):
+            integrate(decay, [1.0], 0.0, 1.0, settings, [],
+                      error_weight=lambda y: [-2.0 ** -10])
+
+
+@RETURN_TYPES
+def test_overflowing_stage_is_retried_silently(wrap):
+    # y' = -y^3 from y(0) = 10: a first step of length 1 overflows the
+    # later stages to inf and NaN. No exception or warning may escape;
+    # the step shrinks and the run completes on the exact solution
+    # y = 1 / sqrt(2 t + 1/100).
+    settings = IntegratorSettings(max_step=1.0, initial_step=1.0)
+    grid = np.linspace(0.0, 2.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(lambda t, y: wrap([-v * v * v for v in y]), [10.0],
+                         0.0, 2.0, settings, grid)
+    assert traj.status == "completed"
+    assert traj.stats.nonfinite_retries >= 1
+    exact = 1.0 / np.sqrt(2.0 * grid + 0.01)
+    assert np.max(np.abs(traj.states[:, 0] / exact - 1.0)) < 1e-7
+
+
+def test_one_step_matches_a_numpy_evaluation_of_the_tableau():
+    # The Dormand-Prince 5(4) tableau written out as matrices and
+    # applied with numpy, independently of the loop, on y' = M y.
+    a = np.zeros((7, 7))
+    a[1, :1] = [1 / 5]
+    a[2, :2] = [3 / 40, 9 / 40]
+    a[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+    a[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+    a[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                -5103 / 18656]
+    b = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                  11 / 84, 0.0])
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(3, 3))
+    y0 = rng.normal(size=3)
+    h = 0.37
+    k = np.zeros((7, 3))
+    for i in range(7):
+        k[i] = m @ (y0 + h * (a[i] @ k))
+    want = y0 + h * (b @ k)
+
+    settings = IntegratorSettings(max_step=h, initial_step=h, rel_tol=1.0,
+                                  abs_tol=1.0)
+    traj = integrate(lambda t, y: (m @ np.array(y)).tolist(), y0, 0.0, h,
+                     settings, [])
+    assert traj.stats.attempts == traj.stats.accepted == 1
+    got = traj.final_state
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

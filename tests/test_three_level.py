@@ -25,8 +25,8 @@ def constant(h1=0.0, h2=0.0, v1=0j, v2=0j, v3=0j):
 def rates(vec, **entries):
     """(dx, dy, dz, dphi1, dphi2) from chart_rhs at one point, for
     constant Hamiltonian entries."""
-    d = chart_rhs(constant(**entries))(0.0, vec)
-    assert d.dtype == np.float64
+    d = chart_rhs(constant(**entries))(0.0, vec.tolist())
+    assert len(d) == 8 and all(type(value) is float for value in d)
     return (complex(d[0], d[1]), complex(d[2], d[3]), complex(d[4], d[5]),
             d[6], d[7])
 
@@ -102,7 +102,8 @@ def test_log_delta_rates_match_flow_derivative():
         vec = state(x, y, z, rng.normal(), rng.normal())
         h1, h2 = rng.normal(), rng.normal()
         v1, v2, v3 = (random_complex(rng) for _ in range(3))
-        d = chart_rhs(constant(h1, h2, v1, v2, v3))(0.0, vec)
+        d = np.array(chart_rhs(constant(h1, h2, v1, v2, v3))(0.0,
+                                                            vec.tolist()))
         eps = 1e-7
         plus, minus = deltas(vec + eps * d), deltas(vec - eps * d)
         fd1 = (np.log(plus[0]) - np.log(minus[0])) / (2 * eps)
@@ -185,7 +186,7 @@ def test_two_level_block_embedding():
         dx, dy, dz, dphi1, _ = rates(state(x=z, phi1=0.7, phi2=-0.7),
                                      h1=h, h2=-h, v1=v)
         ham2 = Hamiltonian2(h=ConstantDrive(h), v=ConstantDrive(v))
-        d2 = two_level.chart_rhs(ham2)(0.0, np.array([z.real, z.imag, 0.7]))
+        d2 = two_level.chart_rhs(ham2)(0.0, [z.real, z.imag, 0.7])
         dz2, dphi2 = complex(d2[0], d2[1]), d2[2]
         assert abs(dx - dz2) < 1e-15 * (1 + abs(dz2))
         assert dy == 0.0j

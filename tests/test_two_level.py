@@ -12,8 +12,8 @@ def rates(z, h, v, phi=0.0):
     """(dz, dphi) from chart_rhs at one point, for constant entries (h, v)."""
     ham = Hamiltonian2(h=ConstantDrive(h), v=ConstantDrive(v))
     z = complex(z)
-    d = chart_rhs(ham)(0.0, np.array([z.real, z.imag, phi]))
-    assert d.dtype == np.float64
+    d = chart_rhs(ham)(0.0, [z.real, z.imag, phi])
+    assert len(d) == 3 and all(type(value) is float for value in d)
     return complex(d[0], d[1]), d[2]
 
 
