@@ -7,17 +7,22 @@ entries are real drives, off-diagonal couplings are complex drives,
 and the last diagonal entry is always derived from tracelessness.
 
 Configs are YAML mappings (JSON is a subset, so .json files load with
-the same parser). `parse_config` validates shape and types and reports
-errors with the path of the offending field.
+the same parser). A drive's mapping form is `shape` plus the shape's
+keys: its fields for the constant, cosine and Gaussian shapes, `knots`
+for the piecewise shape and `terms` for the sum. `parse_config` checks
+the keys of every mapping, reads every number as a finite float, and
+raises ConfigError with the path of the offending field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import reprlib
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Union, get_args
 
 import numpy as np
 import yaml
@@ -30,35 +35,46 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # drive shapes
 
-def _as_float(value, path):
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        # YAML leaves exponent-only literals like "1e-9" as strings.
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-    raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-
-
-def _as_finite(value, path):
-    number = _as_float(value, path)
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: must be finite, got {number}")
-    return number
+def _number(value, path):
+    """value as a finite float: an int, a float, or a numeric string,
+    since YAML reads exponent-only literals like 1e-9 as strings."""
+    try:
+        # bool is an int subclass; YAML's true and false are not numbers
+        if isinstance(value, (float, int, str)) and type(value) is not bool:
+            number = float(value)
+            if math.isfinite(number):
+                return number
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{path}: expected a finite number, "
+                      f"got {reprlib.repr(value)}")
 
 
 def _as_complex(value, path):
     # Plain scalars mean real values; complex values are written [re, im].
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
-            raise ConfigError(f"{path}: complex value must be [re, im], got {value!r}")
-        return complex(_as_float(value[0], f"{path}[0]"),
-                       _as_float(value[1], f"{path}[1]"))
-    return complex(_as_float(value, path))
+            raise ConfigError(f"{path}: complex value must be [re, im], "
+                              f"got {reprlib.repr(value)}")
+        return complex(_number(value[0], f"{path}[0]"),
+                       _number(value[1], f"{path}[1]"))
+    return complex(_number(value, path))
+
+
+def _mapping(value, path, required, optional=()):
+    """value, checked to be a mapping that has every key in `required`
+    and no key outside `required` and `optional`."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, "
+                          f"got {reprlib.repr(value)}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{path}: unexpected key {reprlib.repr(key)}, "
+                              f"allowed {[*required, *optional]}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    return value
 
 
 def _exact_real(value):
@@ -76,10 +92,9 @@ def _exact_real(value):
 
 def _complex_out(value):
     # Emit real scalars as bare floats, everything else as [re, im].
-    c = complex(value)
-    if c.imag == 0.0:
-        return c.real
-    return [c.real, c.imag]
+    if value.imag == 0.0:
+        return value.real
+    return [value.real, value.imag]
 
 
 # Scalar formulas of the cosine and Gaussian shapes, each written once:
@@ -140,10 +155,47 @@ class _RebuiltOnCopy:
                                  for f in fields(self) if f.init)
 
 
+# Reader and writer of a number field's spec value, by the field's
+# annotation (text, under `from __future__ import annotations`).
+_NUMBER_KINDS = {"complex": (_as_complex, _complex_out), "float": (_number, float)}
+
+
+@functools.cache
+def _number_fields(cls):
+    """((name, reader, writer) per init field, required spec keys,
+    optional spec keys) of a _NumberFields shape, built once per class:
+    fields() for every drive would double the time to parse a config."""
+    init = [f for f in fields(cls) if f.init]
+    return (tuple((f.name, *_NUMBER_KINDS[f.type]) for f in init),
+            ("shape", *(f.name for f in init if f.default is MISSING)),
+            tuple(f.name for f in init if f.default is not MISSING))
+
+
+class _NumberFields:
+    """Mixin for the shapes whose spec is `shape` plus their init
+    fields, each a number: complex where the field is annotated complex,
+    float where it is annotated float. A field with a default may be
+    left out."""
+
+    @classmethod
+    def from_spec(cls, spec, path):
+        numbers, required, optional = _number_fields(cls)
+        _mapping(spec, path, required, optional)
+        return cls(**{name: read(spec[name], f"{path}.{name}")
+                      for name, read, _ in numbers if name in spec})
+
+    def to_spec(self):
+        spec = {"shape": self.SHAPE}
+        for name, _, write in _number_fields(type(self))[0]:
+            spec[name] = write(getattr(self, name))
+        return spec
+
+
 @dataclass(frozen=True)
-class ConstantDrive:
+class ConstantDrive(_NumberFields):
     """Time-independent value."""
 
+    SHAPE = "constant"
     value: complex
 
     def __post_init__(self):
@@ -167,14 +219,12 @@ class ConstantDrive:
             return None
         return lambda t: value
 
-    def to_spec(self):
-        return {"shape": "constant", "value": _complex_out(self.value)}
-
 
 @dataclass(frozen=True)
-class CosineDrive(_RebuiltOnCopy):
+class CosineDrive(_NumberFields, _RebuiltOnCopy):
     """amplitude * cos(angular_frequency * t + phase_offset)."""
 
+    SHAPE = "cosine"
     amplitude: complex
     angular_frequency: float
     phase_offset: float = 0.0
@@ -202,19 +252,12 @@ class CosineDrive(_RebuiltOnCopy):
             return None
         return _cosine(amplitude, self.angular_frequency, self.phase_offset)
 
-    def to_spec(self):
-        return {
-            "shape": "cosine",
-            "amplitude": _complex_out(self.amplitude),
-            "angular_frequency": self.angular_frequency,
-            "phase_offset": self.phase_offset,
-        }
-
 
 @dataclass(frozen=True)
-class GaussianDrive(_RebuiltOnCopy):
+class GaussianDrive(_NumberFields, _RebuiltOnCopy):
     """amplitude * exp(-(t - center)^2 / (2 width^2))."""
 
+    SHAPE = "gaussian"
     amplitude: complex
     center: float
     width: float
@@ -244,19 +287,12 @@ class GaussianDrive(_RebuiltOnCopy):
             return None
         return _gaussian(amplitude, self.center, self.width)
 
-    def to_spec(self):
-        return {
-            "shape": "gaussian",
-            "amplitude": _complex_out(self.amplitude),
-            "center": self.center,
-            "width": self.width,
-        }
-
 
 @dataclass(frozen=True)
 class PiecewiseDrive(_RebuiltOnCopy):
     """Linear interpolation through (t, value) knots, clamped outside."""
 
+    SHAPE = "piecewise"
     times: tuple
     values: tuple
     # (knot times, real parts, imaginary parts) as float arrays
@@ -293,18 +329,30 @@ class PiecewiseDrive(_RebuiltOnCopy):
         im = _linear(self.times, tuple(v.imag for v in self.values))
         return lambda t: re(t) + 1j * im(t)
 
+    @classmethod
+    def from_spec(cls, spec, path):
+        knots = _mapping(spec, path, ("shape", "knots"))["knots"]
+        if not isinstance(knots, (list, tuple)):
+            raise ConfigError(f"{path}.knots: expected a list of [t, value] pairs")
+        times, values = [], []
+        for i, knot in enumerate(knots):
+            if not isinstance(knot, (list, tuple)) or len(knot) != 2:
+                raise ConfigError(f"{path}.knots[{i}]: expected [t, value]")
+            times.append(_number(knot[0], f"{path}.knots[{i}][0]"))
+            values.append(_as_complex(knot[1], f"{path}.knots[{i}][1]"))
+        return cls(tuple(times), tuple(values))
+
     def to_spec(self):
-        return {
-            "shape": "piecewise",
-            "knots": [[float(t), _complex_out(v)]
-                      for t, v in zip(self.times, self.values)],
-        }
+        return {"shape": self.SHAPE,
+                "knots": [[t, _complex_out(v)]
+                          for t, v in zip(self.times, self.values)]}
 
 
 @dataclass(frozen=True)
 class SumDrive:
     """Pointwise sum of component drives."""
 
+    SHAPE = "sum"
     terms: tuple
 
     def __post_init__(self):
@@ -333,81 +381,38 @@ class SumDrive:
             return total
         return at
 
+    @classmethod
+    def from_spec(cls, spec, path):
+        terms = _mapping(spec, path, ("shape", "terms"))["terms"]
+        if not isinstance(terms, (list, tuple)):
+            raise ConfigError(f"{path}.terms: expected a list of drives")
+        return cls(tuple(drive_from_spec(term, f"{path}.terms[{i}]")
+                         for i, term in enumerate(terms)))
+
     def to_spec(self):
-        return {"shape": "sum", "terms": [term.to_spec() for term in self.terms]}
+        return {"shape": self.SHAPE, "terms": [term.to_spec() for term in self.terms]}
 
 
 DriveSignal = Union[ConstantDrive, CosineDrive, GaussianDrive,
                     PiecewiseDrive, SumDrive]
 
-_DRIVE_FIELDS = {
-    "constant": {"value"},
-    "cosine": {"amplitude", "angular_frequency", "phase_offset"},
-    "gaussian": {"amplitude", "center", "width"},
-    "piecewise": {"knots"},
-    "sum": {"terms"},
-}
+_SHAPES = {cls.SHAPE: cls for cls in get_args(DriveSignal)}
 
 
 def drive_from_spec(spec, path="drive"):
     """Build a drive from its mapping form; inverse of to_spec."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected a drive mapping with a 'shape' key")
-    if "shape" not in spec:
-        raise ConfigError(f"{path}: missing 'shape'")
-    shape = spec["shape"]
-    if shape not in _DRIVE_FIELDS:
-        raise ConfigError(f"{path}.shape: unknown shape {shape!r}, "
-                          f"expected one of {sorted(_DRIVE_FIELDS)}")
-    extra = set(spec) - _DRIVE_FIELDS[shape] - {"shape"}
-    if extra:
-        raise ConfigError(f"{path}: unexpected keys {sorted(extra)} for shape {shape!r}")
-
-    def need(key):
-        if key not in spec:
-            raise ConfigError(f"{path}.{key}: required for shape {shape!r}")
-        return spec[key]
-
-    if shape == "constant":
-        return ConstantDrive(_as_complex(need("value"), f"{path}.value"))
-    if shape == "cosine":
-        return CosineDrive(
-            amplitude=_as_complex(need("amplitude"), f"{path}.amplitude"),
-            angular_frequency=_as_float(need("angular_frequency"),
-                                        f"{path}.angular_frequency"),
-            phase_offset=_as_float(spec.get("phase_offset", 0.0),
-                                   f"{path}.phase_offset"),
-        )
-    if shape == "gaussian":
-        try:
-            return GaussianDrive(
-                amplitude=_as_complex(need("amplitude"), f"{path}.amplitude"),
-                center=_as_float(need("center"), f"{path}.center"),
-                width=_as_float(need("width"), f"{path}.width"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if shape == "piecewise":
-        knots = need("knots")
-        if not isinstance(knots, (list, tuple)):
-            raise ConfigError(f"{path}.knots: expected a list of [t, value] pairs")
-        times, values = [], []
-        for i, knot in enumerate(knots):
-            if not isinstance(knot, (list, tuple)) or len(knot) != 2:
-                raise ConfigError(f"{path}.knots[{i}]: expected [t, value]")
-            times.append(_as_float(knot[0], f"{path}.knots[{i}][0]"))
-            values.append(_as_complex(knot[1], f"{path}.knots[{i}][1]"))
-        try:
-            return PiecewiseDrive(tuple(times), tuple(values))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.knots: {exc}") from None
-    # sum
-    terms = need("terms")
-    if not isinstance(terms, (list, tuple)) or not terms:
-        raise ConfigError(f"{path}.terms: need a non-empty list of drives")
-    return SumDrive(tuple(
-        drive_from_spec(term, f"{path}.terms[{i}]") for i, term in enumerate(terms)
-    ))
+    shape = spec.get("shape") if isinstance(spec, dict) else None
+    cls = _SHAPES.get(shape) if isinstance(shape, str) else None
+    if cls is None:
+        raise ConfigError(f"{path}: expected a drive mapping with a shape in "
+                          f"{sorted(_SHAPES)}, got {reprlib.repr(spec)}")
+    try:
+        return cls.from_spec(spec, path)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # the constructors' own checks: Gaussian width, knots, empty sum
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -610,35 +615,7 @@ class RunConfig:
 
 
 _HAMILTONIANS = {2: Hamiltonian2, 3: Hamiltonian3}
-
-
-def _parse_hamiltonian(mapping, system, t_start, t_end):
-    if not isinstance(mapping, dict):
-        raise ConfigError("hamiltonian: expected a mapping of drives")
-    cls = _HAMILTONIANS[system]
-    allowed = set(cls.KEYS) | ({"h3"} if system == 3 else set())
-    extra = set(mapping) - allowed
-    if extra:
-        raise ConfigError(f"hamiltonian: unexpected keys {sorted(extra)} "
-                          f"for a {system}-level system")
-    drives = {}
-    for key in cls.KEYS:
-        if key not in mapping:
-            raise ConfigError(f"hamiltonian.{key}: required for a "
-                              f"{system}-level system")
-        drives[key] = drive_from_spec(mapping[key], f"hamiltonian.{key}")
-    ham = cls(**drives)
-    if "h3" in mapping:
-        # Redundant entry tolerated only when consistent with tracelessness.
-        h3 = drive_from_spec(mapping["h3"], "hamiltonian.h3")
-        for t in np.linspace(t_start, t_end, 11):
-            stated = complex(h3.evaluate(t))
-            derived = -(complex(ham.h1.evaluate(t)) + complex(ham.h2.evaluate(t)))
-            if abs(stated - derived) > 1e-12 * (1.0 + abs(derived)):
-                raise ConfigError(
-                    f"hamiltonian.h3: must equal -(h1 + h2); differs at t={t} "
-                    f"({stated} vs {derived})")
-    return ham
+_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step")
 
 
 def parse_config(source) -> RunConfig:
@@ -651,57 +628,43 @@ def parse_config(source) -> RunConfig:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML/JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-
-    extra = set(raw) - {"system", "time", "integrator", "hamiltonian"}
-    if extra:
-        raise ConfigError(f"config: unexpected top-level keys {sorted(extra)}")
-    for key in ("system", "time", "hamiltonian"):
-        if key not in raw:
-            raise ConfigError(f"config: missing required key '{key}'")
+    _mapping(raw, "config", ("system", "time", "hamiltonian"), ("integrator",))
 
     system = raw["system"]
     if system not in (2, 3):
-        raise ConfigError(f"system: must be 2 or 3, got {system!r}")
+        raise ConfigError(f"system: must be 2 or 3, got {reprlib.repr(system)}")
 
-    time_map = raw["time"]
-    if not isinstance(time_map, dict):
-        raise ConfigError("time: expected a mapping with 'start' and 'end'")
-    extra = set(time_map) - {"start", "end"}
-    if extra:
-        raise ConfigError(f"time: unexpected keys {sorted(extra)}")
-    for key in ("start", "end"):
-        if key not in time_map:
-            raise ConfigError(f"time.{key}: required")
-    t_start = _as_finite(time_map["start"], "time.start")
-    t_end = _as_finite(time_map["end"], "time.end")
+    time = _mapping(raw["time"], "time", ("start", "end"))
+    t_start = _number(time["start"], "time.start")
+    t_end = _number(time["end"], "time.end")
     if not t_end > t_start:
         raise ConfigError(f"time: end ({t_end}) must be greater than "
                           f"start ({t_start})")
 
-    rel_tol, abs_tol, max_step = 1e-9, 1e-12, None
-    if "integrator" in raw:
-        integ = raw["integrator"]
-        if not isinstance(integ, dict):
-            raise ConfigError("integrator: expected a mapping")
-        extra = set(integ) - {"rel_tol", "abs_tol", "max_step"}
-        if extra:
-            raise ConfigError(f"integrator: unexpected keys {sorted(extra)}")
-        if "rel_tol" in integ:
-            rel_tol = _as_finite(integ["rel_tol"], "integrator.rel_tol")
-        if "abs_tol" in integ:
-            abs_tol = _as_finite(integ["abs_tol"], "integrator.abs_tol")
-        if "max_step" in integ:
-            max_step = _as_finite(integ["max_step"], "integrator.max_step")
-        if rel_tol <= 0 or abs_tol <= 0:
-            raise ConfigError("integrator: tolerances must be positive")
-        if max_step is not None and max_step <= 0:
-            raise ConfigError("integrator.max_step: must be positive")
+    # keys left out take RunConfig's defaults
+    settings = {key: _number(value, f"integrator.{key}") for key, value
+                in _mapping(raw.get("integrator", {}), "integrator", (),
+                            _INTEGRATOR_KEYS).items()}
+    for key, value in settings.items():
+        if not value > 0:
+            raise ConfigError(f"integrator.{key}: must be positive, got {value}")
 
-    hamiltonian = _parse_hamiltonian(raw["hamiltonian"], system, t_start, t_end)
-    return RunConfig(hamiltonian=hamiltonian, t_start=t_start, t_end=t_end,
-                     rel_tol=rel_tol, abs_tol=abs_tol, max_step=max_step)
+    cls = _HAMILTONIANS[system]
+    drives = _mapping(raw["hamiltonian"], "hamiltonian", cls.KEYS,
+                      ("h3",) if system == 3 else ())
+    ham = cls(**{key: drive_from_spec(drives[key], f"hamiltonian.{key}")
+                 for key in cls.KEYS})
+    if "h3" in drives:
+        # Redundant entry tolerated only when consistent with tracelessness.
+        h3 = drive_from_spec(drives["h3"], "hamiltonian.h3")
+        for t in np.linspace(t_start, t_end, 11):
+            stated = complex(h3.evaluate(t))
+            derived = -(complex(ham.h1.evaluate(t)) + complex(ham.h2.evaluate(t)))
+            if abs(stated - derived) > 1e-12 * (1.0 + abs(derived)):
+                raise ConfigError(
+                    f"hamiltonian.h3: must equal -(h1 + h2); differs at t={t} "
+                    f"({stated} vs {derived})")
+    return RunConfig(hamiltonian=ham, t_start=t_start, t_end=t_end, **settings)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -710,11 +673,7 @@ def config_to_dict(config: RunConfig) -> dict:
     return {
         "system": config.system,
         "time": {"start": config.t_start, "end": config.t_end},
-        "integrator": {
-            "rel_tol": config.rel_tol,
-            "abs_tol": config.abs_tol,
-            "max_step": config.max_step,
-        },
+        "integrator": {key: getattr(config, key) for key in _INTEGRATOR_KEYS},
         "hamiltonian": {key: getattr(ham, key).to_spec() for key in ham.KEYS},
     }
 

@@ -308,6 +308,32 @@ def test_invalid_config_is_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, path", [
+    ("v: {shape: constant, value: 1.0}",
+     "v: {shape: gaussian, amplitude: 1.0, center: 1.0, width: .inf}",
+     "hamiltonian.v.width"),
+    ("v: {shape: constant, value: 1.0}",
+     "v: {shape: constant, value: [1.0, .nan]}", "hamiltonian.v.value[1]"),
+    ("v: {shape: constant, value: 1.0}",
+     "v: {shape: piecewise, knots: [[0.0, 1.0], [.inf, 0.0]]}",
+     "hamiltonian.v.knots[1][0]"),
+    ("shape: constant, value: 0.0", "shape: [constant], value: 0.0",
+     "hamiltonian.h"),
+    ("end: 2.0", "end: 1" + "0" * 400, "time.end"),
+], ids=["width_inf", "value_nan", "knot_time_inf", "shape_list",
+        "end_400_digits"])
+def test_malformed_config_gives_one_error_line(tmp_path, capsys, old, new,
+                                               path):
+    p = tmp_path / "bad.yaml"
+    p.write_text(CONFIG_BLOWUP.replace(old, new))
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+    assert len(lines[0]) < 200
+
+
 def test_usage_errors_are_exit_one(capsys):
     assert main([]) == 1
     assert main(["run"]) == 1

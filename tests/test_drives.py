@@ -3,8 +3,10 @@
 import copy
 import dataclasses
 import io
+import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -546,3 +548,83 @@ def test_config_built_in_code_derives_system(ham):
     assert again.system == ham.dim
     with pytest.raises(TypeError):
         RunConfig(system=5 - ham.dim, hamiltonian=ham, t_start=0.0, t_end=2.0)
+
+
+TWO_LEVEL = """
+system: 2
+time: {start: 0.0, end: 2.0}
+hamiltonian:
+  h: {shape: constant, value: 0.0}
+  v: %s
+"""
+
+
+# (drive spec with %s for one number, that number's field path, whether
+# it is complex)
+NUMBER_FIELDS = [
+    ("{shape: constant, value: %s}", "value", True),
+    ("{shape: cosine, amplitude: 1.0, angular_frequency: %s}",
+     "angular_frequency", False),
+    ("{shape: gaussian, amplitude: 1.0, center: 1.0, width: %s}", "width",
+     False),
+    ("{shape: piecewise, knots: [[0.0, 1.0], [1.0, %s]]}", "knots[1][1]",
+     True),
+    ("{shape: piecewise, knots: [[0.0, 1.0], [%s, 1.0]]}", "knots[1][0]",
+     False),
+    ("{shape: sum, terms: [{shape: constant, value: %s}]}", "terms[0].value",
+     True),
+]
+# (non-finite value, suffix of the path it is reported at)
+NON_FINITE = [(".inf", ""), (".nan", "")]
+NON_FINITE_PARTS = [("[0.5, .inf]", "[1]"), ("[.nan, 0.5]", "[0]")]
+
+
+@pytest.mark.parametrize("drive, field, bad, suffix", [
+    (drive, field, bad, suffix)
+    for drive, field, is_complex in NUMBER_FIELDS
+    for bad, suffix in NON_FINITE + (NON_FINITE_PARTS if is_complex else [])
+])
+def test_non_finite_drive_numbers_are_rejected(drive, field, bad, suffix):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"hamiltonian.v.{field}{suffix}: ")):
+        parse_config(TWO_LEVEL % (drive % bad))
+
+
+@pytest.mark.parametrize("shape", ["[constant]", "{a: 1}", "null"])
+def test_shape_must_name_a_known_shape(shape):
+    with pytest.raises(ConfigError, match=r"^hamiltonian\.v: .*shape"):
+        parse_config(TWO_LEVEL % f"{{shape: {shape}, value: 1.0}}")
+
+
+# Spec forms pinned with their key order: the JSON header of `chartprop
+# run` echoes them, so reordering keys changes its bytes.
+SPECS = [
+    (ConstantDrive(0.5 - 2.0j),
+     {"shape": "constant", "value": [0.5, -2.0]}),
+    (CosineDrive(1.0 + 1.0j, 2.5, -0.3),
+     {"shape": "cosine", "amplitude": [1.0, 1.0], "angular_frequency": 2.5,
+      "phase_offset": -0.3}),
+    (GaussianDrive(0.7, 1.0, 0.4),
+     {"shape": "gaussian", "amplitude": 0.7, "center": 1.0, "width": 0.4}),
+    (PiecewiseDrive((0.0, 1.0), (1.0j, 2.0)),
+     {"shape": "piecewise", "knots": [[0.0, [0.0, 1.0]], [1.0, 2.0]]}),
+    (SumDrive((ConstantDrive(1.0), CosineDrive(0.5, 2.0))),
+     {"shape": "sum", "terms": [
+         {"shape": "constant", "value": 1.0},
+         {"shape": "cosine", "amplitude": 0.5, "angular_frequency": 2.0,
+          "phase_offset": 0.0}]}),
+]
+
+
+@pytest.mark.parametrize("drive, spec", SPECS,
+                         ids=[spec["shape"] for _, spec in SPECS])
+def test_to_spec_is_pinned_with_key_order(drive, spec):
+    assert json.dumps(drive.to_spec()) == json.dumps(spec)
+    assert drive_from_spec(spec) == drive
+
+
+def test_phase_offset_may_be_left_out():
+    spec = {"shape": "cosine", "amplitude": 0.5, "angular_frequency": 2.0}
+    drive = drive_from_spec(spec)
+    assert drive == CosineDrive(0.5, 2.0)
+    assert drive.to_spec() == {**spec, "phase_offset": 0.0}
