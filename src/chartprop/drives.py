@@ -539,6 +539,9 @@ class Hamiltonian2(_Hamiltonian):
         return h(t), v(t)
 
 
+_new_tuple = tuple.__new__
+
+
 class HamiltonianSample3(NamedTuple):
     """All independent 3x3 entries at one instant; h3 is derived.
 
@@ -586,7 +589,9 @@ class Hamiltonian3(_Hamiltonian):
 
     def sample(self, t) -> HamiltonianSample3:
         h1, h2, v1, v2, v3 = self._samplers
-        return HamiltonianSample3(h1(t), h2(t), v1(t), v2(t), v3(t))
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        return _new_tuple(HamiltonianSample3,
+                          (h1(t), h2(t), v1(t), v2(t), v3(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +619,23 @@ class RunConfig:
         return self.hamiltonian.dim
 
 
+def _check_phases(drive, path, t_start, t_end):
+    """Raise ConfigError unless the phase angular_frequency * t +
+    phase_offset of every cosine in drive, the terms of a sum included,
+    is finite on [t_start, t_end]. The phase is linear in t, so the
+    window ends decide; past an overflow math.cos has no value."""
+    if isinstance(drive, SumDrive):
+        for i, term in enumerate(drive.terms):
+            _check_phases(term, f"{path}.terms[{i}]", t_start, t_end)
+    elif isinstance(drive, CosineDrive):
+        for t in (t_start, t_end):
+            if not math.isfinite(drive.angular_frequency * t
+                                 + drive.phase_offset):
+                raise ConfigError(
+                    f"{path}: angular_frequency * t + phase_offset "
+                    f"overflows at t = {t!r}")
+
+
 _HAMILTONIANS = {2: Hamiltonian2, 3: Hamiltonian3}
 _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step")
 
@@ -628,6 +650,10 @@ def parse_config(source) -> RunConfig:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML/JSON: {exc}") from None
+        except ValueError as exc:
+            # a literal the loader cannot convert, such as an integer of
+            # more digits than Python converts from a string
+            raise ConfigError(f"config: unreadable value: {exc}") from None
     _mapping(raw, "config", ("system", "time", "hamiltonian"), ("integrator",))
 
     system = raw["system"]
@@ -652,11 +678,14 @@ def parse_config(source) -> RunConfig:
     cls = _HAMILTONIANS[system]
     drives = _mapping(raw["hamiltonian"], "hamiltonian", cls.KEYS,
                       ("h3",) if system == 3 else ())
-    ham = cls(**{key: drive_from_spec(drives[key], f"hamiltonian.{key}")
-                 for key in cls.KEYS})
-    if "h3" in drives:
+    built = {key: drive_from_spec(drives[key], f"hamiltonian.{key}")
+             for key in (*cls.KEYS, "h3") if key in drives}
+    for key, drive in built.items():
+        _check_phases(drive, f"hamiltonian.{key}", t_start, t_end)
+    h3 = built.pop("h3", None)
+    ham = cls(**built)
+    if h3 is not None:
         # Redundant entry tolerated only when consistent with tracelessness.
-        h3 = drive_from_spec(drives["h3"], "hamiltonian.h3")
         for t in np.linspace(t_start, t_end, 11):
             stated = complex(h3.evaluate(t))
             derived = -(complex(ham.h1.evaluate(t)) + complex(ham.h2.evaluate(t)))

@@ -7,6 +7,13 @@ flat real vectors and knows nothing about charts except through an
 optional escape predicate, which lets it stop cleanly when a Riccati
 trajectory runs off its coordinate chart.
 
+The stepping loop runs on Python floats. One step attempt, the six
+stages after the first and the error norm, is a straight-line function
+that `_attempt` generates from the tableau for each state size and
+compiles once per process; the loop around it keeps the step control,
+the escape test, first-same-as-last, the run counters and the
+dense-output record.
+
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
 step endpoints, so requested sample times never trigger extra
@@ -18,6 +25,8 @@ one vectorized pass over blocks of rows.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +38,7 @@ import numpy as np
 # i + 1's input, _C the stage times, _E the (5th minus 4th order) error
 # weights including the first-same-as-last stage, _D the dense-output
 # weights. The second stage's weight is zero in _A[6], _E and _D, and
-# the loop leaves it out.
+# the attempt kernel and the dense-output record leave it out.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -184,7 +193,9 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     components costs a fraction of the equivalent numpy calls. So
     rhs(t, y) receives y as a list of d Python floats and returns a
     sequence of d reals: a tuple or a list, or a 1-D array, which works
-    but is slower. escape and error_weight receive the same list.
+    but is slower. escape and error_weight receive the same list, and
+    an rhs or error_weight result of another length than d raises
+    ValueError.
     sample_times must lie within [t_start, t_end]; t_start and t_end
     are always included in the output grid. escape, if given, is a
     predicate on the flat state; the run stops with singularity status
@@ -235,15 +246,86 @@ def _magnitudes(y):
     return [abs(v) for v in y]
 
 
+@functools.cache
+def _attempt(size):
+    """The DOPRI5 step attempt on states of `size` components, generated
+    and compiled once per size.
+
+    attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol) evaluates the
+    stages k2..k7 of a step of size h from (t, y), where k1 = rhs(t, y)
+    and w = weight(y). It returns (y1, w1, k3, k4, k5, k6, k7, err): the
+    5th-order result y1, its weight w1 = weight(y1), the stages the dense
+    output needs, and the RMS norm of the error estimate against the
+    scale abs_tol + rel_tol * max(w, w1), componentwise.
+
+    The body is straight-line code with one local per stage and
+    component (y_0, p3_5, ...), which on 3 to 18 components costs about
+    half of a loop over zip(). Component i of a stage input is
+    y_i + h * (a1 * p1_i + a2 * p2_i + ...) over the stage's nonzero _A
+    weights in order, and the error term is h * (e1 * p1_i + ...) / s_i
+    with the nonzero _E weights; each weight is written with repr, which
+    gives back the same float. Unpacking makes a stage or a weight of
+    the wrong length raise ValueError. An infinite weight would scale
+    the error away, so a non-finite scale gives err = nan, as a wild
+    stage does; so does a zero scale, which only a negative weight can
+    give. The source is registered with linecache under the filename
+    "<dopri5 attempt d=size>", so tracebacks show its lines.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}_{i}" for i in range(size))
+
+    def combination(weights, i):
+        return " + ".join(f"{c!r} * p{j}_{i}"
+                          for j, c in enumerate(weights, 1) if c != 0.0)
+
+    def stage_input(weights):
+        return ", ".join(f"y_{i} + h * ({combination(weights, i)})"
+                         for i in range(size))
+
+    lines = ["def attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol):",
+             f"    {names('y')}, = y",
+             f"    {names('p1')}, = k1"]
+    for stage in range(2, 7):
+        c = _C[stage - 1]
+        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        lines += [f"    k{stage} = rhs({at}, [{stage_input(_A[stage - 1])}])",
+                  f"    {names(f'p{stage}')}, = k{stage}"]
+    # the 7th stage input is the 5th-order result
+    lines += [f"    y1 = [{stage_input(_A[6])}]",
+              "    k7 = rhs(t + h, y1)",
+              f"    {names('p7')}, = k7",
+              "    w1 = weight(y1)",
+              f"    {names('v')}, = w1",
+              f"    {names('w')}, = w",
+              "    try:"]
+    for i in range(size):
+        lines += [f"        s_{i} = abs_tol + rel_tol * "
+                  f"(w_{i} if w_{i} > v_{i} else v_{i})",
+                  f"        q_{i} = h * ({combination(_E, i)}) / s_{i}"]
+    squares = " + ".join(f"q_{i} * q_{i}" for i in range(size))
+    scales = " + ".join(f"s_{i}" for i in range(size))
+    lines += ["    except ZeroDivisionError:",
+              "        err = nan",
+              "    else:",
+              f"        err = sqrt(({squares}) / {size}) "
+              f"if isfinite({scales}) else nan",
+              "    return y1, w1, k3, k4, k5, k6, k7, err"]
+    source = "\n".join(lines) + "\n"
+    filename = f"<dopri5 attempt d={size}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "nan": math.nan}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["attempt"]
+
+
 def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
             error_weight):
     # The stepping loop of `integrate`, run inside its errstate. The
     # state, the stages k1..k7 and the weights are sequences of Python
-    # floats; each stage input is one comprehension over the components.
-    _, c2, c3, c4, c5, _, _ = _C  # the last two stages sit at t + h
-    ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6)) = _A[1:]
-    e1, _, e3, e4, e5, e6, e7 = _E
+    # floats, and each step attempt is one call of the generated
+    # `_attempt` for the state size.
     d1, _, d3, d4, d5, d6, d7 = _D
     abs_tol = settings.abs_tol
     rel_tol = settings.rel_tol
@@ -251,6 +333,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
 
     span = t_end - t_start
     size = initial.size
+    attempt = _attempt(size)
     y = initial.tolist()
     # Per accepted step that holds samples, in order: its sample count,
     # t, h and t1 in `steps`, and the vectors its interpolant needs in
@@ -300,43 +383,8 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
         h = min(h, max_step, t_end - t)
         hits_end = (h == t_end - t)
 
-        k2 = rhs(t + c2 * h, [v + h * (a21 * p1)
-                              for v, p1 in zip(y, k1)])
-        k3 = rhs(t + c3 * h, [v + h * (a31 * p1 + a32 * p2)
-                              for v, p1, p2 in zip(y, k1, k2)])
-        k4 = rhs(t + c4 * h, [v + h * (a41 * p1 + a42 * p2 + a43 * p3)
-                              for v, p1, p2, p3 in zip(y, k1, k2, k3)])
-        k5 = rhs(t + c5 * h, [v + h * (a51 * p1 + a52 * p2 + a53 * p3
-                                       + a54 * p4)
-                              for v, p1, p2, p3, p4
-                              in zip(y, k1, k2, k3, k4)])
-        k6 = rhs(t + h, [v + h * (a61 * p1 + a62 * p2 + a63 * p3
-                                  + a64 * p4 + a65 * p5)
-                         for v, p1, p2, p3, p4, p5
-                         in zip(y, k1, k2, k3, k4, k5)])
-        # the 7th stage input is the 5th-order result
-        y1 = [v + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-              for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-        k7 = rhs(t + h, y1)
-
-        # RMS norm of the error estimate against its scale. An infinite
-        # weight would scale the error away, so a non-finite scale fails
-        # the estimate, as a wild stage does; so does a zero scale,
-        # which only a negative weight can give.
-        w1 = weight(y1)
-        total = scale_sum = 0.0
-        try:
-            for a, b, p1, p3, p4, p5, p6, p7 in zip(w, w1, k1, k3, k4, k5,
-                                                    k6, k7):
-                scale = abs_tol + rel_tol * (a if a > b else b)
-                q = h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
-                         + e7 * p7) / scale
-                total += q * q
-                scale_sum += scale
-            err = (math.sqrt(total / size) if math.isfinite(scale_sum)
-                   else math.nan)
-        except ZeroDivisionError:
-            err = math.nan
+        y1, w1, k3, k4, k5, k6, k7, err = attempt(
+            rhs, weight, t, h, y, k1, w, abs_tol, rel_tol)
 
         if not math.isfinite(err):
             # A wild stage (often overflow past a blow-up) poisons the

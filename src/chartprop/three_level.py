@@ -40,23 +40,6 @@ COORD_COLUMNS = ("re_x", "im_x", "re_y", "im_y", "re_z", "im_z",
                  "phi1", "phi2", "phi3")
 
 
-def _chart_rates(x, y, z, h1, h2, v1, v2, v3):
-    # Works on python scalars and numpy arrays alike.
-    h3 = -(h1 + h2)
-    v1c = v1.conjugate()
-    v2c = v2.conjugate()
-    v3c = v3.conjugate()
-    cross = x * z - y
-    dx = -1j * (v1 + (h2 - h1) * x - v1c * x * x + v3c * y - v2c * x * y)
-    dy = -1j * (v2 + (h3 - h1) * y - v2c * y * y + v3 * x - v1c * x * y)
-    dz = -1j * (v3 + (h3 - h2) * z - v3c * z * z + cross * (v1c + v2c * z))
-    # Each phase rate is the average of a term and its conjugate, which
-    # is just the real part; taking .real keeps it exactly real.
-    dphi1 = -(h1 + v1c * x + v2c * y).real
-    dphi2 = (-h2 - v3c * z + v1c * x + v2c * x * z).real
-    return dx, dy, dz, dphi1, dphi2
-
-
 def _deltas(x, y, z):
     """Normalization denominators d1, d2 (both >= 1) and x z - y."""
     cross = x * z - y
@@ -144,9 +127,22 @@ def chart_rhs(ham):
     def rhs(t, vec):
         h1, h2, v1, v2, v3 = sample(t)
         re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
-        dx, dy, dz, dphi1, dphi2 = _chart_rates(
-            complex(re_x, im_x), complex(re_y, im_y), complex(re_z, im_z),
-            h1, h2, v1, v2, v3)
+        x = complex(re_x, im_x)
+        y = complex(re_y, im_y)
+        z = complex(re_z, im_z)
+        h3 = -(h1 + h2)
+        v1c = v1.conjugate()
+        v2c = v2.conjugate()
+        v3c = v3.conjugate()
+        cross = x * z - y
+        dx = -1j * (v1 + (h2 - h1) * x - v1c * x * x + v3c * y - v2c * x * y)
+        dy = -1j * (v2 + (h3 - h1) * y - v2c * y * y + v3 * x - v1c * x * y)
+        dz = -1j * (v3 + (h3 - h2) * z - v3c * z * z
+                    + cross * (v1c + v2c * z))
+        # Each phase rate is the average of a term and its conjugate,
+        # which is just the real part; taking .real keeps it exactly real.
+        dphi1 = -(h1 + v1c * x + v2c * y).real
+        dphi2 = (-h2 - v3c * z + v1c * x + v2c * x * z).real
         return (dx.real, dx.imag, dy.real, dy.imag,
                 dz.real, dz.imag, dphi1, dphi2)
     return rhs

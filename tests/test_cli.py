@@ -320,8 +320,13 @@ def test_invalid_config_is_exit_one(tmp_path, capsys):
     ("shape: constant, value: 0.0", "shape: [constant], value: 0.0",
      "hamiltonian.h"),
     ("end: 2.0", "end: 1" + "0" * 400, "time.end"),
+    ("end: 2.0", "end: 1" + "0" * 5000, "config"),
+    ("v: {shape: constant, value: 1.0}",
+     "v: {shape: sum, terms: [{shape: constant, value: 1.0},"
+     " {shape: cosine, amplitude: 1.0, angular_frequency: 1.0e308}]}",
+     "hamiltonian.v.terms[1]"),
 ], ids=["width_inf", "value_nan", "knot_time_inf", "shape_list",
-        "end_400_digits"])
+        "end_400_digits", "end_5001_digits", "cosine_phase_overflow"])
 def test_malformed_config_gives_one_error_line(tmp_path, capsys, old, new,
                                                path):
     p = tmp_path / "bad.yaml"

@@ -515,6 +515,42 @@ hamiltonian:
         parse_config(good.replace("value: -0.75", "value: -0.7"))
 
 
+@pytest.mark.parametrize("edit, path", [
+    # the h3 consistency check used to evaluate the overflowing cosine
+    (("h2: {shape: constant, value: 0.5}",
+      "h2: {shape: cosine, amplitude: 0.5, angular_frequency: 1.0e308}"),
+     "hamiltonian.h2"),
+    (("h3: {shape: constant, value: -0.75}",
+      "h3: {shape: cosine, amplitude: -0.75, angular_frequency: 1.0e308}"),
+     "hamiltonian.h3"),
+    (("v3: {shape: constant, value: 0.0}",
+      "v3: {shape: sum, terms: [{shape: constant, value: 0.0}, {shape: "
+      "cosine, amplitude: 0.1, angular_frequency: 1.0e307, "
+      "phase_offset: 1.7e308}]}"),
+     "hamiltonian.v3.terms[1]"),
+    (("start: 0.0", "start: -6.0e307"), "hamiltonian.v1"),
+], ids=["h2_frequency", "h3_frequency", "sum_term_offset", "window_start"])
+def test_cosine_phase_overflow_in_the_window_is_rejected(edit, path):
+    # angular_frequency * t + phase_offset must be finite at both window
+    # ends; past an overflow math.cos has no value. 1.0e308 * 6,
+    # 1.0e307 * 6 + 1.7e308 and 3 * -6.0e307 all overflow.
+    text = """
+system: 3
+time: {start: 0.0, end: 6.0}
+hamiltonian:
+  h1: {shape: constant, value: 0.25}
+  h2: {shape: constant, value: 0.5}
+  h3: {shape: constant, value: -0.75}
+  v1: {shape: cosine, amplitude: 0.2, angular_frequency: 3.0}
+  v2: {shape: constant, value: 0.0}
+  v3: {shape: constant, value: 0.0}
+"""
+    parse_config(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace(*edit))
+    assert str(err.value).startswith(f"{path}: angular_frequency * t")
+
+
 def test_config_round_trip_is_exact():
     # Serialized and reparsed configs must drive the Hamiltonian to the
     # same values to the last bit at every probe time.

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import traceback
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from chartprop import (ChartSingularityError, ConstantDrive,
                        Hamiltonian3, IntegrationError, IntegratorSettings,
                        NonFiniteDerivativeError, StepLimitError,
                        convergence_probe, integrate, three_level, two_level)
+from chartprop.integrate import _magnitudes
 
 
 def decay(t, y):
@@ -544,6 +546,37 @@ def test_rhs_of_the_wrong_length_is_rejected():
     for bad in ((1.0,), [1.0, 2.0, 3.0], np.zeros((2, 1)), 1.0):
         with pytest.raises(ValueError, match="rhs returned shape"):
             integrate(lambda t, y: bad, [1.0, 0.0], 0.0, 1.0, settings, [])
+
+
+@pytest.mark.parametrize("returns", ["short_rhs", "long_rhs", "short_weight",
+                                     "long_weight"])
+def test_later_results_of_the_wrong_length_are_rejected(returns):
+    # Only the first rhs result is shape-checked up front; every later
+    # rhs or weight result of the wrong length must raise too, from the
+    # attempt kernel's unpacking, rather than be truncated by a zip.
+    def rhs(t, y):
+        rhs.calls += 1
+        k = [-v for v in y]
+        if rhs.calls > 1 and returns == "short_rhs":
+            return k[:-1]
+        if rhs.calls > 1 and returns == "long_rhs":
+            return k + [0.0]
+        return k
+    rhs.calls = 0
+
+    def weight(y):
+        w = _magnitudes(y)
+        if returns == "short_weight":
+            return w[:-1]
+        if returns == "long_weight":
+            return w + [1.0]
+        return w
+
+    with pytest.raises(ValueError, match="unpack") as failure:
+        integrate(rhs, np.ones(8), 0.0, 1.0, IntegratorSettings(max_step=0.1),
+                  [], error_weight=weight)
+    frames = traceback.extract_tb(failure.value.__traceback__)
+    assert frames[-1].filename == "<dopri5 attempt d=8>"
 
 
 @pytest.mark.parametrize("wild", [0, 1])
