@@ -27,7 +27,9 @@ first: when the oracle fails (for instance by exhausting the step
 budget) the run still writes them and any truncation notice, then exits
 1 with an `error:` line naming the oracle failure. Python 3.12 and later
 warn (DeprecationWarning) when a process with threads forks, and numpy's
-BLAS may have started threads.
+BLAS may have started threads; that one warning is ignored at the fork,
+since the child only integrates, pickles its outcome and leaves through
+os._exit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import os
 import pickle
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -255,6 +258,10 @@ def _oracle_result(outcome) -> dict:
 # Where fork exists, the oracle runs in a child process while this one
 # writes the table; elsewhere it runs inline, before the table.
 _CAN_FORK = hasattr(os, "fork")
+# The DeprecationWarning of Python 3.12 and later for a fork in a
+# process with threads, as a `warnings.filterwarnings` message pattern.
+_FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, "
+                      r"use of fork\(\) may lead to deadlocks in the child\.")
 
 
 class _OracleCheck:
@@ -279,7 +286,10 @@ class _OracleCheck:
         sys.stderr.flush()
         read_fd, write_fd = os.pipe()
         try:
-            pid = os.fork()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _FORK_WITH_THREADS,
+                                        DeprecationWarning)
+                pid = os.fork()
         except BaseException:
             os.close(read_fd)
             os.close(write_fd)

@@ -619,11 +619,22 @@ class RunConfig:
         return self.hamiltonian.dim
 
 
+# The largest |angular_frequency| * spacing(t) a cosine may have on its
+# time window, spacing(t) being the gap between t and the next double.
+# Past it, rounding t moves the phase by more than this many radians,
+# so the drive keeps fewer than about six correct digits; on a window
+# that starts at 0 it also runs through more than 7e8 periods, far more
+# than any step budget resolves.
+_PHASE_ROUNDING_BOUND = 1e-6
+
+
 def _check_phases(drive, path, t_start, t_end):
     """Raise ConfigError unless the phase angular_frequency * t +
     phase_offset of every cosine in drive, the terms of a sum included,
-    is finite on [t_start, t_end]. The phase is linear in t, so the
-    window ends decide; past an overflow math.cos has no value."""
+    is finite on [t_start, t_end] and more than rounding noise there.
+    The phase is linear in t, so the window ends decide: past an
+    overflow math.cos has no value, and the spacing of the doubles
+    grows with |t|, so the end farther from 0 rounds coarsest."""
     if isinstance(drive, SumDrive):
         for i, term in enumerate(drive.terms):
             _check_phases(term, f"{path}.terms[{i}]", t_start, t_end)
@@ -634,6 +645,13 @@ def _check_phases(drive, path, t_start, t_end):
                 raise ConfigError(
                     f"{path}: angular_frequency * t + phase_offset "
                     f"overflows at t = {t!r}")
+        t = max(abs(t_start), abs(t_end))
+        noise = abs(drive.angular_frequency) * math.ulp(t)
+        if noise > _PHASE_ROUNDING_BOUND:
+            raise ConfigError(
+                f"{path}: angular_frequency * t + phase_offset is rounding "
+                f"noise: |angular_frequency| * spacing({t!r}) = {noise:.3g} "
+                f"exceeds {_PHASE_ROUNDING_BOUND:g}")
 
 
 _HAMILTONIANS = {2: Hamiltonian2, 3: Hamiltonian3}

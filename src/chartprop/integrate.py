@@ -7,20 +7,25 @@ flat real vectors and knows nothing about charts except through an
 optional escape predicate, which lets it stop cleanly when a Riccati
 trajectory runs off its coordinate chart.
 
-The stepping loop runs on Python floats. One step attempt, the six
-stages after the first and the error norm, is a straight-line function
-that `_attempt` generates from the tableau for each state size and
+The stepping loop runs on Python floats and makes no numpy call. One
+step attempt, the six stages after the first and the error norm, is a
+straight-line function that `_attempt` generates from the tableau for
+each state size, with or without an error-weight function, and
 compiles once per process; the loop around it keeps the step control,
 the escape test, first-same-as-last, the run counters and the
-dense-output record.
+dense-output record. The 6th and 7th stages of an attempt both run at
+t + h, with the same float; the chart right-hand sides keep their last
+drive sample for that reason, so an attempt samples the drive 5 times.
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
 step endpoints, so requested sample times never trigger extra
 right-hand-side evaluations or step-size manipulation. The stepping
 loop only records what the interpolant needs from each accepted step
-that holds samples; every sample is evaluated once, after the loop, in
-one vectorized pass over blocks of rows.
+that holds samples, appending it to one flat array('d') and finding
+the step's samples by bisection in a list of the sample times. After
+the loop the record is viewed once as a (5, steps, d) array, and every
+sample is evaluated in one vectorized pass over blocks of rows.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -247,16 +254,18 @@ def _magnitudes(y):
 
 
 @functools.cache
-def _attempt(size):
+def _attempt(size, weighted=True):
     """The DOPRI5 step attempt on states of `size` components, generated
-    and compiled once per size.
+    and compiled once per size and kind.
 
     attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol) evaluates the
     stages k2..k7 of a step of size h from (t, y), where k1 = rhs(t, y)
     and w = weight(y). It returns (y1, w1, k3, k4, k5, k6, k7, err): the
     5th-order result y1, its weight w1 = weight(y1), the stages the dense
     output needs, and the RMS norm of the error estimate against the
-    scale abs_tol + rel_tol * max(w, w1), componentwise.
+    scale abs_tol + rel_tol * max(w, w1), componentwise. With
+    weighted=False the kernel ignores `weight` and computes w1 as
+    `_magnitudes(y1)` does, abs of each component, inline.
 
     The body is straight-line code with one local per stage and
     component (y_0, p3_5, ...), which on 3 to 18 components costs about
@@ -269,7 +278,8 @@ def _attempt(size):
     the error away, so a non-finite scale gives err = nan, as a wild
     stage does; so does a zero scale, which only a negative weight can
     give. The source is registered with linecache under the filename
-    "<dopri5 attempt d=size>", so tracebacks show its lines.
+    "<dopri5 attempt d=size>", or "<dopri5 attempt d=size, unweighted>",
+    so tracebacks show its lines.
     """
     def names(prefix):
         return ", ".join(f"{prefix}_{i}" for i in range(size))
@@ -279,8 +289,9 @@ def _attempt(size):
                           for j, c in enumerate(weights, 1) if c != 0.0)
 
     def stage_input(weights):
-        return ", ".join(f"y_{i} + h * ({combination(weights, i)})"
-                         for i in range(size))
+        # the components of the input of a stage with these _A weights
+        return [f"y_{i} + h * ({combination(weights, i)})"
+                for i in range(size)]
 
     lines = ["def attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol):",
              f"    {names('y')}, = y",
@@ -288,15 +299,26 @@ def _attempt(size):
     for stage in range(2, 7):
         c = _C[stage - 1]
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        lines += [f"    k{stage} = rhs({at}, [{stage_input(_A[stage - 1])}])",
+        stage_in = ", ".join(stage_input(_A[stage - 1]))
+        lines += [f"    k{stage} = rhs({at}, [{stage_in}])",
                   f"    {names(f'p{stage}')}, = k{stage}"]
-    # the 7th stage input is the 5th-order result
-    lines += [f"    y1 = [{stage_input(_A[6])}]",
-              "    k7 = rhs(t + h, y1)",
-              f"    {names('p7')}, = k7",
-              "    w1 = weight(y1)",
-              f"    {names('v')}, = w1",
-              f"    {names('w')}, = w",
+    # The 7th stage input is the 5th-order result. Without a weight
+    # function its components get names, for the inline abs.
+    result = stage_input(_A[6])
+    if weighted:
+        lines += [f"    y1 = [{', '.join(result)}]",
+                  "    k7 = rhs(t + h, y1)",
+                  f"    {names('p7')}, = k7",
+                  "    w1 = weight(y1)",
+                  f"    {names('v')}, = w1"]
+    else:
+        lines += [f"    y1_{i} = {expr}" for i, expr in enumerate(result)]
+        lines += [f"    y1 = [{names('y1')}]",
+                  "    k7 = rhs(t + h, y1)",
+                  f"    {names('p7')}, = k7"]
+        lines += [f"    v_{i} = abs(y1_{i})" for i in range(size)]
+        lines += [f"    w1 = [{names('v')}]"]
+    lines += [f"    {names('w')}, = w",
               "    try:"]
     for i in range(size):
         lines += [f"        s_{i} = abs_tol + rel_tol * "
@@ -311,7 +333,8 @@ def _attempt(size):
               f"if isfinite({scales}) else nan",
               "    return y1, w1, k3, k4, k5, k6, k7, err"]
     source = "\n".join(lines) + "\n"
-    filename = f"<dopri5 attempt d={size}>"
+    kind = "" if weighted else ", unweighted"
+    filename = f"<dopri5 attempt d={size}{kind}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True),
                                  filename)
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
@@ -333,17 +356,17 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
 
     span = t_end - t_start
     size = initial.size
-    attempt = _attempt(size)
+    attempt = _attempt(size, error_weight is not None)
     y = initial.tolist()
+    grid = samples.tolist()
     # Per accepted step that holds samples, in order: its sample count,
     # t, h and t1 in `steps`, and the vectors its interpolant needs in
-    # `record` (y, y1, k1, k7 and the _D-weighted sum of the stages).
-    # `record` starts with room for 1024 steps, or one per sample when
-    # there are fewer samples, and doubles when it is full.
+    # `record` (y, y1, k1, k7 and the _D-weighted sum of the stages),
+    # one after the other.
     steps = []
-    record = np.empty((5, min(len(samples) - 1, 1024), size))
+    record = array("d")
     next_sample = 1  # samples[0] == t_start needs no step
-    next_time = float(samples[1])  # samples holds t_start < t_end
+    next_time = grid[1]  # samples holds t_start < t_end
 
     k1 = rhs(t_start, y)
     if np.shape(k1) != (size,):
@@ -426,19 +449,17 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
             largest_step = h
         t1 = t_end if hits_end else t + h
         if t1 >= next_time:
-            end = int(np.searchsorted(samples, t1, side="right"))
-            n = len(steps)
-            if n == record.shape[1]:
-                record = np.concatenate((record, np.empty_like(record)),
-                                        axis=1)
-            record[:, n] = (
-                y, y1, k1, k7,
+            end = bisect_right(grid, t1)
+            record.extend(y)
+            record.extend(y1)
+            record.extend(k1)
+            record.extend(k7)
+            record.extend(
                 [d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7
                  for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
             steps.append((end - next_sample, t, h, t1))
             next_sample = end
-            next_time = (float(samples[end]) if end < len(samples)
-                         else math.inf)
+            next_time = grid[end] if end < len(grid) else math.inf
 
         fac11 = err ** _EXPO
         fac = fac11 / (facold ** _BETA)
@@ -462,6 +483,8 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     times[0] = t_start
     states = np.empty((len(times), size))
     states[0] = initial
+    # (5, steps, size): the record's vectors by kind, then by step
+    record = np.frombuffer(record).reshape(-1, 5, size).transpose(1, 0, 2)
     _dense_rows(steps, record, samples[1:next_sample],
                 states[1:next_sample])
     if closing:

@@ -121,11 +121,30 @@ def chart_rhs(ham):
         dz = -i * [v3 + (h3 - h2) z - conj(v3) z^2 + (x z - y)(conj(v1) + conj(v2) z)]
         dphi1 = -Re(h1 + conj(v1) x + conj(v2) y)
         dphi2 =  Re(-h2 - conj(v3) z + conj(v1) x + conj(v2) x z)
+
+    The body factors out the products the equations share. With
+    a = conj(v1) x, b = conj(v2) y, g = a + b and c = conj(v3) z, the
+    brackets read v1 + (h2 - h1 - g) x + conj(v3) y,
+    v2 + (h3 - h1 - g) y + v3 x and
+    v3 + (h3 - h2 - c) z + (x z - y)(conj(v1) + conj(v2) z), and -i B is
+    returned as (Im B, -Re B), with no complex multiplication. That moves
+    the last bits of the coordinate rates against the expanded forms.
+    The phase rates add the same real parts in the same order as the
+    expanded forms, so they keep their bits and stay exactly real.
+
+    The drive is sampled once per distinct t: the last two stages of a
+    DOPRI5 attempt both run at t + h, and `ham.sample` is a function of
+    t alone, so the second of them reuses the first one's sample.
     """
     sample = ham.sample
+    last_t = last = None
 
     def rhs(t, vec):
-        h1, h2, v1, v2, v3 = sample(t)
+        nonlocal last_t, last
+        if t != last_t:
+            last_t = t
+            last = sample(t)
+        h1, h2, v1, v2, v3 = last
         re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
         x = complex(re_x, im_x)
         y = complex(re_y, im_y)
@@ -134,17 +153,17 @@ def chart_rhs(ham):
         v1c = v1.conjugate()
         v2c = v2.conjugate()
         v3c = v3.conjugate()
-        cross = x * z - y
-        dx = -1j * (v1 + (h2 - h1) * x - v1c * x * x + v3c * y - v2c * x * y)
-        dy = -1j * (v2 + (h3 - h1) * y - v2c * y * y + v3 * x - v1c * x * y)
-        dz = -1j * (v3 + (h3 - h2) * z - v3c * z * z
-                    + cross * (v1c + v2c * z))
-        # Each phase rate is the average of a term and its conjugate,
-        # which is just the real part; taking .real keeps it exactly real.
-        dphi1 = -(h1 + v1c * x + v2c * y).real
-        dphi2 = (-h2 - v3c * z + v1c * x + v2c * x * z).real
-        return (dx.real, dx.imag, dy.real, dy.imag,
-                dz.real, dz.imag, dphi1, dphi2)
+        a = v1c * x
+        b = v2c * y
+        c = v3c * z
+        g = a + b
+        bx = v1 + (h2 - h1 - g) * x + v3c * y
+        by = v2 + (h3 - h1 - g) * y + v3 * x
+        bz = v3 + (h3 - h2 - c) * z + (x * z - y) * (v1c + v2c * z)
+        dphi1 = -((h1 + a.real) + b.real)
+        dphi2 = ((-h2 - c.real) + a.real) + (v2c * x * z).real
+        return (bx.imag, -bx.real, by.imag, -by.real,
+                bz.imag, -bz.real, dphi1, dphi2)
     return rhs
 
 

@@ -66,17 +66,30 @@ def chart_rhs(ham):
 
         dz   = i * (conj(v) z^2 + 2 h z - v)
         dphi = -(v conj(z) + conj(v) z + 2 h) / 2
+
+    The body computes a = conj(v) z once: with B = (a + 2 h) z - v,
+    dz = i B is returned as (-Im B, Re B), with no complex
+    multiplication, and dphi = -(Re a + h). v conj(z) and conj(v) z
+    have the same real part to the bit, so dphi keeps the bits of the
+    expanded form and is exactly real; dz moves in its last bits.
+
+    The drive is sampled once per distinct t, as in
+    `three_level.chart_rhs`.
     """
     sample = ham.sample
+    last_t = last = None
 
     def rhs(t, vec):
-        h, v = sample(t)
+        nonlocal last_t, last
+        if t != last_t:
+            last_t = t
+            last = sample(t)
+        h, v = last
         re_z, im_z, _ = vec
         z = complex(re_z, im_z)
-        dz = 1j * (v.conjugate() * z * z + 2.0 * h * z - v)
-        # v conj(z) + conj(v) z is exactly real in floating point
-        dphi = -0.5 * (v * z.conjugate() + v.conjugate() * z + 2.0 * h).real
-        return dz.real, dz.imag, dphi
+        a = v.conjugate() * z
+        b = (a + 2.0 * h) * z - v
+        return -b.imag, b.real, -(a.real + h)
     return rhs
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chartprop
-from chartprop import ConstantDrive, Hamiltonian2, Hamiltonian3
+from chartprop import ConstantDrive, CosineDrive, Hamiltonian2, Hamiltonian3
 from chartprop import three_level, two_level
 
 CHARTS = pytest.mark.parametrize("chart", [two_level, three_level],
@@ -173,3 +173,100 @@ def test_chart_functions_take_an_array_a_list_or_a_tuple(chart):
         assert len(flags) == 1
         escapes |= flags
     assert escapes == {False, True}
+
+
+class _Fixed:
+    """A Hamiltonian stand-in whose sample is one fixed tuple."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def sample(self, t):
+        return self.values
+
+
+def _expanded_rates(chart, values, vec):
+    """The chart equations as written in the chart_rhs docstrings, each
+    product spelled out, as (coordinate rates, phase rates, term sums):
+    term sums are the sums of the moduli of the terms of each bracket."""
+    if chart is two_level:
+        h, v = values
+        z = complex(vec[0], vec[1])
+        vc = v.conjugate()
+        dz = 1j * (vc * z * z + 2.0 * h * z - v)
+        dphi = -0.5 * (v * z.conjugate() + vc * z + 2.0 * h).real
+        terms = abs(v) * abs(z) ** 2 + 2.0 * abs(h) * abs(z) + abs(v)
+        return [dz], [dphi], [terms]
+    h1, h2, v1, v2, v3 = values
+    x, y, z = (complex(vec[i], vec[i + 1]) for i in (0, 2, 4))
+    h3 = -(h1 + h2)
+    v1c, v2c, v3c = v1.conjugate(), v2.conjugate(), v3.conjugate()
+    dx = -1j * (v1 + (h2 - h1) * x - v1c * x * x + v3c * y - v2c * x * y)
+    dy = -1j * (v2 + (h3 - h1) * y - v2c * y * y + v3 * x - v1c * x * y)
+    dz = -1j * (v3 + (h3 - h2) * z - v3c * z * z
+                + (x * z - y) * (v1c + v2c * z))
+    dphi1 = -(h1 + v1c * x + v2c * y).real
+    dphi2 = (-h2 - v3c * z + v1c * x + v2c * x * z).real
+    ax, ay, az = abs(x), abs(y), abs(z)
+    a1, a2, a3 = abs(v1), abs(v2), abs(v3)
+    terms = [a1 + abs(h2 - h1) * ax + a1 * ax * ax + a3 * ay + a2 * ax * ay,
+             a2 + abs(h3 - h1) * ay + a2 * ay * ay + a3 * ax + a1 * ax * ay,
+             a3 + abs(h3 - h2) * az + a3 * az * az
+             + (ax * az + ay) * (a1 + a2 * az)]
+    return [dx, dy, dz], [dphi1, dphi2], terms
+
+
+@CHARTS
+def test_factored_rhs_matches_the_expanded_equations(chart):
+    # chart_rhs computes the brackets with their shared products
+    # factored out, so the coordinate rates differ from the expanded
+    # forms by rounding only: at most 1e-13 of the sum of the moduli of
+    # the terms, with coordinates up to about 1e4. The phase rates add
+    # the same real parts in the same order and must agree to the bit.
+    rng = np.random.default_rng(21)
+    pairs = coordinate_pairs(chart)
+    for scale in 10 ** rng.uniform(-3, 4, size=400):
+        real = list(rng.normal(size=1 if chart is two_level else 2))
+        couplings = [complex(*rng.normal(size=2)) for _ in range(pairs)]
+        values = tuple(real + couplings)
+        vec = random_states(rng, chart, 1, np.array([scale]))[0].tolist()
+        out = chart.chart_rhs(_Fixed(values))(0.5, vec)
+        coords, phases, terms = _expanded_rates(chart, values, vec)
+        for i, (rate, bound) in enumerate(zip(coords, terms)):
+            assert abs(out[2 * i] - rate.real) <= 1e-13 * bound
+            assert abs(out[2 * i + 1] - rate.imag) <= 1e-13 * bound
+        assert list(out[2 * pairs:]) == phases
+
+
+class _CountingHamiltonian:
+    """A real Hamiltonian whose sample calls are counted."""
+
+    def __init__(self, ham):
+        self.ham = ham
+        self.calls = 0
+
+    def sample(self, t):
+        self.calls += 1
+        return self.ham.sample(t)
+
+
+@CHARTS
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_one_drive_sample_per_distinct_stage_time(chart, weighted):
+    # The 6th and 7th stages of an attempt both run at t + h, so a run
+    # samples the drive once at t_start and 5 times per attempt.
+    if chart is two_level:
+        ham = Hamiltonian2(h=ConstantDrive(0.3), v=CosineDrive(0.8, 2.0))
+    else:
+        ham = Hamiltonian3(h1=ConstantDrive(0.2), h2=CosineDrive(0.3, 1.7),
+                           v1=CosineDrive(0.5 + 0.2j, 1.1),
+                           v2=ConstantDrive(0.25j), v3=CosineDrive(-0.4, 0.9))
+    counted = _CountingHamiltonian(ham)
+    traj = chartprop.integrate(
+        chart.chart_rhs(counted), np.zeros(chart.STATE_SIZE), 0.0, 6.0,
+        chartprop.IntegratorSettings(max_step=0.05),
+        np.linspace(0.0, 6.0, 41), escape=chart.escaped,
+        error_weight=chart.error_weight if weighted else None)
+    assert traj.status == "completed"
+    assert traj.stats.attempts > 100
+    assert counted.calls == 1 + 5 * traj.stats.attempts

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -644,3 +646,57 @@ def test_process_stdout_matches_output_file(config3_path, tmp_path, fmt):
     assert (steady_lines(to_stdout.stderr.decode())
             == steady_lines(to_file.stderr.decode()))
     assert to_stdout.stderr.decode().count("oracle_wait_s = ") == 1
+
+
+def test_cosine_of_rounding_noise_exits_at_parse(tmp_path, capsys):
+    # cos(1e300 * t) on [0, 6] is rounding noise; integrating it would
+    # shrink the steps for minutes toward the step budget.
+    p = tmp_path / "noise.yaml"
+    p.write_text(CONFIG_BLOWUP.replace(
+        "end: 2.0", "end: 6.0").replace(
+        "v: {shape: constant, value: 1.0}",
+        "v: {shape: cosine, amplitude: 1.0, angular_frequency: 1.0e300}"))
+    started = time.perf_counter()
+    assert main(["run", str(p), "--output", str(tmp_path / "x.csv")]) == 1
+    assert time.perf_counter() - started < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: hamiltonian.v: angular_frequency * t "
+                               "+ phase_offset is rounding noise")
+
+
+# The DeprecationWarning of Python 3.12 and later for a fork in a process
+# with threads, as CPython words it.
+FORK_WARNING = ("This process (pid={}) is multi-threaded, use of fork() may "
+                "lead to deadlocks in the child.")
+
+
+@needs_fork
+@pytest.mark.parametrize("message, category, ignored", [
+    (FORK_WARNING, DeprecationWarning, True),
+    (FORK_WARNING, UserWarning, False),
+    ("fork() is deprecated (pid={})", DeprecationWarning, False),
+], ids=["fork_with_threads", "other_category", "other_message"])
+def test_only_the_fork_with_threads_warning_is_ignored(
+        config2_path, tmp_path, capsys, monkeypatch, message, category,
+        ignored):
+    # Python 3.11 does not warn, so a stand-in for os.fork issues the
+    # warning first, then forks. That one warning must not stop the run;
+    # any other one still raises under an "error" filter.
+    real_fork = os.fork
+
+    def fork():
+        warnings.warn(message.format(os.getpid()), category, stacklevel=2)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    argv = ["run", config2_path, "--compare-oracle", "--output",
+            str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if ignored:
+            assert main(argv) == 0
+            assert "max_frobenius_error = " in capsys.readouterr().err
+        else:
+            with pytest.raises(category):
+                main(argv)
+    assert_no_child_left()

@@ -664,3 +664,45 @@ def test_phase_offset_may_be_left_out():
     drive = drive_from_spec(spec)
     assert drive == CosineDrive(0.5, 2.0)
     assert drive.to_spec() == {**spec, "phase_offset": 0.0}
+
+
+ROUNDING_NOISE = """
+system: 3
+time: {start: START, end: END}
+hamiltonian:
+  h1: {shape: constant, value: 0.25}
+  h2: {shape: constant, value: 0.5}
+  v1: {shape: constant, value: 0.0}
+  v2: {shape: constant, value: 0.0}
+  v3: DRIVE
+"""
+
+
+@pytest.mark.parametrize("start, end", [
+    (0.0, 6.0), (-6.0, 0.5), (1.0e6, 1.0e6 + 6.0), (-1.0e6 - 6.0, -1.0e6)])
+@pytest.mark.parametrize("form, path", [
+    ("{shape: cosine, amplitude: 0.1, angular_frequency: W}",
+     "hamiltonian.v3"),
+    ("{shape: sum, terms: [{shape: constant, value: 0.1}, {shape: cosine, "
+     "amplitude: 0.1, angular_frequency: W, phase_offset: 0.3}]}",
+     "hamiltonian.v3.terms[1]"),
+], ids=["cosine", "sum_term"])
+def test_cosine_phase_of_rounding_noise_is_rejected(start, end, form, path):
+    # |angular_frequency| * spacing(t) at the window end farthest from 0
+    # bounds how far rounding t moves the phase. Up to 1e-6 the drive is
+    # accepted, past it rejected, for either sign of the frequency.
+    spacing = math.ulp(max(abs(start), abs(end)))
+    text = (ROUNDING_NOISE.replace("START", repr(start))
+            .replace("END", repr(end)))
+    for sign in (1.0, -1.0):
+        for factor, accepted in ((0.99, True), (1.01, False)):
+            w = sign * factor * 1e-6 / spacing
+            doc = text.replace("DRIVE", form.replace("W", repr(w)))
+            if accepted:
+                parse_config(doc)
+                continue
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc)
+            assert str(err.value).startswith(
+                f"{path}: angular_frequency * t + phase_offset is rounding "
+                f"noise: |angular_frequency| * spacing(")
