@@ -594,6 +594,28 @@ class Hamiltonian3(_Hamiltonian):
                           (h1(t), h2(t), v1(t), v2(t), v3(t)))
 
 
+def memo_sample(ham):
+    """`ham.sample` with a one-entry memo: a function of t that calls
+    `ham.sample` only when t differs from the t of its last call.
+
+    The chart right-hand sides sample their drive through it, because
+    the 6th and 7th stages of a DOPRI5 attempt both run at t + h: an
+    attempt then samples 5 times, not 6. Exact, since `sample` is a
+    function of t alone. A call whose `sample` raises leaves the memo as
+    it was, so the next call at that t samples again.
+    """
+    sample = ham.sample
+    last_t = last = None
+
+    def at(t):
+        nonlocal last_t, last
+        if t != last_t:
+            last = sample(t)
+            last_t = t
+        return last
+    return at
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 

@@ -10,12 +10,12 @@ trajectory runs off its coordinate chart.
 The stepping loop runs on Python floats and makes no numpy call. One
 step attempt, the six stages after the first and the error norm, is a
 straight-line function that `_attempt` generates from the tableau for
-each state size, with or without an error-weight function, and
-compiles once per process; the loop around it keeps the step control,
-the escape test, first-same-as-last, the run counters and the
-dense-output record. The 6th and 7th stages of an attempt both run at
-t + h, with the same float; the chart right-hand sides keep their last
-drive sample for that reason, so an attempt samples the drive 5 times.
+each state size and compiles once per process; the loop around it
+keeps the step control, the escape test, first-same-as-last, the run
+counters and the dense-output record. The 6th and 7th stages of an
+attempt both run at t + h, with the same float, which lets the chart
+right-hand sides sample their drive 5 times per attempt
+(`drives.memo_sample`).
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
@@ -254,18 +254,16 @@ def _magnitudes(y):
 
 
 @functools.cache
-def _attempt(size, weighted=True):
+def _attempt(size):
     """The DOPRI5 step attempt on states of `size` components, generated
-    and compiled once per size and kind.
+    and compiled once per size.
 
     attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol) evaluates the
     stages k2..k7 of a step of size h from (t, y), where k1 = rhs(t, y)
     and w = weight(y). It returns (y1, w1, k3, k4, k5, k6, k7, err): the
     5th-order result y1, its weight w1 = weight(y1), the stages the dense
     output needs, and the RMS norm of the error estimate against the
-    scale abs_tol + rel_tol * max(w, w1), componentwise. With
-    weighted=False the kernel ignores `weight` and computes w1 as
-    `_magnitudes(y1)` does, abs of each component, inline.
+    scale abs_tol + rel_tol * max(w, w1), componentwise.
 
     The body is straight-line code with one local per stage and
     component (y_0, p3_5, ...), which on 3 to 18 components costs about
@@ -278,8 +276,7 @@ def _attempt(size, weighted=True):
     the error away, so a non-finite scale gives err = nan, as a wild
     stage does; so does a zero scale, which only a negative weight can
     give. The source is registered with linecache under the filename
-    "<dopri5 attempt d=size>", or "<dopri5 attempt d=size, unweighted>",
-    so tracebacks show its lines.
+    "<dopri5 attempt d=size>", so tracebacks show its lines.
     """
     def names(prefix):
         return ", ".join(f"{prefix}_{i}" for i in range(size))
@@ -289,9 +286,8 @@ def _attempt(size, weighted=True):
                           for j, c in enumerate(weights, 1) if c != 0.0)
 
     def stage_input(weights):
-        # the components of the input of a stage with these _A weights
-        return [f"y_{i} + h * ({combination(weights, i)})"
-                for i in range(size)]
+        return ", ".join(f"y_{i} + h * ({combination(weights, i)})"
+                         for i in range(size))
 
     lines = ["def attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol):",
              f"    {names('y')}, = y",
@@ -299,26 +295,15 @@ def _attempt(size, weighted=True):
     for stage in range(2, 7):
         c = _C[stage - 1]
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        stage_in = ", ".join(stage_input(_A[stage - 1]))
-        lines += [f"    k{stage} = rhs({at}, [{stage_in}])",
+        lines += [f"    k{stage} = rhs({at}, [{stage_input(_A[stage - 1])}])",
                   f"    {names(f'p{stage}')}, = k{stage}"]
-    # The 7th stage input is the 5th-order result. Without a weight
-    # function its components get names, for the inline abs.
-    result = stage_input(_A[6])
-    if weighted:
-        lines += [f"    y1 = [{', '.join(result)}]",
-                  "    k7 = rhs(t + h, y1)",
-                  f"    {names('p7')}, = k7",
-                  "    w1 = weight(y1)",
-                  f"    {names('v')}, = w1"]
-    else:
-        lines += [f"    y1_{i} = {expr}" for i, expr in enumerate(result)]
-        lines += [f"    y1 = [{names('y1')}]",
-                  "    k7 = rhs(t + h, y1)",
-                  f"    {names('p7')}, = k7"]
-        lines += [f"    v_{i} = abs(y1_{i})" for i in range(size)]
-        lines += [f"    w1 = [{names('v')}]"]
-    lines += [f"    {names('w')}, = w",
+    # the 7th stage input is the 5th-order result
+    lines += [f"    y1 = [{stage_input(_A[6])}]",
+              "    k7 = rhs(t + h, y1)",
+              f"    {names('p7')}, = k7",
+              "    w1 = weight(y1)",
+              f"    {names('v')}, = w1",
+              f"    {names('w')}, = w",
               "    try:"]
     for i in range(size):
         lines += [f"        s_{i} = abs_tol + rel_tol * "
@@ -333,8 +318,7 @@ def _attempt(size, weighted=True):
               f"if isfinite({scales}) else nan",
               "    return y1, w1, k3, k4, k5, k6, k7, err"]
     source = "\n".join(lines) + "\n"
-    kind = "" if weighted else ", unweighted"
-    filename = f"<dopri5 attempt d={size}{kind}>"
+    filename = f"<dopri5 attempt d={size}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True),
                                  filename)
     namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
@@ -356,7 +340,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
 
     span = t_end - t_start
     size = initial.size
-    attempt = _attempt(size, error_weight is not None)
+    attempt = _attempt(size)
     y = initial.tolist()
     grid = samples.tolist()
     # Per accepted step that holds samples, in order: its sample count,

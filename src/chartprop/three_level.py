@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import drives
+
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 8  # flat layout: [Re x, Im x, Re y, Im y, Re z, Im z, phi1, phi2]
@@ -132,19 +134,13 @@ def chart_rhs(ham):
     The phase rates add the same real parts in the same order as the
     expanded forms, so they keep their bits and stay exactly real.
 
-    The drive is sampled once per distinct t: the last two stages of a
-    DOPRI5 attempt both run at t + h, and `ham.sample` is a function of
-    t alone, so the second of them reuses the first one's sample.
+    The drive is sampled through `drives.memo_sample`, once per
+    distinct t: the last two stages of a DOPRI5 attempt share theirs.
     """
-    sample = ham.sample
-    last_t = last = None
+    sample = drives.memo_sample(ham)
 
     def rhs(t, vec):
-        nonlocal last_t, last
-        if t != last_t:
-            last_t = t
-            last = sample(t)
-        h1, h2, v1, v2, v3 = last
+        h1, h2, v1, v2, v3 = sample(t)
         re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
         x = complex(re_x, im_x)
         y = complex(re_y, im_y)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import drives
+
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 3  # flat layout: [Re z, Im z, phi]
@@ -73,18 +75,13 @@ def chart_rhs(ham):
     have the same real part to the bit, so dphi keeps the bits of the
     expanded form and is exactly real; dz moves in its last bits.
 
-    The drive is sampled once per distinct t, as in
-    `three_level.chart_rhs`.
+    The drive is sampled through `drives.memo_sample`, once per
+    distinct t.
     """
-    sample = ham.sample
-    last_t = last = None
+    sample = drives.memo_sample(ham)
 
     def rhs(t, vec):
-        nonlocal last_t, last
-        if t != last_t:
-            last_t = t
-            last = sample(t)
-        h, v = last
+        h, v = sample(t)
         re_z, im_z, _ = vec
         z = complex(re_z, im_z)
         a = v.conjugate() * z

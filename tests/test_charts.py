@@ -270,3 +270,39 @@ def test_one_drive_sample_per_distinct_stage_time(chart, weighted):
     assert traj.status == "completed"
     assert traj.stats.attempts > 100
     assert counted.calls == 1 + 5 * traj.stats.attempts
+
+
+class _FailsOnce(_CountingHamiltonian):
+    """Counts sample calls; the first call at `bad` raises."""
+
+    def __init__(self, ham, bad):
+        super().__init__(ham)
+        self.bad = bad
+        self.failed = False
+
+    def sample(self, t):
+        self.calls += 1
+        if t == self.bad and not self.failed:
+            self.failed = True
+            raise OverflowError("drive failed")
+        return self.ham.sample(t)
+
+
+@CHARTS
+def test_a_failed_sample_is_not_kept(chart):
+    # A caller may catch a failing sample and call the RHS again at the
+    # same t: it must sample again, not reuse the sample of the last t.
+    if chart is two_level:
+        ham = Hamiltonian2(h=CosineDrive(0.3, 1.3), v=CosineDrive(0.8, 2.0))
+    else:
+        ham = Hamiltonian3(h1=CosineDrive(0.2, 1.3), h2=CosineDrive(0.3, 1.7),
+                           v1=CosineDrive(0.5 + 0.2j, 1.1),
+                           v2=CosineDrive(0.25j, 0.6), v3=CosineDrive(-0.4, 0.9))
+    vec = np.random.default_rng(5).normal(size=chart.STATE_SIZE).tolist()
+    failing = _FailsOnce(ham, bad=0.7)
+    rhs = chart.chart_rhs(failing)
+    rhs(0.2, vec)
+    with pytest.raises(OverflowError):
+        rhs(0.7, vec)
+    assert rhs(0.7, vec) == chart.chart_rhs(ham)(0.7, vec)
+    assert failing.calls == 3

@@ -685,41 +685,3 @@ def test_one_step_matches_a_numpy_evaluation_of_the_tableau():
     got = traj.final_state
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
-
-def forced(t, y):
-    # a rotation of neighbouring components plus damping and a drive
-    d = len(y)
-    return [y[(i + 1) % d] - y[i - 1] - 0.1 * y[i] + math.cos(t + i)
-            for i in range(d)]
-
-
-@pytest.mark.parametrize("size", [1, 3, 8, 18])
-@pytest.mark.parametrize("problem", ["forced", "blowup"])
-def test_inline_magnitudes_reproduce_the_abs_weight(size, problem):
-    # Without error_weight the attempt kernel takes abs of each y1
-    # component inline; an error_weight returning the same magnitudes
-    # goes through the weighted kernel. Both must give the same bits,
-    # steps and counters, an escape and its halvings included.
-    rng = np.random.default_rng(size)
-    initial = rng.normal(size=size)
-    if problem == "blowup":
-        # y' = y^2 leaves through y[0] near t = 0.5; the negative
-        # components decay
-        initial = -np.abs(initial)
-        initial[0] = 2.0
-    rhs, t_end = (forced, 10.0) if problem == "forced" else (blowup, 1.0)
-    # a first step of length 1 is rejected
-    settings = IntegratorSettings(max_step=1.0, initial_step=1.0)
-    runs = [integrate(rhs, initial, 0.0, t_end, settings,
-                      np.linspace(0.0, t_end, 33), escape=escapes,
-                      error_weight=weight)
-            for weight in (None, lambda y: [abs(v) for v in y])]
-    plain, weighted = runs
-    assert plain.status == weighted.status == (
-        "completed" if problem == "forced" else "singularity")
-    assert plain.singularity_time == weighted.singularity_time
-    assert np.array_equal(plain.times, weighted.times)
-    assert plain.states.tobytes() == weighted.states.tobytes()
-    assert plain.stats == weighted.stats
-    assert plain.stats.error_rejections > 0
-    assert (plain.stats.escape_halvings > 0) == (problem == "blowup")
