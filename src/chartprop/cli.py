@@ -18,18 +18,35 @@ rows up to the last step are still written), 2 chart singularity (the
 math ran off the coordinate chart; the rows up to the blow-up are
 still written).
 
-With --compare-oracle the oracle runs in a forked child process while
-this one builds and writes the table; where os.fork does not exist it
-runs inline, before the table. Both paths give the same output and
-report. The `oracle_wait_s` report line says how long the run waited
-for the oracle after writing the table. The rows are always written
-first: when the oracle fails (for instance by exhausting the step
-budget) the run still writes them and any truncation notice, then exits
-1 with an `error:` line naming the oracle failure. Python 3.12 and later
-warn (DeprecationWarning) when a process with threads forks, and numpy's
-BLAS may have started threads; that one warning is ignored at the fork,
-since the child only integrates, pickles its outcome and leaves through
-os._exit.
+With --compare-oracle the direct-matrix oracle starts in a forked child
+process right after the config is read, on the requested sample grid,
+and integrates while this process runs the chart; the child sends back
+the oracle trajectory and this process compares. A chart run that stops
+early (a singularity or the step limit) ends on a prefix of the grid
+plus its closing time, so the oracle then starts again on those times.
+Where os.fork does not exist the oracle runs inline, after the table.
+Both paths give the same output and report. The rows are always
+written first: when the oracle fails (for instance by exhausting the
+step budget) the run still writes them and any truncation notice, then
+exits 1 with an `error:` line naming the oracle failure.
+
+A table of 4096 rows or more is formatted in two shares when os.fork
+exists and the process may use more than one CPU: a forked helper
+formats the second half of the rows while this process formats and
+writes the first half block by block, then copies the helper's text to
+the output in bounded reads. So a run may fork twice or three
+times; each child writes nothing to standard output or error and leaves
+through os._exit. The output is written in pieces of one block of rows
+or one pipe read, never as one string; only the helper holds its whole
+share.
+
+The report ends in wall-clock lines: `parse_s` (reading the config),
+`chart_s` (the chart integration), `table_s` (reconstruction and the
+table), `emit_s` (writing it), `oracle_wait_s` (how long the run then
+waited for the oracle) and `wall_time_s`. Python 3.12 and later warn
+(DeprecationWarning) when a process with threads forks, and numpy's
+BLAS may have started threads; that one warning is ignored at each
+fork.
 """
 
 from __future__ import annotations
@@ -74,15 +91,21 @@ class RunRequest:
             raise ValueError(f"unknown format {self.output_format!r}")
 
 
+# The report lines that read the clock, last and in this order.
+_WALL_CLOCK_KEYS = ("parse_s", "chart_s", "table_s", "emit_s",
+                    "oracle_wait_s", "wall_time_s")
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Summary numbers for one run; all residuals are non-negative.
 
     chart_stats and oracle_stats are the step accounting of the chart
     integration and of the direct-matrix oracle; each field becomes a
-    line of its own, prefixed with chart_ or oracle_. oracle_wait_s and
-    wall_time_s are wall-clock seconds: how long the run waited for the
-    oracle after writing the table, and the whole run.
+    line of its own, prefixed with chart_ or oracle_. The fields from
+    parse_s on are wall-clock seconds: reading the config, the chart
+    integration, reconstruction and table, writing the table, the wait
+    for the oracle after that, and the whole run.
     """
 
     status: str
@@ -96,6 +119,10 @@ class RunReport:
     oracle_unitarity_drift: Optional[float] = None
     chart_stats: Optional[IntegrationStats] = None
     oracle_stats: Optional[IntegrationStats] = None
+    parse_s: Optional[float] = None
+    chart_s: Optional[float] = None
+    table_s: Optional[float] = None
+    emit_s: Optional[float] = None
     oracle_wait_s: Optional[float] = None
     wall_time_s: Optional[float] = None
 
@@ -112,8 +139,7 @@ class RunReport:
             if stats is not None:
                 fields += [(f"{prefix}_{k}", v)
                            for k, v in vars(stats).items()]
-        fields += [("oracle_wait_s", self.oracle_wait_s),
-                   ("wall_time_s", self.wall_time_s)]
+        fields += [(k, getattr(self, k)) for k in _WALL_CLOCK_KEYS]
         return [f"{k} = {fmt(v)}" for k, v in fields if v is not None]
 
 
@@ -149,20 +175,24 @@ def trajectory_table(trajectory, unitaries, ham) -> tuple:
 
 
 _CSV_BLOCK = 1024  # table rows per write
+_JSON_BLOCK = 256  # table rows per write; a JSON row is ~1.7x a CSV row
+_PIPE_CHUNK = 1 << 16  # bytes per read from a child process
+
+
+def _csv_rows(width):
+    # One block of rows as one %-operation on a prebuilt format; "%.17g"
+    # writes every float, nan and the infinities included, as
+    # f"{v:.17g}" does.
+    row_format = ",".join(["%.17g"] * width) + "\n"
+
+    def text(block):
+        return (row_format * len(block)) % tuple(block.ravel().tolist())
+    return text
 
 
 def _write_csv(columns, table, stream) -> None:
-    # Streamed in blocks of rows, each formatted by one %-operation on a
-    # prebuilt format; "%.17g" writes every float, nan and the
-    # infinities included, as f"{v:.17g}" does.
     stream.write(",".join(columns) + "\n")
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for lo in range(0, len(table), _CSV_BLOCK):
-        block = table[lo:lo + _CSV_BLOCK]
-        stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
-
-
-_JSON_BLOCK = 256  # table rows per write; a JSON row is ~1.7x a CSV row
+    _write_rows(table, _csv_rows(table.shape[1]), _CSV_BLOCK, "", stream)
 
 
 def _json_header(config, settings, trajectory) -> dict:
@@ -192,27 +222,88 @@ def _json_float(value) -> str:
     return float.__repr__(value)
 
 
-def _write_json(columns, table, header, stream) -> None:
-    # Writes json.dumps({"header": header, "samples": rows}, indent=1)
-    # plus a newline, rows being one {column: value} object per table
-    # row, streamed in blocks of rows like the CSV. A row is one
-    # %-operation on a prebuilt template; str of a Python float is the
-    # shortest text that round-trips, which is what json writes.
-    # A table has at least the row of the start time.
-    head = json.dumps({"header": header}, indent=1)   # ends in "\n}"
-    stream.write(head[:-2] + ',\n "samples": [\n')
+def _json_rows(columns):
+    # One block of rows as one %-operation on a prebuilt row template;
+    # str of a Python float is the shortest text that round-trips, which
+    # is what json writes.
     row_format = ("  {\n"
                   + ",\n".join(f"   {json.dumps(name)}: %s" for name in columns)
                   + "\n  }")
-    for lo in range(0, len(table), _JSON_BLOCK):
-        block = table[lo:lo + _JSON_BLOCK]
+
+    def text(block):
         values = block.ravel().tolist()
         if not np.isfinite(block).all():
             values = [_json_float(v) for v in values]
-        if lo:
-            stream.write(",\n")
-        stream.write(",\n".join([row_format] * len(block)) % tuple(values))
+        return ",\n".join([row_format] * len(block)) % tuple(values)
+    return text
+
+
+def _write_json(columns, table, header, stream) -> None:
+    # Writes json.dumps({"header": header, "samples": rows}, indent=1)
+    # plus a newline, rows being one {column: value} object per table
+    # row, streamed in blocks of rows like the CSV. A table has at least
+    # the row of the start time.
+    head = json.dumps({"header": header}, indent=1)   # ends in "\n}"
+    stream.write(head[:-2] + ',\n "samples": [\n')
+    _write_rows(table, _json_rows(columns), _JSON_BLOCK, ",\n", stream)
     stream.write("\n ]\n}\n")
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# The fewest rows a table needs before a forked helper formats half of
+# it. Measured on the three-level benchmark config with the oracle child
+# running (BENCH_12.json, helper_threshold): at 2049 rows the helper's
+# fork and pipe cost about what the half it takes over saves, and from
+# 4097 rows on it shortens the write of CSV and JSON alike.
+_SHARE_MIN_ROWS = 4096
+
+
+def _helper_start(rows) -> Optional[int]:
+    """The first row of the formatter helper's share, or None when this
+    process formats every row: without fork, on one CPU, or for a table
+    of fewer than _SHARE_MIN_ROWS rows."""
+    if not _CAN_FORK or rows < _SHARE_MIN_ROWS or _cpus() < 2:
+        return None
+    return rows // 2
+
+
+def _share_pieces(text, table, block, separator) -> list:
+    """The formatter helper's share: the text of its rows as ASCII
+    bytes, one piece per block of rows, each led by the separator,
+    since the share follows the rows this process writes."""
+    return [(separator + text(table[lo:lo + block])).encode("ascii")
+            for lo in range(0, len(table), block)]
+
+
+def _write_rows(table, text, block, separator, stream) -> None:
+    """Write the table's rows as text(block) per block of rows, with
+    the separator between blocks. From _SHARE_MIN_ROWS rows up the
+    helper of _helper_start formats the second half meanwhile; its text
+    follows in reads of at most _PIPE_CHUNK bytes, so no write holds
+    more than a block or a read."""
+    start = _helper_start(len(table))
+    helper = None
+    if start is not None:
+        helper = _Forked("table formatter worker", _share_pieces, text,
+                         table[start:], block, separator)
+        table = table[:start]
+    try:
+        for lo in range(0, len(table), block):
+            piece = text(table[lo:lo + block])
+            stream.write(separator + piece if lo else piece)
+        if helper is not None:
+            for chunk in helper.chunks():
+                stream.write(chunk.decode("ascii"))
+    finally:
+        if helper is not None:
+            helper.close()
 
 
 def _write_table(columns, table, trajectory, config, settings,
@@ -226,37 +317,18 @@ def _write_table(columns, table, trajectory, config, settings,
 
 def emit_trajectory(trajectory, unitaries, config, settings, output_format,
                     stream) -> None:
-    """Write the sampled trajectory (complete or partial) to a stream."""
+    """Write the sampled trajectory (complete or partial) to a stream.
+
+    Where fork exists, a table of _SHARE_MIN_ROWS rows or more is
+    formatted in two processes (see `_write_rows`)."""
     columns, table = trajectory_table(trajectory, unitaries, config.hamiltonian)
     _write_table(columns, table, trajectory, config, settings, output_format,
                  stream)
 
 
-def _oracle_outcome(ham, settings, times, unitaries) -> tuple:
-    """Integrate the direct-matrix oracle on the chart run's sample times
-    and compare: (the report fields it fills, None), or (None, the
-    exception it raised)."""
-    try:
-        oracle = integrate_schrodinger(ham, times[0], times[-1], settings,
-                                       times)
-        oracle_report = compare(times, unitaries, oracle)
-    except Exception as exc:
-        return None, exc
-    return {"max_frobenius_error": oracle_report.max_frobenius_error,
-            "time_of_max_error": oracle_report.time_of_max,
-            "oracle_unitarity_drift": oracle_report.oracle_drift,
-            "oracle_stats": oracle.stats}, None
-
-
-def _oracle_result(outcome) -> dict:
-    fields, exc = outcome
-    if exc is not None:
-        raise IntegrationError(f"direct-matrix oracle failed: {exc}") from exc
-    return fields
-
-
-# Where fork exists, the oracle runs in a child process while this one
-# writes the table; elsewhere it runs inline, before the table.
+# Where fork exists, the oracle and the formatter helper run in child
+# processes; elsewhere the oracle runs inline and this process formats
+# the whole table.
 _CAN_FORK = hasattr(os, "fork")
 # The DeprecationWarning of Python 3.12 and later for a fork in a
 # process with threads, as a `warnings.filterwarnings` message pattern.
@@ -264,23 +336,29 @@ _FORK_WITH_THREADS = (r"This process \(pid=\d+\) is multi-threaded, "
                       r"use of fork\(\) may lead to deadlocks in the child\.")
 
 
-class _OracleCheck:
-    """The oracle comparison of one run, started before the table is
-    written; result() waits for it and returns its report fields or
-    raises IntegrationError, close() ends a child still running.
+class _Forked:
+    """fn(*args) run in a forked child process, which writes the bytes
+    pieces fn returns to a pipe.
 
-    The child gets a copy of the inputs by fork, runs the same functions
-    the inline path runs, and sends back only the pickled outcome: the
-    report fields or the exception, a few hundred bytes. It writes
-    nothing to standard output or error and leaves through os._exit, so
+    chunks() yields that result as it arrives, in reads of at most
+    _PIPE_CHUNK bytes, then reaps the child; a child that ends with a
+    nonzero status (fn raised, or the child was killed) raises
+    IntegrationError naming the worker. result() returns the whole
+    result, and close() kills and reaps a child still running. Where
+    fork does not exist, fn runs inline, at the first chunks() call, and
+    its pieces come back as they are.
+
+    The child gets its inputs by fork. Its file descriptors 1 and 2
+    point at os.devnull, so nothing it might print (a warning) reaches
+    the streams this process writes, and it leaves through os._exit, so
     no buffered output, atexit handler or test teardown runs twice.
     """
 
-    def __init__(self, ham, settings, times, unitaries):
-        args = (ham, settings, times, unitaries)
-        self._pid = None
+    def __init__(self, name, fn, *args):
+        self._name = name
+        self._pid = self._fd = self._inline = None
         if not _CAN_FORK:
-            self._outcome = _oracle_outcome(*args)
+            self._inline = (fn, args)
             return
         sys.stdout.flush()
         sys.stderr.flush()
@@ -298,41 +376,74 @@ class _OracleCheck:
             code = 1
             try:
                 os.close(read_fd)
-                # Nothing the child might print (a warning) reaches the
-                # streams the parent is writing.
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, 1)
                 os.dup2(devnull, 2)
-                payload = pickle.dumps(_oracle_outcome(*args))
                 with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(payload)
+                    pipe.writelines(fn(*args))
                 code = 0
             finally:
                 os._exit(code)
         os.close(write_fd)
-        self._pid = pid
-        self._pipe = os.fdopen(read_fd, "rb")
+        self._pid, self._fd = pid, read_fd
 
-    def result(self) -> dict:
-        if self._pid is None:
-            return _oracle_result(self._outcome)
-        with self._pipe:
-            payload = self._pipe.read()
+    def chunks(self):
+        if self._inline is not None:
+            fn, args = self._inline
+            self._inline = None
+            yield from fn(*args)
+            return
+        while chunk := os.read(self._fd, _PIPE_CHUNK):
+            yield chunk
+        os.close(self._fd)
+        self._fd = None
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
-        if not payload:
-            raise IntegrationError(
-                f"direct-matrix oracle worker ended without a result "
-                f"(exit status {os.waitstatus_to_exitcode(status)})")
-        return _oracle_result(pickle.loads(payload))
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise IntegrationError(f"{self._name} ended without a result "
+                                   f"(exit status {code})")
+
+    def result(self) -> bytes:
+        return b"".join(self.chunks())
 
     def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         if self._pid is not None:
             import signal   # only a failed run gets here; keeps import lean
-            self._pipe.close()
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
+
+
+def _oracle_pieces(ham, settings, times) -> list:
+    """The direct-matrix oracle on the sample times, pickled in one
+    piece: (the OracleTrajectory, None) or (None, the exception)."""
+    try:
+        outcome = integrate_schrodinger(ham, times[0], times[-1], settings,
+                                        times), None
+    except Exception as exc:
+        outcome = None, exc
+    return [pickle.dumps(outcome)]
+
+
+def _start_oracle(ham, settings, times) -> _Forked:
+    return _Forked("direct-matrix oracle worker", _oracle_pieces, ham,
+                   settings, times)
+
+
+def _oracle_fields(oracle, times, unitaries) -> dict:
+    """Wait for the oracle and compare: the report fields it fills."""
+    trajectory, exc = pickle.loads(oracle.result())
+    if exc is not None:
+        raise IntegrationError(f"direct-matrix oracle failed: {exc}") from exc
+    report = compare(times, unitaries, trajectory)
+    return {"max_frobenius_error": report.max_frobenius_error,
+            "time_of_max_error": report.time_of_max,
+            "oracle_unitarity_drift": report.oracle_drift,
+            "oracle_stats": trajectory.stats}
 
 
 def _run_impl(request: RunRequest):
@@ -347,24 +458,35 @@ def _run_impl(request: RunRequest):
     ham = config.hamiltonian
     chart = _CHARTS[ham.dim]
     grid = np.linspace(config.t_start, config.t_end, request.samples)
-
-    trajectory = integrate(chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE),
-                           config.t_start, config.t_end, settings, grid,
-                           escape=chart.escaped,
-                           error_weight=chart.error_weight)
-
-    unitaries = chart.reconstruct_batch(trajectory.states)
-    report_fields = {
-        "status": trajectory.status,
-        "singularity_time": trajectory.singularity_time,
-        "max_unitarity_error": float(np.max(unitarity_errors(unitaries))),
-        "chart_stats": trajectory.stats,
-    }
+    clock = {"parse_s": time.perf_counter() - started}
 
     oracle = None
-    if request.compare_oracle and len(trajectory.times) >= 2:
-        oracle = _OracleCheck(ham, settings, trajectory.times, unitaries)
+    if request.compare_oracle:
+        oracle = _start_oracle(ham, settings, grid)
     try:
+        lap = time.perf_counter()
+        trajectory = integrate(chart.chart_rhs(ham),
+                               np.zeros(chart.STATE_SIZE), config.t_start,
+                               config.t_end, settings, grid,
+                               escape=chart.escaped,
+                               error_weight=chart.error_weight)
+        clock["chart_s"] = time.perf_counter() - lap
+        if oracle is not None and trajectory.status != "completed":
+            # The chart's times are a prefix of the grid and a closing
+            # time: the oracle starts again on them.
+            oracle.close()
+            oracle = None
+            if len(trajectory.times) >= 2:
+                oracle = _start_oracle(ham, settings, trajectory.times)
+
+        lap = time.perf_counter()
+        unitaries = chart.reconstruct_batch(trajectory.states)
+        report_fields = {
+            "status": trajectory.status,
+            "singularity_time": trajectory.singularity_time,
+            "max_unitarity_error": float(np.max(unitarity_errors(unitaries))),
+            "chart_stats": trajectory.stats,
+        }
         # The table carries every residual array; the report takes its
         # maxima from there rather than computing the residuals again.
         columns, table = trajectory_table(trajectory, unitaries, ham)
@@ -372,7 +494,9 @@ def _run_impl(request: RunRequest):
             if name.startswith("residual_"):
                 key = name.removeprefix("residual_")
                 report_fields[f"max_{key}_residual"] = float(np.max(column))
+        clock["table_s"] = time.perf_counter() - lap
 
+        lap = time.perf_counter()
         if request.output_path is None:
             _write_table(columns, table, trajectory, config, settings,
                          request.output_format, sys.stdout)
@@ -380,6 +504,7 @@ def _run_impl(request: RunRequest):
             with open(request.output_path, "w", encoding="utf-8") as fh:
                 _write_table(columns, table, trajectory, config, settings,
                              request.output_format, fh)
+        clock["emit_s"] = time.perf_counter() - lap
 
         if trajectory.status == "singularity":
             code, truncation = 2, (f"chart singularity near t = "
@@ -396,15 +521,16 @@ def _run_impl(request: RunRequest):
             print(truncation, file=sys.stderr)
 
         if oracle is not None:
-            waited = time.perf_counter()
-            report_fields.update(oracle.result())
-            report_fields["oracle_wait_s"] = time.perf_counter() - waited
+            lap = time.perf_counter()
+            report_fields.update(
+                _oracle_fields(oracle, trajectory.times, unitaries))
+            clock["oracle_wait_s"] = time.perf_counter() - lap
     finally:
         if oracle is not None:
             oracle.close()
 
-    report_fields["wall_time_s"] = time.perf_counter() - started
-    return code, RunReport(**report_fields)
+    clock["wall_time_s"] = time.perf_counter() - started
+    return code, RunReport(**report_fields, **clock)
 
 
 def run(request: RunRequest) -> int:

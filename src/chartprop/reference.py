@@ -17,6 +17,8 @@ construction at any time, is the main comparative diagnostic.
 
 from __future__ import annotations
 
+import functools
+import linecache
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,17 +28,48 @@ from .integrate import IntegrationStats, IntegratorSettings, integrate
 from .matrices import HermitianTraceless, hermitian_expm
 
 
+@functools.cache
+def _minus_i_product(dim):
+    """The product -i M U of dim x dim complex matrices, generated and
+    compiled once per dimension.
+
+    product(m, y) takes M as its dim * dim entries in row-major order
+    (complex or real numbers) and U as the real and imaginary parts of
+    its entries, interleaved in row-major order, the oracle's state
+    vector; it returns -i M U in that layout, as a tuple of floats. The
+    body is straight-line code, one sum of dim products per entry, and
+    -i (a + ib) is written as b - ia, with no multiplication. The source
+    is registered with linecache under the filename
+    "<oracle product n=dim>", so tracebacks show its lines.
+    """
+    n = dim * dim
+    rows = [[f"m_{i * dim + k} * u_{k * dim + j}" for k in range(dim)]
+            for i in range(dim) for j in range(dim)]
+    lines = ["def product(m, y):",
+             f"    {', '.join(f'm_{k}' for k in range(n))}, = m",
+             f"    {', '.join(f'y_{k}' for k in range(2 * n))}, = y"]
+    lines += [f"    u_{k} = c(y_{2 * k}, y_{2 * k + 1})" for k in range(n)]
+    lines += [f"    s_{k} = {' + '.join(terms)}" for k, terms in enumerate(rows)]
+    lines.append("    return ("
+                 + ", ".join(f"s_{k}.imag, -s_{k}.real" for k in range(n))
+                 + ")")
+    source = "\n".join(lines) + "\n"
+    filename = f"<oracle product n={dim}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {"c": complex}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["product"]
+
+
 def _schrodinger_rhs(ham):
-    dim = ham.dim
-
     # The integrator passes the state as a list of floats and takes a
-    # list back; the product itself stays one numpy matmul.
-    def rhs(t, vec):
-        u = np.array(vec).view(complex).reshape(dim, dim)
-        du = ham.matrix(t) @ u
-        du *= -1j
-        return du.ravel().view(float).tolist()
+    # sequence back; the matrix entries go straight into the product.
+    product = _minus_i_product(ham.dim)
+    matrix = ham.matrix
 
+    def rhs(t, vec):
+        return product(matrix(t).ravel().tolist(), vec)
     return rhs
 
 

@@ -232,8 +232,11 @@ def test_report_lists_run_counters(config3_path, capsys, tmp_path):
                                           if isinstance(value, float)
                                           else str(value))
     assert int(fields["chart_rhs_calls"]) == 1 + 6 * stats.attempts
-    # wall time stays last, and the counters stay out of the JSON header
-    assert list(fields)[-1] == "wall_time_s"
+    # the wall-clock lines come last, in order, and they and the
+    # counters stay out of the JSON header
+    assert list(fields)[-5:] == ["parse_s", "chart_s", "table_s", "emit_s",
+                                 "wall_time_s"]
+    assert all(float(fields[key]) >= 0.0 for key in list(fields)[-5:])
     header = json.loads(out.read_text())["header"]
     assert set(header) == {"system", "settings", "config", "status",
                            "singularity_time"}
@@ -387,6 +390,25 @@ def csv_reference(columns, table):
     return "\n".join(lines) + "\n"
 
 
+def csv_row_texts(text):
+    return text.splitlines(True)[1:]
+
+
+def json_row_texts(columns, table):
+    # Each row's text as it stands in the document, without the ",\n"
+    # that joins it to the next row.
+    lead, tail = len('{\n "s": [\n'), len('\n ]\n}')
+    return [json.dumps({"s": [dict(zip(columns, row.tolist()))]},
+                       indent=1)[lead:-tail] for row in table]
+
+
+def assert_bounded_writes(sizes, row_texts, block, separator=""):
+    # No write holds more than one block of rows, each row with its
+    # separator, or one read from the formatter helper.
+    longest = block * (max(map(len, row_texts)) + len(separator))
+    assert max(sizes) <= max(longest, cli._PIPE_CHUNK)
+
+
 class RecordingStream(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -499,11 +521,77 @@ def test_json_run_matches_one_dumps(config3_path, tmp_path):
     assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
+class CountingForked(cli._Forked):
+    started = 0
+
+    def __init__(self, *args):
+        type(self).started += 1
+        super().__init__(*args)
+
+
+@pytest.fixture
+def counting_forks(monkeypatch):
+    monkeypatch.setattr(CountingForked, "started", 0)
+    monkeypatch.setattr(cli, "_Forked", CountingForked)
+    return CountingForked
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                           (2, 7)],
+                         ids=["1", "B-1", "B", "B+1", "2B+7"])
+def test_shared_formatting_matches_per_value_text(monkeypatch,
+                                                  counting_forks, fork, fmt,
+                                                  blocks, extra):
+    # blocks * B + extra rows, B rows to a block; the helper takes part
+    # from B+1 rows. B+1 and 2B+7 rows split in mid-block: the helper's
+    # share starts at row (B+1) // 2 and B+3.
+    if fork and not hasattr(os, "fork"):
+        pytest.skip("no fork")
+    block = cli._CSV_BLOCK if fmt == "csv" else cli._JSON_BLOCK
+    monkeypatch.setattr(cli, "_CAN_FORK", fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_SHARE_MIN_ROWS", block + 1)
+    count = blocks * block + extra
+    table = special_table(max(count, 3))[:count]
+    columns = ["t", "re_z", "im_z", "phi", "residual_schrodinger"]
+    stream = RecordingStream()
+    if fmt == "csv":
+        cli._write_table(columns, table, None, None, None, "csv", stream)
+        want = csv_reference(columns, table)
+        assert_bounded_writes(stream.sizes, csv_row_texts(want), block)
+    else:
+        cli._write_json(columns, table, JSON_HEADER, stream)
+        want = json_reference(JSON_HEADER, columns, table)
+        assert_bounded_writes(stream.sizes, json_row_texts(columns, table),
+                              block, ",\n")
+    assert stream.getvalue() == want
+    assert counting_forks.started == (fork and count > block)
+    if fork:
+        assert_no_child_left()
+
+
+SHARE = cli._SHARE_MIN_ROWS
+
+
+@pytest.mark.parametrize("can_fork, cpus, rows, start", [
+    (True, 2, SHARE, SHARE // 2), (True, 2, 2 * SHARE + 1, SHARE),
+    (True, 2, SHARE - 1, None), (True, 1, SHARE, None),
+    (False, 2, SHARE, None)])
+def test_helper_share_needs_fork_two_cpus_and_enough_rows(
+        monkeypatch, can_fork, cpus, rows, start):
+    monkeypatch.setattr(cli, "_CAN_FORK", can_fork)
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    assert cli._helper_start(rows) == start
+
+
 # --- the oracle worker ------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the oracle runs inline without fork")
-WALL_CLOCK_LINES = ("wall_time_s = ", "oracle_wait_s = ")
+WALL_CLOCK_LINES = ("parse_s = ", "chart_s = ", "table_s = ", "emit_s = ",
+                    "oracle_wait_s = ", "wall_time_s = ")
 
 
 def assert_no_child_left():
@@ -554,17 +642,28 @@ def test_oracle_failure_still_writes_the_rows(config2_path, tmp_path, capsys,
     assert_no_child_left()
 
 
+@pytest.fixture
+def blowup_path(tmp_path):
+    p = tmp_path / "blowup.yaml"
+    p.write_text(CONFIG_BLOWUP)
+    return str(p)
+
+
 @needs_fork
-@pytest.mark.parametrize("fixture", ["config2_path", "config3_path"])
+@pytest.mark.parametrize("fixture, code", [("config2_path", 0),
+                                           ("config3_path", 0),
+                                           ("blowup_path", 2)])
 def test_forked_and_inline_oracle_report_the_same(request, tmp_path, capsys,
-                                                  monkeypatch, fixture):
+                                                  monkeypatch, fixture, code):
+    # At the singularity the early oracle child is closed and the oracle
+    # starts again on the chart's times.
     path = request.getfixturevalue(fixture)
     runs = []
     for fork in (True, False):
         monkeypatch.setattr(cli, "_CAN_FORK", fork)
         out = tmp_path / f"{fork}.csv"
         assert main(["run", path, "--samples", "64", "--compare-oracle",
-                     "--output", str(out)]) == 0
+                     "--output", str(out)]) == code
         runs.append((out.read_bytes(), capsys.readouterr().err))
     (forked_bytes, forked_err), (inline_bytes, inline_err) = runs
     assert forked_bytes == inline_bytes
@@ -610,6 +709,69 @@ def test_no_oracle_child_outlives_the_run(config2_path, tmp_path, capsys,
     assert_no_child_left()
 
 
+class InterruptedStream(io.StringIO):
+    # Raises KeyboardInterrupt at its third write: past the header and
+    # the first block of rows, while the formatter helper runs.
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+@needs_fork
+def test_interrupt_during_a_shared_write_leaves_no_child(
+        config2_path, monkeypatch, counting_forks):
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(sys, "stdout", InterruptedStream())
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", config2_path, "--samples", str(SHARE + 7),
+              "--compare-oracle"])
+    # the oracle and the formatter helper were both running
+    assert counting_forks.started == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_chart_run_that_raises_leaves_no_child(config2_path, tmp_path,
+                                               capsys, monkeypatch, fork):
+    if fork and not hasattr(os, "fork"):
+        pytest.skip("no fork")
+    monkeypatch.setattr(cli, "_CAN_FORK", fork)
+
+    def failing(*args, **kwargs):
+        raise NonFiniteDerivativeError(0.5)
+    monkeypatch.setattr(cli, "integrate", failing)
+    out = tmp_path / "x.csv"
+    assert main(["run", config2_path, "--compare-oracle", "--output",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite derivative at t = 0.5\n")
+    assert not out.exists()
+    if fork:
+        assert_no_child_left()
+
+
+@needs_fork
+def test_formatter_helper_that_dies_is_an_error(config2_path, tmp_path,
+                                                capsys, monkeypatch):
+    # The run exits 1 with an error line and no report, so a file short
+    # of the helper's rows never passes for a whole one.
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_share_pieces", lambda *args: os._exit(3))
+    samples = SHARE + 7
+    out = tmp_path / "x.csv"
+    assert main(["run", config2_path, "--samples", str(samples),
+                 "--compare-oracle", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: table formatter worker ended without a result "
+        "(exit status 3)\n")
+    assert len(read_csv(out)[1]) == samples // 2
+    assert_no_child_left()
+
+
 @needs_fork
 def test_oracle_worker_that_dies_is_an_error(config2_path, tmp_path, capsys,
                                              monkeypatch):
@@ -628,14 +790,17 @@ def test_oracle_worker_that_dies_is_an_error(config2_path, tmp_path, capsys,
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_process_stdout_matches_output_file(config3_path, tmp_path, fmt):
-    # The oracle child is forked after the parent flushed its streams and
-    # writes nothing itself, so standard output carries exactly the file.
+    # The children are forked after the parent flushed its streams and
+    # write nothing themselves, so standard output carries exactly the
+    # file. At _SHARE_MIN_ROWS rows or more, on more than one CPU, the
+    # formatter helper takes part.
     src = str(Path(chartprop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]]
                  if os.environ.get("PYTHONPATH") else [])))
     argv = [sys.executable, "-m", "chartprop", "run", config3_path,
-            "--samples", "300", "--compare-oracle", "--format", fmt]
+            "--samples", str(SHARE + 7), "--compare-oracle",
+            "--format", fmt]
     out = tmp_path / f"out.{fmt}"
     to_file = subprocess.run(argv + ["--output", str(out)], env=env,
                              capture_output=True)

@@ -113,3 +113,26 @@ def test_time_dependent_oracle_tracks_known_rotation():
         theta = np.sin(w * t) / w
         expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * sx
         assert np.linalg.norm(u - expected) < 1e-7
+
+
+TIME_DEPENDENT = (
+    Hamiltonian2(h=CosineDrive(0.3, 1.7), v=CosineDrive(0.8 - 0.3j, 0.9)),
+    Hamiltonian3(h1=CosineDrive(0.2, 1.1), h2=ConstantDrive(-0.5),
+                 v1=CosineDrive(0.7j, 2.3), v2=ConstantDrive(0.3),
+                 v3=CosineDrive(0.2 + 0.4j, 0.4)),
+)
+
+
+@pytest.mark.parametrize("ham", TIME_DEPENDENT, ids=["n2", "n3"])
+def test_oracle_rhs_is_minus_i_h_u(ham):
+    from chartprop.reference import _schrodinger_rhs
+    rhs = _schrodinger_rhs(ham)
+    rng = np.random.default_rng(ham.dim)
+    for t in (0.0, 0.37, 4.2, -1.5):
+        u = (rng.standard_normal((ham.dim, ham.dim))
+             + 1j * rng.standard_normal((ham.dim, ham.dim)))
+        got = rhs(t, u.ravel().view(float).tolist())
+        assert isinstance(got, tuple) and len(got) == 2 * ham.dim ** 2
+        want = -1j * ham.matrix(t) @ u
+        got = np.array(got).view(complex).reshape(ham.dim, ham.dim)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
