@@ -10,11 +10,8 @@ the coordinates satisfy along any trajectory.
 import numpy as np
 
 from chartprop import (ConstantDrive, GaussianDrive, Hamiltonian3,
-                       IntegratorSettings, compare, integrate,
-                       integrate_schrodinger, unitarity_errors)
-from chartprop.three_level import (STATE_SIZE, chart_rhs, coords_from_states,
-                                   delta_residuals, escaped,
-                                   reconstruct_batch)
+                       IntegratorSettings, compare, integrate_schrodinger,
+                       propagate, unitarity_errors)
 
 # pulse 1 couples levels 1-2, pulse 2 couples levels 2-3, slight overlap
 ham = Hamiltonian3(
@@ -28,15 +25,13 @@ ham = Hamiltonian3(
 settings = IntegratorSettings(max_step=0.1)
 times = np.linspace(0.0, 12.0, 6001)
 
-traj = integrate(chart_rhs(ham), np.zeros(STATE_SIZE),
-                 0.0, 12.0, settings, times, escape=escaped)
+traj, unitaries, chart = propagate(ham, 0.0, 12.0, settings, times)
 traj.require_completed()
 
-x, y, z, phi1, phi2 = coords_from_states(traj.states)
+x, y, z, phi1, phi2 = chart.coords_from_states(traj.states)
 d1 = 1 + np.abs(x) ** 2 + np.abs(y) ** 2
 d2 = 1 + np.abs(z) ** 2 + np.abs(x * z - y) ** 2
 
-unitaries = reconstruct_batch(traj.states)
 populations = np.abs(unitaries[:, :, 0]) ** 2   # from initial state e1
 
 print("two-pulse three-level sequence, t in [0, 12]")
@@ -57,7 +52,7 @@ print(f"reconstruction unitarity:    {unitarity_errors(unitaries).max():.3e}")
 # growth-rate identities: d(ln Delta)/dt has a closed form in the
 # coordinates and the instantaneous couplings; the finite-difference
 # residual is pure differencing noise
-r1, r2 = delta_residuals(traj.times, traj.states, ham)
+r1, r2 = chart.delta_residuals(traj.times, traj.states, ham)
 print(f"Delta identity residuals:    {r1.max():.3e}, {r2.max():.3e}")
 
 oracle = integrate_schrodinger(ham, 0.0, 12.0, settings, times)

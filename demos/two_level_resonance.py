@@ -2,8 +2,9 @@
 
 The evolution operator U(t) of a driven two-level system is carried by
 one complex Riccati variable z(t) and one real phase phi(t). This demo
-integrates that pair for a detuned cosine drive, rebuilds U on a time
-grid, and checks the result against direct integration of i dU/dt = HU.
+integrates that pair for a detuned cosine drive with `propagate`, the
+chart run `chartprop run` makes, which also rebuilds U on the time grid,
+and checks the result against direct integration of i dU/dt = HU.
 
 Run:  python3 demos/two_level_resonance.py
 """
@@ -11,10 +12,8 @@ Run:  python3 demos/two_level_resonance.py
 import numpy as np
 
 from chartprop import (ConstantDrive, CosineDrive, Hamiltonian2,
-                       IntegratorSettings, compare, integrate,
-                       integrate_schrodinger, unitarity_errors)
-from chartprop.two_level import (STATE_SIZE, chart_rhs, escaped,
-                                 reconstruct_batch)
+                       IntegratorSettings, compare, integrate_schrodinger,
+                       propagate, unitarity_errors)
 
 # detuning 0.15, coupling amplitude 0.5 at angular frequency 1.0
 ham = Hamiltonian2(h=ConstantDrive(0.15),
@@ -23,12 +22,9 @@ ham = Hamiltonian2(h=ConstantDrive(0.15),
 settings = IntegratorSettings(max_step=0.1)
 times = np.linspace(0.0, 30.0, 301)
 
-traj = integrate(chart_rhs(ham), np.zeros(STATE_SIZE),
-                 0.0, 30.0, settings, times, escape=escaped)
+traj, unitaries, chart = propagate(ham, 0.0, 30.0, settings, times)
 traj.require_completed()
-
-z = traj.states[:, 0] + 1j * traj.states[:, 1]
-unitaries = reconstruct_batch(traj.states)
+z, _ = chart.coords_from_states(traj.states)
 
 # |U[1,0]|^2 is the excited-state population for a system starting in
 # the first basis state
@@ -56,9 +52,8 @@ print(f"direct integration unitarity drift:     {oracle.drift:.3e}")
 # The chart has a pole: a resonant pure coupling drives z to infinity
 # in finite time. The integrator detects this and stops cleanly.
 resonant = Hamiltonian2(h=ConstantDrive(0.0), v=ConstantDrive(1.0))
-blowup = integrate(chart_rhs(resonant), np.zeros(STATE_SIZE),
-                   0.0, 2.0, settings, np.linspace(0.0, 2.0, 21),
-                   escape=escaped)
+blowup, _, _ = propagate(resonant, 0.0, 2.0, settings,
+                         np.linspace(0.0, 2.0, 21))
 print()
 print(f"resonant constant drive: status = {blowup.status}, "
       f"pole near t = {blowup.singularity_time:.6f} (pi/2 = {np.pi/2:.6f})")

@@ -7,14 +7,15 @@ ships a direct matrix integrator as an independent cross-check.
 """
 
 from . import three_level, two_level
+from .charts import convergence_probe, propagate
 from .drives import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                      Hamiltonian2, Hamiltonian3, HamiltonianSample3,
                      PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
                      drive_from_spec, parse_config, serialize_config)
-from .integrate import (ChartSingularityError, ConvergenceScenario,
-                        IntegrationError, IntegrationStats, IntegratorSettings,
+from .integrate import (ChartSingularityError, IntegrationError,
+                        IntegrationStats, IntegratorSettings,
                         NonFiniteDerivativeError, StepLimitError, Trajectory,
-                        convergence_probe, integrate)
+                        integrate)
 from .matrices import (HermitianTraceless, MatrixInvariantError,
                        UnitaryMatrix, hermitian_expm)
 from .reference import (ComparisonReport, OracleTrajectory, compare,
@@ -23,14 +24,14 @@ from .reference import (ComparisonReport, OracleTrajectory, compare,
 
 __all__ = [
     "ChartSingularityError", "ComparisonReport", "ConfigError",
-    "ConstantDrive", "ConvergenceScenario", "CosineDrive", "GaussianDrive",
-    "Hamiltonian2", "Hamiltonian3", "HamiltonianSample3", "HermitianTraceless",
+    "ConstantDrive", "CosineDrive", "GaussianDrive", "Hamiltonian2",
+    "Hamiltonian3", "HamiltonianSample3", "HermitianTraceless",
     "IntegrationError", "IntegrationStats", "IntegratorSettings",
     "MatrixInvariantError", "NonFiniteDerivativeError", "OracleTrajectory",
     "PiecewiseDrive", "RunConfig", "StepLimitError", "SumDrive", "Trajectory",
     "UnitaryMatrix", "compare", "config_to_dict", "convergence_probe",
     "drive_from_spec", "exact_constant_unitaries", "hermitian_expm",
-    "integrate", "integrate_schrodinger", "parse_config",
+    "integrate", "integrate_schrodinger", "parse_config", "propagate",
     "schrodinger_residuals", "serialize_config", "three_level", "two_level",
     "unitarity_errors",
 ]

@@ -10,13 +10,13 @@ The trajectory table goes to --output (default: standard output); the
 run report goes to standard error as `key = value` lines, so piping
 the table stays clean. The report includes the step accounting of the
 chart run (`chart_*` lines) and, with --compare-oracle, of the oracle
-(`oracle_*` lines). The chart run measures step errors with the chart's
-error weights, so the tolerances act on the evolution operator; the
-oracle runs unweighted. Exit codes: 0 success, 1 config, IO or
-integration trouble (a run that exhausts its step budget included; its
-rows up to the last step are still written), 2 chart singularity (the
-math ran off the coordinate chart; the rows up to the blow-up are
-still written).
+(`oracle_*` lines). The chart run is `charts.propagate`, which measures
+step errors with the chart's error weights, so the tolerances act on
+the evolution operator; the oracle runs unweighted. Exit codes: 0
+success, 1 config, IO or integration trouble (a run that exhausts its
+step budget included; its rows up to the last step are still written),
+2 chart singularity (the math ran off the coordinate chart; the rows up
+to the blow-up are still written).
 
 With --compare-oracle the direct-matrix oracle starts in a forked child
 process right after the config is read, on the requested sample grid,
@@ -31,22 +31,17 @@ step budget) the run still writes them and any truncation notice, then
 exits 1 with an `error:` line naming the oracle failure.
 
 A table of 4096 rows or more is formatted in two shares when os.fork
-exists and the process may use more than one CPU: a forked helper
-formats the second half of the rows while this process formats and
-writes the first half block by block, then copies the helper's text to
-the output in bounded reads. So a run may fork twice or three
-times; each child writes nothing to standard output or error and leaves
-through os._exit. The output is written in pieces of one block of rows
-or one pipe read, never as one string; only the helper holds its whole
-share.
+exists and the process may use more than one CPU (see `_write_rows`).
+So a run may fork twice or three times; each child writes nothing to
+standard output or error and leaves through os._exit.
 
 The report ends in wall-clock lines: `parse_s` (reading the config),
-`chart_s` (the chart integration), `table_s` (reconstruction and the
-table), `emit_s` (writing it), `oracle_wait_s` (how long the run then
-waited for the oracle) and `wall_time_s`. Python 3.12 and later warn
-(DeprecationWarning) when a process with threads forks, and numpy's
-BLAS may have started threads; that one warning is ignored at each
-fork.
+`chart_s` (`propagate`: the chart integration and the reconstruction
+of U), `table_s` (the residuals and the table), `emit_s` (writing it),
+`oracle_wait_s` (how long the run then waited for the oracle) and
+`wall_time_s`. Python 3.12 and later warn (DeprecationWarning) when a
+process with threads forks, and numpy's BLAS may have started threads;
+that one warning is ignored at each fork.
 """
 
 from __future__ import annotations
@@ -64,10 +59,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import three_level, two_level
+from .charts import CHARTS, propagate
 from .drives import ConfigError, config_to_dict, parse_config
-from .integrate import (IntegrationError, IntegrationStats,
-                        IntegratorSettings, integrate)
+from .integrate import IntegrationError, IntegrationStats, IntegratorSettings
 from .reference import (compare, integrate_schrodinger, schrodinger_residuals,
                         unitarity_errors)
 
@@ -103,9 +97,7 @@ class RunReport:
     chart_stats and oracle_stats are the step accounting of the chart
     integration and of the direct-matrix oracle; each field becomes a
     line of its own, prefixed with chart_ or oracle_. The fields from
-    parse_s on are wall-clock seconds: reading the config, the chart
-    integration, reconstruction and table, writing the table, the wait
-    for the oracle after that, and the whole run.
+    parse_s on are the wall-clock lines of the module docstring.
     """
 
     status: str
@@ -143,10 +135,6 @@ class RunReport:
         return [f"{k} = {fmt(v)}" for k, v in fields if v is not None]
 
 
-# The one place a chart is chosen; both modules expose the same interface.
-_CHARTS = {2: two_level, 3: three_level}
-
-
 def trajectory_table(trajectory, unitaries, ham) -> tuple:
     """Column names and a (samples x columns) float matrix for emission.
 
@@ -156,14 +144,13 @@ def trajectory_table(trajectory, unitaries, ham) -> tuple:
     """
     times = trajectory.times
     dim = ham.dim
-    chart = _CHARTS[dim]
+    chart = CHARTS[dim]
     residuals = {"schrodinger": schrodinger_residuals(times, unitaries, ham)}
     residuals.update(chart.extra_residuals(times, trajectory.states, ham))
 
-    flat = unitaries.reshape(len(times), dim * dim)
-    interleaved = np.empty((len(times), 2 * dim * dim))
-    interleaved[:, 0::2] = flat.real
-    interleaved[:, 1::2] = flat.imag
+    # a complex array viewed as floats holds re, im pairs
+    interleaved = np.ascontiguousarray(unitaries, dtype=complex).reshape(
+        len(times), dim * dim).view(float)
 
     columns = (["t", *chart.COORD_COLUMNS]
                + [f"u{i}{j}_{p}" for i in range(1, dim + 1)
@@ -446,6 +433,10 @@ def _oracle_fields(oracle, times, unitaries) -> dict:
             "oracle_stats": trajectory.stats}
 
 
+# The exit code of a chart run by its status.
+_EXIT_CODES = {"completed": 0, "step_limit": 1, "singularity": 2}
+
+
 def _run_impl(request: RunRequest):
     started = time.perf_counter()
     with open(request.config_path, "r", encoding="utf-8") as fh:
@@ -456,7 +447,6 @@ def _run_impl(request: RunRequest):
     settings = IntegratorSettings(max_step=config.max_step,
                                   rel_tol=rel_tol, abs_tol=abs_tol)
     ham = config.hamiltonian
-    chart = _CHARTS[ham.dim]
     grid = np.linspace(config.t_start, config.t_end, request.samples)
     clock = {"parse_s": time.perf_counter() - started}
 
@@ -465,11 +455,8 @@ def _run_impl(request: RunRequest):
         oracle = _start_oracle(ham, settings, grid)
     try:
         lap = time.perf_counter()
-        trajectory = integrate(chart.chart_rhs(ham),
-                               np.zeros(chart.STATE_SIZE), config.t_start,
-                               config.t_end, settings, grid,
-                               escape=chart.escaped,
-                               error_weight=chart.error_weight)
+        trajectory, unitaries, _ = propagate(ham, config.t_start,
+                                             config.t_end, settings, grid)
         clock["chart_s"] = time.perf_counter() - lap
         if oracle is not None and trajectory.status != "completed":
             # The chart's times are a prefix of the grid and a closing
@@ -480,7 +467,6 @@ def _run_impl(request: RunRequest):
                 oracle = _start_oracle(ham, settings, trajectory.times)
 
         lap = time.perf_counter()
-        unitaries = chart.reconstruct_batch(trajectory.states)
         report_fields = {
             "status": trajectory.status,
             "singularity_time": trajectory.singularity_time,
@@ -506,19 +492,13 @@ def _run_impl(request: RunRequest):
                              request.output_format, fh)
         clock["emit_s"] = time.perf_counter() - lap
 
-        if trajectory.status == "singularity":
-            code, truncation = 2, (f"chart singularity near t = "
-                                   f"{trajectory.singularity_time:.12g}; "
-                                   f"trajectory truncated")
-        elif trajectory.status == "step_limit":
-            code, truncation = 1, (f"step limit hit at t = "
-                                   f"{trajectory.times[-1]:.12g}; "
-                                   f"trajectory truncated")
-        else:
-            code, truncation = 0, None
-        # The notice goes out with the rows, before an oracle failure.
-        if truncation is not None:
-            print(truncation, file=sys.stderr)
+        # An early stop's notice, the message of the error it stands
+        # for, goes out with the rows, before an oracle failure.
+        code = _EXIT_CODES[trajectory.status]
+        try:
+            trajectory.require_completed()
+        except IntegrationError as stop:
+            print(f"{stop}; trajectory truncated", file=sys.stderr)
 
         if oracle is not None:
             lap = time.perf_counter()

@@ -714,6 +714,15 @@ def parse_config(source) -> RunConfig:
     for key, value in settings.items():
         if not value > 0:
             raise ConfigError(f"integrator.{key}: must be positive, got {value}")
+    # A run needs a finite window and a first step, max_step / 100, that
+    # does not underflow to 0 (max_step defaults to window / 100).
+    if not math.isfinite(t_end - t_start):
+        raise ConfigError("time: end - start overflows a double")
+    max_step = settings.get("max_step", (t_end - t_start) / 100.0)
+    if not max_step / 100.0 > 0:
+        field = "integrator.max_step" if "max_step" in settings else "time"
+        raise ConfigError(f"{field}: the first step, max_step / 100 with "
+                          f"max_step = {max_step!r}, underflows to 0")
 
     cls = _HAMILTONIANS[system]
     drives = _mapping(raw["hamiltonian"], "hamiltonian", cls.KEYS,

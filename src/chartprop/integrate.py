@@ -3,9 +3,9 @@
 The chart ODE systems are small (3 or 8 real unknowns) and non-stiff
 for bounded drives, so an explicit embedded pair with PI step control
 is the right tool. The integrator is deliberately generic: it works on
-flat real vectors and knows nothing about charts except through an
-optional escape predicate, which lets it stop cleanly when a Riccati
-trajectory runs off its coordinate chart.
+flat real vectors and knows nothing about charts except through two
+optional callables: error weights, and an escape predicate, which lets
+it stop cleanly when a Riccati trajectory runs off its chart.
 
 The stepping loop runs on Python floats and makes no numpy call. One
 step attempt, the six stages after the first and the error norm, is a
@@ -518,40 +518,3 @@ def _dense_rows(steps, record, sample_times, out):
         on_end = s == t1[i]
         rows[on_end] = end[on_end]
         out[block] = rows
-
-
-@dataclass(frozen=True)
-class ConvergenceScenario:
-    """One integration problem with a trusted answer at t_end.
-
-    reconstruct maps the flat final state to an evolution operator,
-    reference is the trusted operator at t_end.
-    """
-
-    rhs: object
-    initial: np.ndarray
-    t_start: float
-    t_end: float
-    max_step: float
-    reconstruct: object
-    reference: np.ndarray
-
-
-def convergence_probe(scenario: ConvergenceScenario, tolerances) -> list:
-    """Final-time operator error at each tolerance, tightest last.
-
-    Returns [(tolerance, frobenius_error), ...] sorted loosest first.
-    Errors should fall as the tolerance tightens; a flat or rising
-    tail signals an accuracy floor or an integrator defect.
-    """
-    rows = []
-    for tol in sorted(tolerances, reverse=True):
-        settings = IntegratorSettings(max_step=scenario.max_step,
-                                      rel_tol=tol, abs_tol=tol * 1e-3)
-        traj = integrate(scenario.rhs, scenario.initial, scenario.t_start,
-                         scenario.t_end, settings,
-                         [scenario.t_end]).require_completed()
-        u = scenario.reconstruct(traj.final_state)
-        err = float(np.linalg.norm(u - scenario.reference))
-        rows.append((float(tol), err))
-    return rows

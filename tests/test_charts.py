@@ -1,6 +1,6 @@
 """Tests shared by both chart modules: the one flat-vector interface,
 reconstruction at the origin and across magnitudes, the escape
-threshold, and the output-table blocks."""
+threshold, the output-table blocks, and the chart run `propagate`."""
 
 from types import ModuleType
 
@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import chartprop
-from chartprop import ConstantDrive, CosineDrive, Hamiltonian2, Hamiltonian3
-from chartprop import three_level, two_level
+from chartprop import (ConstantDrive, CosineDrive, Hamiltonian2, Hamiltonian3,
+                       HermitianTraceless, IntegratorSettings,
+                       convergence_probe, exact_constant_unitaries,
+                       integrate, propagate, three_level, two_level)
+from test_integrate import CHART_RUNS, assert_same_run
 
 CHARTS = pytest.mark.parametrize("chart", [two_level, three_level],
                                  ids=["two_level", "three_level"])
@@ -24,7 +27,7 @@ DELETED = ("ChartState2", "ChartState3", "ChartDerivative2",
            "pack_state", "state_from_vector", "rhs2", "rhs3",
            "reconstruct_u2", "reconstruct_u3", "delta1", "delta2",
            "log_delta_rates", "multiply", "adjoint", "frobenius_norm",
-           "frobenius_distance")
+           "frobenius_distance", "ConvergenceScenario")
 
 
 def coordinate_pairs(chart):
@@ -262,9 +265,9 @@ def test_one_drive_sample_per_distinct_stage_time(chart, weighted):
                            v1=CosineDrive(0.5 + 0.2j, 1.1),
                            v2=ConstantDrive(0.25j), v3=CosineDrive(-0.4, 0.9))
     counted = _CountingHamiltonian(ham)
-    traj = chartprop.integrate(
+    traj = integrate(
         chart.chart_rhs(counted), np.zeros(chart.STATE_SIZE), 0.0, 6.0,
-        chartprop.IntegratorSettings(max_step=0.05),
+        IntegratorSettings(max_step=0.05),
         np.linspace(0.0, 6.0, 41), escape=chart.escaped,
         error_weight=chart.error_weight if weighted else None)
     assert traj.status == "completed"
@@ -306,3 +309,36 @@ def test_a_failed_sample_is_not_kept(chart):
         rhs(0.7, vec)
     assert rhs(0.7, vec) == chart.chart_rhs(ham)(0.7, vec)
     assert failing.calls == 3
+
+
+
+@CHART_RUNS
+def test_propagate_is_the_weighted_chart_run(chart, ham, t_end, status):
+    # From the chart origin, with the chart's escape test and error
+    # weights, then U rebuilt at every row; an early stop comes back
+    # with its rows, not raised.
+    settings = IntegratorSettings(max_step=0.05)
+    grid = np.linspace(0.0, t_end, 41)
+    traj, unitaries, used = propagate(ham, 0.0, t_end, settings, grid)
+    assert used is chart and traj.status == status
+    assert_same_run(traj, integrate(
+        chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE), 0.0, t_end,
+        settings, grid, escape=chart.escaped, error_weight=chart.error_weight))
+    assert np.array_equal(unitaries, chart.reconstruct_batch(traj.states))
+    if status == "singularity":
+        assert abs(traj.singularity_time - np.pi / 2) < 0.01
+        assert len(traj.times) < len(grid)
+
+
+def test_convergence_probe_errors_fall_with_tolerance():
+    # A constant Hamiltonian has the exact answer exp(-i t H). The step
+    # bound is loose, so the tolerance sets the error.
+    ham = Hamiltonian3(h1=ConstantDrive(0.2), h2=ConstantDrive(-0.5),
+                       v1=ConstantDrive(0.3 + 0.1j), v2=ConstantDrive(0.2j),
+                       v3=ConstantDrive(-0.25))
+    reference = exact_constant_unitaries(HermitianTraceless(ham.matrix(0.0)),
+                                         [5.0])[0]
+    rows = convergence_probe(ham, 5.0, 1.0, reference, [1e-9, 1e-6, 1e-3])
+    tols, errs = zip(*rows)
+    assert tols == (1e-3, 1e-6, 1e-9)
+    assert errs[0] > errs[1] > errs[2] and errs[1] / errs[2] > 10

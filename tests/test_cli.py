@@ -81,6 +81,18 @@ def read_csv(path):
     return rows[0], np.array(rows[1:], dtype=float)
 
 
+def cli_run(text, samples):
+    """propagate's trajectory and unitaries on a config, as `chartprop
+    run` makes them, and the config's Hamiltonian."""
+    cfg = chartprop.parse_config(text)
+    settings = chartprop.IntegratorSettings(
+        max_step=cfg.max_step, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+    traj, us, _ = chartprop.propagate(
+        cfg.hamiltonian, cfg.t_start, cfg.t_end, settings,
+        np.linspace(cfg.t_start, cfg.t_end, samples))
+    return traj, us, cfg.hamiltonian
+
+
 def test_csv_two_level_schema(config2_path, tmp_path):
     out = tmp_path / "out.csv"
     code = main(["run", config2_path, "--samples", "40",
@@ -119,18 +131,9 @@ def test_csv_values_round_trip_through_text(config2_path, tmp_path):
     out = tmp_path / "out.csv"
     main(["run", config2_path, "--samples", "10", "--output", str(out)])
     header, table = read_csv(out)
-    from chartprop import IntegratorSettings, integrate, parse_config
-    from chartprop.two_level import (chart_rhs, error_weight, escaped,
-                                     reconstruct_batch)
-    cfg = parse_config(CONFIG2)
-    settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
-                                  abs_tol=cfg.abs_tol)
-    traj = integrate(chart_rhs(cfg.hamiltonian), np.zeros(3),
-                     0.0, 1.0, settings, np.linspace(0, 1, 10),
-                     escape=escaped, error_weight=error_weight)
+    traj, us, _ = cli_run(CONFIG2, 10)
     assert np.array_equal(table[:, 1], traj.states[:, 0])
     assert np.array_equal(table[:, 3], traj.states[:, 2])
-    us = reconstruct_batch(traj.states)
     assert np.array_equal(table[:, 4], us[:, 0, 0].real)
     assert np.array_equal(table[:, 9], us[:, 1, 0].imag)
 
@@ -211,21 +214,13 @@ STAT_KEYS = ("attempts", "accepted", "error_rejections", "nonfinite_retries",
 
 
 def test_report_lists_run_counters(config3_path, capsys, tmp_path):
-    from chartprop import IntegratorSettings, integrate, parse_config
-    from chartprop import three_level
     out = tmp_path / "x.json"
     assert main(["run", config3_path, "--samples", "7", "--format", "json",
                  "--output", str(out)]) == 0
     fields = report_fields(capsys.readouterr().err)
     assert not any(key.startswith("oracle_") for key in fields)
     # the counters of the chart run the CLI makes, with its error weights
-    cfg = parse_config(CONFIG3)
-    settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
-                                  abs_tol=cfg.abs_tol)
-    stats = integrate(three_level.chart_rhs(cfg.hamiltonian), np.zeros(8),
-                      0.0, 2.0, settings, np.linspace(0.0, 2.0, 7),
-                      escape=three_level.escaped,
-                      error_weight=three_level.error_weight).stats
+    stats = cli_run(CONFIG3, 7)[0].stats
     for key in STAT_KEYS:
         value = getattr(stats, key)
         assert fields[f"chart_{key}"] == (f"{value:.17g}"
@@ -443,18 +438,8 @@ def test_streamed_csv_matches_per_value_formatting():
 
 def test_csv_file_and_stdout_match_per_value_formatting(config2_path,
                                                         tmp_path, capsys):
-    from chartprop import IntegratorSettings, integrate, parse_config
-    from chartprop.two_level import (chart_rhs, error_weight, escaped,
-                                     reconstruct_batch)
     samples = cli._CSV_BLOCK + 3
-    cfg = parse_config(CONFIG2)
-    settings = IntegratorSettings(max_step=cfg.max_step, rel_tol=cfg.rel_tol,
-                                  abs_tol=cfg.abs_tol)
-    traj = integrate(chart_rhs(cfg.hamiltonian), np.zeros(3), 0.0, 1.0,
-                     settings, np.linspace(0.0, 1.0, samples), escape=escaped,
-                     error_weight=error_weight)
-    columns, table = cli.trajectory_table(traj, reconstruct_batch(traj.states),
-                                          cfg.hamiltonian)
+    columns, table = cli.trajectory_table(*cli_run(CONFIG2, samples))
     want = csv_reference(columns, table)
 
     out = tmp_path / "out.csv"
@@ -743,7 +728,7 @@ def test_chart_run_that_raises_leaves_no_child(config2_path, tmp_path,
 
     def failing(*args, **kwargs):
         raise NonFiniteDerivativeError(0.5)
-    monkeypatch.setattr(cli, "integrate", failing)
+    monkeypatch.setattr(cli, "propagate", failing)
     out = tmp_path / "x.csv"
     assert main(["run", config2_path, "--compare-oracle", "--output",
                  str(out)]) == 1

@@ -467,6 +467,10 @@ hamiltonian:
     ("integrator: {rel_tol: .nan}", "integrator.rel_tol"),
     ("integrator: {abs_tol: .nan}", "integrator.abs_tol"),
     ("integrator: {max_step: .inf}", "integrator.max_step"),
+    # a window too wide for a double, and steps that underflow to 0
+    ("time: {start: -1.0e308, end: 1.0e308}", "time"),
+    ("time: {start: 0.0, end: 1.0e-320}", "time"),
+    ("integrator: {max_step: 1.0e-322}", "integrator.max_step"),
 ])
 def test_parse_config_rejects_bad_documents(mutation, fragment):
     base = """

@@ -9,12 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from chartprop import (ChartSingularityError, ConstantDrive,
-                       ConvergenceScenario, CosineDrive, Hamiltonian2,
-                       Hamiltonian3, IntegrationError, IntegratorSettings,
-                       NonFiniteDerivativeError, StepLimitError,
-                       convergence_probe, integrate, three_level, two_level)
+from chartprop import (ChartSingularityError, ConstantDrive, CosineDrive,
+                       Hamiltonian2, Hamiltonian3, IntegrationError,
+                       IntegratorSettings, NonFiniteDerivativeError,
+                       StepLimitError, integrate, three_level, two_level)
 from chartprop.integrate import _magnitudes
+from chartprop.reference import _schrodinger_rhs
 
 
 def decay(t, y):
@@ -202,24 +202,6 @@ def test_tolerance_actually_controls_error():
     e_tight = abs(integrate(rotation, [1.0, 0.0], 0.0, 8.0, tight,
                             grid).final_state[0] - exact)
     assert e_tight < e_loose / 100
-
-
-def test_convergence_probe_errors_fall_with_tolerance():
-    scenario = ConvergenceScenario(
-        rhs=rotation,
-        initial=np.array([1.0, 0.0]),
-        t_start=0.0,
-        t_end=2.0,
-        max_step=0.2,
-        reconstruct=lambda state: state,
-        reference=np.array([np.cos(2.0), -np.sin(2.0)]),
-    )
-    rows = convergence_probe(scenario, [1e-9, 1e-6, 1e-3])
-    assert [tol for tol, _ in rows] == [1e-3, 1e-6, 1e-9]
-    errs = [err for _, err in rows]
-    assert errs[1] < errs[0]
-    assert errs[2] < errs[1]
-    assert errs[1] / errs[2] > 10
 
 
 def test_early_stop_trajectory_is_well_formed():
@@ -446,22 +428,44 @@ def test_stats_of_a_run_without_accepted_steps():
     assert stats.smallest_step is None and stats.largest_step is None
 
 
+def assert_same_run(first, other):
+    """Two trajectories with the same bits, steps and counters."""
+    assert other.status == first.status
+    assert other.singularity_time == first.singularity_time
+    assert np.array_equal(other.times, first.times)
+    assert other.states.tobytes() == first.states.tobytes()
+    assert other.stats == first.stats
+
+
 @CHART_RUNS
 def test_identity_weight_reproduces_the_plain_run(chart, ham, t_end, status):
     # w(y) = |y| is the scale of a run without error_weight, so the
     # weighted path must give the same bits, steps and counters.
     settings = IntegratorSettings(max_step=0.05)
     grid = np.linspace(0.0, t_end, 41)
-    runs = [integrate(chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE), 0.0,
-                      t_end, settings, grid, escape=chart.escaped,
-                      error_weight=weight)
-            for weight in (None, lambda y: np.abs(y))]
-    plain, weighted = runs
-    assert plain.status == weighted.status == status
-    assert plain.singularity_time == weighted.singularity_time
-    assert np.array_equal(plain.times, weighted.times)
-    assert plain.states.tobytes() == weighted.states.tobytes()
-    assert plain.stats == weighted.stats
+    plain, weighted = (
+        integrate(chart.chart_rhs(ham), np.zeros(chart.STATE_SIZE), 0.0,
+                  t_end, settings, grid, escape=chart.escaped,
+                  error_weight=weight)
+        for weight in (None, lambda y: np.abs(y)))
+    assert plain.status == status
+    assert_same_run(plain, weighted)
+
+
+@pytest.mark.parametrize("rhs, initial", [
+    (decay, [1.0]),
+    (_schrodinger_rhs(COSINE3), np.eye(3, dtype=complex).ravel().view(float)),
+], ids=["d1_decay", "d18_oracle"])
+def test_identity_weight_at_one_and_eighteen_components(rhs, initial):
+    # The same identity at the sizes no chart has: one component, and
+    # the 18 of the direct-matrix oracle, which always runs unweighted.
+    grid = np.linspace(0.0, 6.0, 41)
+    plain, weighted = (integrate(rhs, initial, 0.0, 6.0,
+                                 IntegratorSettings(max_step=0.05), grid,
+                                 error_weight=weight)
+                       for weight in (None, lambda y: [abs(v) for v in y]))
+    assert plain.status == "completed" and plain.stats.accepted > 50
+    assert_same_run(plain, weighted)
 
 
 def test_infinite_weight_fails_the_step():
@@ -510,14 +514,9 @@ def test_rhs_return_type_does_not_change_the_run(chart, ham, t_end, status):
 
     runs = [run(wrap) for wrap in (tuple, list, np.array)]
     assert set(seen) == {list}
-    first = runs[0]
-    assert first.status == status
+    assert runs[0].status == status
     for other in runs[1:]:
-        assert other.status == first.status
-        assert other.singularity_time == first.singularity_time
-        assert np.array_equal(other.times, first.times)
-        assert other.states.tobytes() == first.states.tobytes()
-        assert other.stats == first.stats
+        assert_same_run(runs[0], other)
 
 
 @RETURN_TYPES
