@@ -9,9 +9,9 @@ ships a direct matrix integrator as an independent cross-check.
 from . import three_level, two_level
 from .charts import convergence_probe, propagate
 from .drives import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
-                     Hamiltonian2, Hamiltonian3, HamiltonianSample3,
-                     PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
-                     drive_from_spec, parse_config, serialize_config)
+                     Hamiltonian2, Hamiltonian3, PiecewiseDrive, RunConfig,
+                     SumDrive, config_to_dict, drive_from_spec, parse_config,
+                     serialize_config)
 from .integrate import (ChartSingularityError, IntegrationError,
                         IntegrationStats, IntegratorSettings,
                         NonFiniteDerivativeError, StepLimitError, Trajectory,
@@ -25,7 +25,7 @@ from .reference import (ComparisonReport, OracleTrajectory, compare,
 __all__ = [
     "ChartSingularityError", "ComparisonReport", "ConfigError",
     "ConstantDrive", "CosineDrive", "GaussianDrive", "Hamiltonian2",
-    "Hamiltonian3", "HamiltonianSample3", "HermitianTraceless",
+    "Hamiltonian3", "HermitianTraceless",
     "IntegrationError", "IntegrationStats", "IntegratorSettings",
     "MatrixInvariantError", "NonFiniteDerivativeError", "OracleTrajectory",
     "PiecewiseDrive", "RunConfig", "StepLimitError", "SumDrive", "Trajectory",

@@ -35,9 +35,11 @@ exists and the process may use more than one CPU (see `_write_rows`).
 So a run may fork twice or three times; each child writes nothing to
 standard output or error and leaves through os._exit.
 
-The report ends in wall-clock lines: `parse_s` (reading the config),
-`chart_s` (`propagate`: the chart integration and the reconstruction
-of U), `table_s` (the residuals and the table), `emit_s` (writing it),
+The report's keys and their order are stated once, in _REPORT_KEYS;
+`main` prints the fields `_run_impl` returns in that order. The report
+ends in wall-clock lines: `parse_s` (reading the config), `chart_s`
+(`propagate`: the chart integration and the reconstruction of U),
+`table_s` (the residuals and the table), `emit_s` (writing it),
 `oracle_wait_s` (how long the run then waited for the oracle) and
 `wall_time_s`. Python 3.12 and later warn (DeprecationWarning) when a
 process with threads forks, and numpy's BLAS may have started threads;
@@ -54,7 +56,6 @@ import pickle
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,73 +67,30 @@ from .reference import (compare, integrate_schrodinger, schrodinger_residuals,
                         unitarity_errors)
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    """One CLI invocation's worth of work."""
-
-    config_path: str
-    samples: int = 200
-    compare_oracle: bool = False
-    output_format: str = "csv"
-    output_path: Optional[str] = None   # None means standard output
-    rel_tol: Optional[float] = None     # None means use the config value
-    abs_tol: Optional[float] = None
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.output_format!r}")
-
-
-# The report lines that read the clock, last and in this order.
-_WALL_CLOCK_KEYS = ("parse_s", "chart_s", "table_s", "emit_s",
-                    "oracle_wait_s", "wall_time_s")
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Summary numbers for one run; all residuals are non-negative.
-
-    chart_stats and oracle_stats are the step accounting of the chart
-    integration and of the direct-matrix oracle; each field becomes a
-    line of its own, prefixed with chart_ or oracle_. The fields from
-    parse_s on are the wall-clock lines of the module docstring.
-    """
-
-    status: str
-    max_unitarity_error: float
-    max_schrodinger_residual: float
-    singularity_time: Optional[float] = None
-    max_delta1_residual: Optional[float] = None
-    max_delta2_residual: Optional[float] = None
-    max_frobenius_error: Optional[float] = None
-    time_of_max_error: Optional[float] = None
-    oracle_unitarity_drift: Optional[float] = None
-    chart_stats: Optional[IntegrationStats] = None
-    oracle_stats: Optional[IntegrationStats] = None
-    parse_s: Optional[float] = None
-    chart_s: Optional[float] = None
-    table_s: Optional[float] = None
-    emit_s: Optional[float] = None
-    oracle_wait_s: Optional[float] = None
-    wall_time_s: Optional[float] = None
-
-    def as_lines(self) -> list:
-        def fmt(v):
-            return f"{v:.17g}" if isinstance(v, float) else str(v)
-        keys = ("status", "singularity_time", "max_unitarity_error",
+# The report's lines, in this order. "chart" and "oracle" stand for the
+# step accounting of that run, an IntegrationStats whose fields each
+# become a line of their own, prefixed with chart_ or oracle_. The keys
+# from parse_s on are the wall-clock lines of the module docstring.
+_REPORT_KEYS = ("status", "singularity_time", "max_unitarity_error",
                 "max_schrodinger_residual", "max_delta1_residual",
                 "max_delta2_residual", "max_frobenius_error",
-                "time_of_max_error", "oracle_unitarity_drift")
-        fields = [(k, getattr(self, k)) for k in keys]
-        for prefix in ("chart", "oracle"):
-            stats = getattr(self, f"{prefix}_stats")
-            if stats is not None:
-                fields += [(f"{prefix}_{k}", v)
-                           for k, v in vars(stats).items()]
-        fields += [(k, getattr(self, k)) for k in _WALL_CLOCK_KEYS]
-        return [f"{k} = {fmt(v)}" for k, v in fields if v is not None]
+                "time_of_max_error", "oracle_unitarity_drift",
+                "chart", "oracle", "parse_s", "chart_s", "table_s", "emit_s",
+                "oracle_wait_s", "wall_time_s")
+
+
+def _print_report(report) -> None:
+    """Print a run's report fields to standard error as `key = value`
+    lines in _REPORT_KEYS order, a float as %.17g; a field that is
+    missing or None prints no line."""
+    for key in _REPORT_KEYS:
+        value = report.get(key)
+        lines = ([(f"{key}_{name}", v) for name, v in vars(value).items()]
+                 if isinstance(value, IntegrationStats) else [(key, value)])
+        for name, v in lines:
+            if v is not None:
+                text = f"{v:.17g}" if isinstance(v, float) else str(v)
+                print(f"{name} = {text}", file=sys.stderr)
 
 
 def trajectory_table(trajectory, unitaries, ham) -> tuple:
@@ -430,34 +388,36 @@ def _oracle_fields(oracle, times, unitaries) -> dict:
     return {"max_frobenius_error": report.max_frobenius_error,
             "time_of_max_error": report.time_of_max,
             "oracle_unitarity_drift": report.oracle_drift,
-            "oracle_stats": trajectory.stats}
+            "oracle": trajectory.stats}
 
 
 # The exit code of a chart run by its status.
 _EXIT_CODES = {"completed": 0, "step_limit": 1, "singularity": 2}
 
 
-def _run_impl(request: RunRequest):
+def _run_impl(args):
+    """Run the parsed `chartprop run` arguments; returns the exit code
+    and the report fields, keyed as in _REPORT_KEYS."""
     started = time.perf_counter()
-    with open(request.config_path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         config = parse_config(fh)
 
-    rel_tol = config.rel_tol if request.rel_tol is None else request.rel_tol
-    abs_tol = config.abs_tol if request.abs_tol is None else request.abs_tol
+    rel_tol = config.rel_tol if args.rel_tol is None else args.rel_tol
+    abs_tol = config.abs_tol if args.abs_tol is None else args.abs_tol
     settings = IntegratorSettings(max_step=config.max_step,
                                   rel_tol=rel_tol, abs_tol=abs_tol)
     ham = config.hamiltonian
-    grid = np.linspace(config.t_start, config.t_end, request.samples)
-    clock = {"parse_s": time.perf_counter() - started}
+    grid = np.linspace(config.t_start, config.t_end, args.samples)
+    report = {"parse_s": time.perf_counter() - started}
 
     oracle = None
-    if request.compare_oracle:
+    if args.compare_oracle:
         oracle = _start_oracle(ham, settings, grid)
     try:
         lap = time.perf_counter()
         trajectory, unitaries, _ = propagate(ham, config.t_start,
                                              config.t_end, settings, grid)
-        clock["chart_s"] = time.perf_counter() - lap
+        report["chart_s"] = time.perf_counter() - lap
         if oracle is not None and trajectory.status != "completed":
             # The chart's times are a prefix of the grid and a closing
             # time: the oracle starts again on them.
@@ -467,30 +427,29 @@ def _run_impl(request: RunRequest):
                 oracle = _start_oracle(ham, settings, trajectory.times)
 
         lap = time.perf_counter()
-        report_fields = {
-            "status": trajectory.status,
-            "singularity_time": trajectory.singularity_time,
-            "max_unitarity_error": float(np.max(unitarity_errors(unitaries))),
-            "chart_stats": trajectory.stats,
-        }
+        report.update(status=trajectory.status,
+                      singularity_time=trajectory.singularity_time,
+                      max_unitarity_error=float(
+                          np.max(unitarity_errors(unitaries))),
+                      chart=trajectory.stats)
         # The table carries every residual array; the report takes its
         # maxima from there rather than computing the residuals again.
         columns, table = trajectory_table(trajectory, unitaries, ham)
         for name, column in zip(columns, table.T):
             if name.startswith("residual_"):
                 key = name.removeprefix("residual_")
-                report_fields[f"max_{key}_residual"] = float(np.max(column))
-        clock["table_s"] = time.perf_counter() - lap
+                report[f"max_{key}_residual"] = float(np.max(column))
+        report["table_s"] = time.perf_counter() - lap
 
         lap = time.perf_counter()
-        if request.output_path is None:
+        if args.output is None:
             _write_table(columns, table, trajectory, config, settings,
-                         request.output_format, sys.stdout)
+                         args.format, sys.stdout)
         else:
-            with open(request.output_path, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 _write_table(columns, table, trajectory, config, settings,
-                             request.output_format, fh)
-        clock["emit_s"] = time.perf_counter() - lap
+                             args.format, fh)
+        report["emit_s"] = time.perf_counter() - lap
 
         # An early stop's notice, the message of the error it stands
         # for, goes out with the rows, before an oracle failure.
@@ -502,27 +461,14 @@ def _run_impl(request: RunRequest):
 
         if oracle is not None:
             lap = time.perf_counter()
-            report_fields.update(
-                _oracle_fields(oracle, trajectory.times, unitaries))
-            clock["oracle_wait_s"] = time.perf_counter() - lap
+            report.update(_oracle_fields(oracle, trajectory.times, unitaries))
+            report["oracle_wait_s"] = time.perf_counter() - lap
     finally:
         if oracle is not None:
             oracle.close()
 
-    clock["wall_time_s"] = time.perf_counter() - started
-    return code, RunReport(**report_fields, **clock)
-
-
-def run(request: RunRequest) -> int:
-    """Execute one run request; returns the process exit code."""
-    try:
-        code, report = _run_impl(request)
-    except (ConfigError, OSError, IntegrationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for line in report.as_lines():
-        print(line, file=sys.stderr)
-    return code
+    report["wall_time_s"] = time.perf_counter() - started
+    return code, report
 
 
 class _CliError(Exception):
@@ -561,20 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """`chartprop run`; returns the process exit code."""
     try:
-        args = parser.parse_args(argv)
-        request = RunRequest(config_path=args.config,
-                             samples=args.samples,
-                             compare_oracle=args.compare_oracle,
-                             output_format=args.format,
-                             output_path=args.output,
-                             rel_tol=args.rel_tol,
-                             abs_tol=args.abs_tol)
-    except _CliError as exc:
+        args = build_parser().parse_args(argv)
+        if args.samples < 2:
+            raise ValueError("samples must be at least 2")
+        code, report = _run_impl(args)
+    except (_CliError, OSError, IntegrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(request)
+    _print_report(report)
+    return code

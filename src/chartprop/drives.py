@@ -22,10 +22,12 @@ import reprlib
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
-from typing import Callable, NamedTuple, Union, get_args
+from typing import Callable, Union, get_args
 
 import numpy as np
 import yaml
+
+from .integrate import steps_stall
 
 
 class ConfigError(ValueError):
@@ -466,9 +468,9 @@ class _Hamiltonian(_RebuiltOnCopy):
       (KEYS values, derived diagonal, conjugated couplings), and
       `_pick = itemgetter(*_SLOTS)`, which selects them in one call.
 
-    `sample(t)` returns the KEYS values at t in that order; it stays a
-    short explicit method in each subclass, since the chart right-hand
-    side calls it at every integrator stage.
+    `sample(t)` returns the KEYS values at t as a plain tuple in that
+    order; it stays a short explicit method in each subclass, since the
+    chart right-hand side calls it at every integrator stage.
     """
 
     def _drives(self):
@@ -539,29 +541,6 @@ class Hamiltonian2(_Hamiltonian):
         return h(t), v(t)
 
 
-_new_tuple = tuple.__new__
-
-
-class HamiltonianSample3(NamedTuple):
-    """All independent 3x3 entries at one instant; h3 is derived.
-
-    The diagonal entries h1, h2 are floats and the couplings v1, v2, v3
-    complex, each from its entry's sampler. A named tuple: cheap to
-    build at every integrator stage, and a chart right-hand side unpacks
-    it as (h1, h2, v1, v2, v3).
-    """
-
-    h1: float
-    h2: float
-    v1: complex
-    v2: complex
-    v3: complex
-
-    @property
-    def h3(self):
-        return -(self.h1 + self.h2)
-
-
 @dataclass(frozen=True)
 class Hamiltonian3(_Hamiltonian):
     """Traceless Hermitian 3x3 with derived third diagonal entry.
@@ -587,11 +566,11 @@ class Hamiltonian3(_Hamiltonian):
               3, 4, 5)
     _pick = itemgetter(*_SLOTS)
 
-    def sample(self, t) -> HamiltonianSample3:
+    def sample(self, t):
+        """(h1, h2, v1, v2, v3) at time t as two floats and three
+        complex values; the caller derives h3 as -(h1 + h2)."""
         h1, h2, v1, v2, v3 = self._samplers
-        # tuple.__new__ skips the named tuple's Python-level __new__
-        return _new_tuple(HamiltonianSample3,
-                          (h1(t), h2(t), v1(t), v2(t), v3(t)))
+        return h1(t), h2(t), v1(t), v2(t), v3(t)
 
 
 def memo_sample(ham):
@@ -714,15 +693,19 @@ def parse_config(source) -> RunConfig:
     for key, value in settings.items():
         if not value > 0:
             raise ConfigError(f"integrator.{key}: must be positive, got {value}")
-    # A run needs a finite window and a first step, max_step / 100, that
-    # does not underflow to 0 (max_step defaults to window / 100).
+    # A run needs a finite window, a first step, max_step / 100, that
+    # does not underflow to 0, and steps that move t on the window
+    # (max_step defaults to window / 100).
     if not math.isfinite(t_end - t_start):
         raise ConfigError("time: end - start overflows a double")
     max_step = settings.get("max_step", (t_end - t_start) / 100.0)
+    field = "integrator.max_step" if "max_step" in settings else "time"
     if not max_step / 100.0 > 0:
-        field = "integrator.max_step" if "max_step" in settings else "time"
         raise ConfigError(f"{field}: the first step, max_step / 100 with "
                           f"max_step = {max_step!r}, underflows to 0")
+    if steps_stall(t_start, t_end, max_step):
+        raise ConfigError(f"{field}: max_step = {max_step!r} is too small to "
+                          f"move t on [{t_start!r}, {t_end!r}]")
 
     cls = _HAMILTONIANS[system]
     drives = _mapping(raw["hamiltonian"], "hamiltonian", cls.KEYS,
@@ -731,18 +714,27 @@ def parse_config(source) -> RunConfig:
              for key in (*cls.KEYS, "h3") if key in drives}
     for key, drive in built.items():
         _check_phases(drive, f"hamiltonian.{key}", t_start, t_end)
+    # The diagonal drives must evaluate real; checked here on 11 points
+    # of the window, and by the Hamiltonian at each sample in between.
+    grid = np.linspace(t_start, t_end, 11)
+    diagonal = {}
+    for key in cls.KEYS[:system - 1]:
+        try:
+            diagonal[key] = _grid_values(built[key], grid,
+                                         f"diagonal drive {key}")
+        except ValueError as exc:
+            raise ConfigError(f"hamiltonian.{key}: {exc}") from None
     h3 = built.pop("h3", None)
-    ham = cls(**built)
     if h3 is not None:
         # Redundant entry tolerated only when consistent with tracelessness.
-        for t in np.linspace(t_start, t_end, 11):
-            stated = complex(h3.evaluate(t))
-            derived = -(complex(ham.h1.evaluate(t)) + complex(ham.h2.evaluate(t)))
-            if abs(stated - derived) > 1e-12 * (1.0 + abs(derived)):
+        derived = -(diagonal["h1"] + diagonal["h2"])
+        for t, stated, want in zip(grid, _grid_values(h3, grid), derived):
+            if abs(stated - want) > 1e-12 * (1.0 + abs(want)):
                 raise ConfigError(
                     f"hamiltonian.h3: must equal -(h1 + h2); differs at t={t} "
-                    f"({stated} vs {derived})")
-    return RunConfig(hamiltonian=ham, t_start=t_start, t_end=t_end, **settings)
+                    f"({stated} vs {want})")
+    return RunConfig(hamiltonian=cls(**built), t_start=t_start, t_end=t_end,
+                     **settings)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -187,9 +187,16 @@ class Trajectory:
             raise StepLimitError(float(self.times[-1]))
         return self
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+
+def steps_stall(t_start, t_end, max_step) -> bool:
+    """Whether no step of at most max_step can carry t across [t_start,
+    t_end]: t_far + 4 * max_step == t_far at t_far = max(|t_start|,
+    |t_end|). max_step is then at most a quarter of the spacing of the
+    doubles from t_far / 2 to t_far, so t + h rounds to t there. The
+    factor 4 keeps windows that end at a power of 2, where the doubles
+    below are twice as dense, from being rejected."""
+    t_far = max(abs(t_start), abs(t_end))
+    return t_far + 4.0 * max_step == t_far
 
 
 def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
@@ -204,10 +211,11 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     an rhs or error_weight result of another length than d raises
     ValueError.
     sample_times must lie within [t_start, t_end]; t_start and t_end
-    are always included in the output grid. escape, if given, is a
-    predicate on the flat state; the run stops with singularity status
-    once only escaping steps remain, bracketing the blow-up within one
-    tiny step.
+    are always included in the output grid. A max_step too small to
+    move t on the window (`steps_stall`) raises ValueError. escape, if
+    given, is a predicate on the flat state; the run stops with
+    singularity status once only escaping steps remain, bracketing the
+    blow-up within one tiny step.
 
     The error estimate of a step from y to y1 is measured against the
     scale abs_tol + rel_tol * max(|y|, |y1|), componentwise. error_weight,
@@ -232,6 +240,9 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     t_end = float(t_end)
     if not t_end > t_start:
         raise ValueError("t_end must exceed t_start")
+    if steps_stall(t_start, t_end, settings.max_step):
+        raise ValueError(f"max_step {settings.max_step!r} is too small to "
+                         f"move t on [{t_start!r}, {t_end!r}]")
 
     samples = np.unique(np.concatenate(
         (np.asarray(sample_times, dtype=float).ravel(), [t_start, t_end])))

@@ -336,8 +336,8 @@ def _flipped_rhs(ham, flip):
         y = complex(vec[2], vec[3])
         z = complex(vec[4], vec[5])
         smp = ham.sample(t)
-        h1, h2, h3 = smp.h1, smp.h2, smp.h3
-        v1, v2, v3 = smp.v1, smp.v2, smp.v3
+        h1, h2, v1, v2, v3 = smp
+        h3 = -(h1 + h2)
         v1c, v2c, v3c = v1.conjugate(), v2.conjugate(), v3.conjugate()
         cross = x * z - y
         dx = -1j * (s[0] * v1 + s[1] * (h2 - h1) * x - s[2] * v1c * x * x

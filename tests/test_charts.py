@@ -21,13 +21,15 @@ INTERFACE = {"SINGULARITY_THRESHOLD", "STATE_SIZE", "COORD_COLUMNS",
              "chart_rhs", "escaped", "error_weight", "reconstruct_batch",
              "coords_from_states", "coord_block", "extra_residuals"}
 
-# The object-form chart API and the unused matrix helpers are gone.
+# The object-form chart API, the unused matrix helpers and the named
+# three-level sample are gone.
 DELETED = ("ChartState2", "ChartState3", "ChartDerivative2",
            "ChartDerivative3", "initial_state2", "initial_state3",
            "pack_state", "state_from_vector", "rhs2", "rhs3",
            "reconstruct_u2", "reconstruct_u3", "delta1", "delta2",
            "log_delta_rates", "multiply", "adjoint", "frobenius_norm",
-           "frobenius_distance", "ConvergenceScenario")
+           "frobenius_distance", "ConvergenceScenario",
+           "HamiltonianSample3")
 
 
 def coordinate_pairs(chart):

@@ -16,7 +16,7 @@ import pytest
 
 import chartprop
 from chartprop import NonFiniteDerivativeError, cli
-from chartprop.cli import RunRequest, build_parser, main, run
+from chartprop.cli import build_parser, main
 
 CONFIG2 = """
 system: 2
@@ -237,6 +237,46 @@ def test_report_lists_run_counters(config3_path, capsys, tmp_path):
                            "singularity_time"}
 
 
+def report_keys(lines):
+    return [line.partition(" = ")[0] for line in lines]
+
+
+def test_report_keys_in_order_with_the_oracle(config3_path, capsys,
+                                              tmp_path):
+    # a completed three-level run with the oracle prints every key but
+    # singularity_time
+    assert main(["run", config3_path, "--samples", "7", "--compare-oracle",
+                 "--output", str(tmp_path / "x.csv")]) == 0
+    assert report_keys(capsys.readouterr().err.splitlines()) == [
+        "status", "max_unitarity_error", "max_schrodinger_residual",
+        "max_delta1_residual", "max_delta2_residual", "max_frobenius_error",
+        "time_of_max_error", "oracle_unitarity_drift",
+        "chart_attempts", "chart_accepted", "chart_error_rejections",
+        "chart_nonfinite_retries", "chart_escape_halvings",
+        "chart_rhs_calls", "chart_smallest_step", "chart_largest_step",
+        "oracle_attempts", "oracle_accepted", "oracle_error_rejections",
+        "oracle_nonfinite_retries", "oracle_escape_halvings",
+        "oracle_rhs_calls", "oracle_smallest_step", "oracle_largest_step",
+        "parse_s", "chart_s", "table_s", "emit_s", "oracle_wait_s",
+        "wall_time_s"]
+
+
+def test_report_keys_in_order_after_a_singularity(tmp_path, capsys):
+    p = tmp_path / "blowup.yaml"
+    p.write_text(CONFIG_BLOWUP)
+    assert main(["run", str(p), "--samples", "50",
+                 "--output", str(tmp_path / "x.csv")]) == 2
+    notice, *report = capsys.readouterr().err.splitlines()
+    assert notice.endswith("; trajectory truncated")
+    assert report_keys(report) == [
+        "status", "singularity_time", "max_unitarity_error",
+        "max_schrodinger_residual",
+        "chart_attempts", "chart_accepted", "chart_error_rejections",
+        "chart_nonfinite_retries", "chart_escape_halvings",
+        "chart_rhs_calls", "chart_smallest_step", "chart_largest_step",
+        "parse_s", "chart_s", "table_s", "emit_s", "wall_time_s"]
+
+
 def test_compare_oracle_reports_oracle_counters(config2_path, capsys,
                                                 tmp_path):
     main(["run", config2_path, "--samples", "5", "--compare-oracle",
@@ -325,8 +365,14 @@ def test_invalid_config_is_exit_one(tmp_path, capsys):
      "v: {shape: sum, terms: [{shape: constant, value: 1.0},"
      " {shape: cosine, amplitude: 1.0, angular_frequency: 1.0e308}]}",
      "hamiltonian.v.terms[1]"),
+    ("h: {shape: constant, value: 0.0}",
+     "h: {shape: cosine, amplitude: [0.2, 0.1], angular_frequency: 1.0,"
+     " phase_offset: 1.5707963267948966}", "hamiltonian.h"),
+    ("time: {start: 0.0, end: 2.0}\nintegrator: {max_step: 0.05}",
+     "time: {start: 1.0e6, end: 1000000.0000000002}", "time"),
 ], ids=["width_inf", "value_nan", "knot_time_inf", "shape_list",
-        "end_400_digits", "end_5001_digits", "cosine_phase_overflow"])
+        "end_400_digits", "end_5001_digits", "cosine_phase_overflow",
+        "diagonal_not_real", "window_too_narrow"])
 def test_malformed_config_gives_one_error_line(tmp_path, capsys, old, new,
                                                path):
     p = tmp_path / "bad.yaml"
@@ -352,11 +398,12 @@ def test_bad_samples_is_exit_one(config2_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_request_validation():
-    with pytest.raises(ValueError):
-        RunRequest(config_path="x", samples=1)
-    with pytest.raises(ValueError):
-        RunRequest(config_path="x", output_format="xml")
+def test_unknown_format_is_exit_one(config2_path, capsys, tmp_path):
+    out = tmp_path / "x.xml"
+    assert main(["run", config2_path, "--format", "xml",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_parser_defaults():

@@ -192,9 +192,11 @@ def test_coupling_sampler_matches_evaluate_bit_for_bit(drive):
                         v1=drive, v2=drive, v3=drive)
     for t in SAMPLE_TIMES:
         want = _bits(drive.evaluate(t))
+        assert type(ham2.sample(t)) is tuple
+        assert type(ham3.sample(t)) is tuple
         _, v = ham2.sample(t)
-        s = ham3.sample(t)
-        for value in (v, s.v1, s.v2, s.v3):
+        _, _, v1, v2, v3 = ham3.sample(t)
+        for value in (v, v1, v2, v3):
             assert type(value) is complex
             assert _bits(value) == want
 
@@ -206,9 +208,11 @@ def test_diagonal_sampler_matches_evaluate_bit_for_bit(drive):
     ham3 = Hamiltonian3(h1=drive, h2=drive, v1=zero, v2=zero, v3=zero)
     for t in SAMPLE_TIMES:
         want = complex(drive.evaluate(t)).real.hex()
+        assert type(ham2.sample(t)) is tuple
+        assert type(ham3.sample(t)) is tuple
         h, _ = ham2.sample(t)
-        s = ham3.sample(t)
-        for value in (h, s.h1, s.h2):
+        h1, h2, _, _, _ = ham3.sample(t)
+        for value in (h, h1, h2):
             assert type(value) is float
             assert value.hex() == want
 
@@ -242,8 +246,8 @@ def test_hamiltonian3_matrix_structure():
     assert np.trace(m) == 0.0
     assert m[2, 2] == -0.5
     assert np.array_equal(m, m.conj().T)
-    s = ham.sample(0.0)
-    assert s.h3 == -(s.h1 + s.h2)
+    h1, h2, _, _, _ = ham.sample(0.0)
+    assert m[2, 2] == -(h1 + h2)
 
 
 def test_derived_diagonal_keeps_the_sign_of_zero():
@@ -255,8 +259,9 @@ def test_derived_diagonal_keeps_the_sign_of_zero():
     t = 0.5
     want = -(-0.0 + -0.0)
     assert math.copysign(1.0, want) == 1.0
+    h1, h2, _, _, _ = ham.sample(t)
     for value in (ham.matrix(t)[2, 2], ham.matrix_grid([t])[0, 2, 2],
-                  ham.sample(t).h3):
+                  -(h1 + h2)):
         assert _bits(value) == _bits(want)
 
 
@@ -418,10 +423,10 @@ def test_sample_grid_matches_pointwise_samples():
     times = np.linspace(0.0, 4.0, 17)
     h1, h2, v1, v2, v3 = ham.sample_grid(times)
     for i, t in enumerate(times):
-        s = ham.sample(float(t))
-        assert abs(h1[i] - s.h1) < 1e-15
-        assert abs(v1[i] - s.v1) < 1e-15
-        assert abs(v3[i] - s.v3) < 1e-15
+        s_h1, _, s_v1, _, s_v3 = ham.sample(float(t))
+        assert abs(h1[i] - s_h1) < 1e-15
+        assert abs(v1[i] - s_v1) < 1e-15
+        assert abs(v3[i] - s_v3) < 1e-15
     mats = ham.matrix_grid(times)
     assert mats.shape == (17, 3, 3)
     assert np.allclose(mats[5], ham.matrix(float(times[5])), rtol=0, atol=0)
@@ -471,6 +476,9 @@ hamiltonian:
     ("time: {start: -1.0e308, end: 1.0e308}", "time"),
     ("time: {start: 0.0, end: 1.0e-320}", "time"),
     ("integrator: {max_step: 1.0e-322}", "integrator.max_step"),
+    # steps too small to move t on the window: t + h == t at its far end
+    ("time: {start: 1.0e6, end: 1000000.0000000002}", "time"),
+    ("integrator: {max_step: 1.0e-17}", "integrator.max_step"),
 ])
 def test_parse_config_rejects_bad_documents(mutation, fragment):
     base = """
@@ -489,6 +497,24 @@ hamiltonian:
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("system, key", [(2, "h"), (3, "h1"), (3, "h2")])
+def test_parse_config_rejects_a_diagonal_drive_that_is_not_real(system,
+                                                                 key):
+    # real at t = 0, where cos(pi / 2) is 6e-17, and complex from there
+    values = ({"h": 0.1, "v": 0.2} if system == 2 else
+              {"h1": 0.1, "h2": 0.2, "v1": 0.3, "v2": 0.4, "v3": 0.5})
+    drives = {k: {"shape": "constant", "value": v} for k, v in values.items()}
+    doc = {"system": system, "time": {"start": 0.0, "end": 6.0},
+           "hamiltonian": drives}
+    parse_config(doc)
+    drives[key] = {"shape": "cosine", "amplitude": [0.2, 0.1],
+                   "angular_frequency": 1.0, "phase_offset": math.pi / 2}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value).startswith(f"hamiltonian.{key}: diagonal drive "
+                                     f"{key} must evaluate real")
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():
@@ -568,8 +594,7 @@ def test_config_round_trip_is_exact():
     for t in rng.uniform(cfg.t_start, cfg.t_end, 100):
         a = cfg.hamiltonian.sample(float(t))
         b = again.hamiltonian.sample(float(t))
-        for name in ("h1", "h2", "v1", "v2", "v3"):
-            va, vb = getattr(a, name), getattr(b, name)
+        for va, vb in zip(a, b, strict=True):
             assert abs(va - vb) <= 1e-14 * (1.0 + abs(va))
 
 

@@ -124,6 +124,21 @@ def test_input_validation():
         integrate(decay, [[1.0, 2.0]], 0.0, 1.0, settings, [0.5])
 
 
+def test_max_step_that_cannot_move_t_is_rejected():
+    # 2.3e-12 is below half the spacing of the doubles at 1e6, so
+    # t + h == t there and no step would make progress
+    with pytest.raises(ValueError, match="too small to move t"):
+        integrate(decay, [1.0], 1.0e6, 1000000.0000000002,
+                  IntegratorSettings(max_step=2.3e-12), [])
+    # Below 1.0 the doubles are twice as dense as above it: 1 + u rounds
+    # to 1, but steps of u cross [1 - 3u, 1].
+    u = 2.0 ** -53
+    assert 1.0 + u == 1.0
+    traj = integrate(decay, [1.0], 1.0 - 3 * u, 1.0,
+                     IntegratorSettings(max_step=u), [])
+    assert traj.status == "completed"
+
+
 def test_step_limit_reported():
     settings = IntegratorSettings(max_step=1e-4, max_steps=10)
     traj = integrate(decay, [1.0], 0.0, 1.0, settings, [0.5])
@@ -198,9 +213,9 @@ def test_tolerance_actually_controls_error():
     grid = [8.0]
     exact = np.cos(8.0)
     e_loose = abs(integrate(rotation, [1.0, 0.0], 0.0, 8.0, loose,
-                            grid).final_state[0] - exact)
+                            grid).states[-1][0] - exact)
     e_tight = abs(integrate(rotation, [1.0, 0.0], 0.0, 8.0, tight,
-                            grid).final_state[0] - exact)
+                            grid).states[-1][0] - exact)
     assert e_tight < e_loose / 100
 
 
@@ -214,7 +229,7 @@ def test_early_stop_trajectory_is_well_formed():
     assert np.all(np.diff(traj.times) > 0)
     assert np.all(np.isfinite(traj.states))
     assert traj.times[-1] == traj.singularity_time
-    assert abs(traj.final_state[0]) < 1e6
+    assert abs(traj.states[-1][0]) < 1e6
 
 
 def test_sample_density_does_not_change_the_steps():
@@ -229,7 +244,7 @@ def test_sample_density_does_not_change_the_steps():
         traj = integrate(rhs, [1.0, 0.0], 0.0, 6.0, settings, grid)
         assert len(traj.times) == max(len(grid), 2)
         assert traj.status == "completed"
-        finals.append(traj.final_state)
+        finals.append(traj.states[-1])
         counts.append(rhs.calls)
     assert len(set(counts)) == 1
     for final in finals[1:]:
@@ -248,7 +263,7 @@ def test_sample_on_a_step_end():
     # state as a run that ends there
     short = integrate(constant, [0.0, 0.0], 0.0, 0.375, settings, [])
     assert np.array_equal(short.times, [0.0, 0.375])
-    assert np.array_equal(traj.states[1], short.final_state)
+    assert np.array_equal(traj.states[1], short.states[-1])
     assert np.allclose(traj.states[2], [0.5, -1.0], rtol=0, atol=1e-15)
 
 
@@ -319,7 +334,7 @@ def test_many_samples_inside_one_step():
     assert np.max(np.abs(traj.states - exact)) < 1e-4
     # the end of the run is a step end: it carries y1 itself
     end_only = integrate(rotation, [1.0, 0.0], 0.0, 6.0, settings, [])
-    assert np.array_equal(traj.final_state, end_only.final_state)
+    assert np.array_equal(traj.states[-1], end_only.states[-1])
     # every 7th sample alone gives the same bits
     sparse = integrate(rotation, [1.0, 0.0], 0.0, 6.0, settings, grid[::7])
     assert np.array_equal(sparse.states[:-1], traj.states[::7])
@@ -681,6 +696,6 @@ def test_one_step_matches_a_numpy_evaluation_of_the_tableau():
     traj = integrate(lambda t, y: (m @ np.array(y)).tolist(), y0, 0.0, h,
                      settings, [])
     assert traj.stats.attempts == traj.stats.accepted == 1
-    got = traj.final_state
+    got = traj.states[-1]
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
