@@ -17,17 +17,19 @@ raises ConfigError with the path of the offending field.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import re
 import reprlib
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
-from typing import Callable, Union, get_args
+from typing import Union, get_args
 
 import numpy as np
 import yaml
 
-from .integrate import steps_stall
+from .integrate import compile_function, steps_stall
 
 
 class ConfigError(ValueError):
@@ -99,22 +101,62 @@ def _complex_out(value):
     return [value.real, value.imag]
 
 
-# Scalar formulas of the cosine and Gaussian shapes, each written once:
-# the factory binds the parameters and returns a closure of t. A drive
-# keeps its complex closure for `evaluate`; a Hamiltonian samples an
-# entry with it, or with a float closure built from the real amplitude.
-
-def _cosine(amplitude, angular_frequency, phase_offset):
-    def at(t):
-        return amplitude * math.cos(angular_frequency * t + phase_offset)
-    return at
+def _require_real(value, t, what):
+    # Diagonal drives must stay real; a stray imaginary part would
+    # silently break Hermiticity, so fail loudly instead.
+    c = complex(value)
+    if abs(c.imag) > 1e-14 * (1.0 + abs(c)):
+        raise ValueError(f"{what} must evaluate real, got {c} at t={t}")
+    return c.real
 
 
-def _gaussian(amplitude, center, width):
-    def at(t):
-        arg = (t - center) / width
-        return amplitude * math.exp(-0.5 * arg * arg)
-    return at
+# Scalar formulas. Each shape states its formula once, as FORMULA: a
+# Python expression in t whose constants are named in braces. A drive's
+# `_formula(real)` gives its (form, constants): the form is the FORMULA,
+# or for a sum the tuple of its terms' forms, and the constants are the
+# values of the names in braces in the order they appear, terms in
+# order. `_compiled` generates and compiles the code of a form once per
+# process, so drives and Hamiltonians of the same shapes share it and
+# differ only in the constants they pass.
+
+# A diagonal entry whose drive is not real by construction: the drive's
+# value, checked for realness at each sample.
+_CHECKED = "require_real({at}(t), t, {what})"
+
+_SAMPLER_NUMBERS = itertools.count(1)
+
+
+@functools.cache
+def _compiled(forms, packed):
+    """factory(*constants) -> sample(t) for a tuple of forms.
+
+    sample(t) returns the tuple of the forms' values at t when packed,
+    else the value of the one form. A sum's terms are added left to
+    right, each in parentheses, as the sum of their functions would add
+    them. The names of the n-th FORMULA in the code, counted from 0,
+    get the suffix n (a0, w0, p0, v1, ...), and the factory takes them
+    as parameters in that order. The source is registered under the
+    filename "<drive sampler k>", k counting the forms compiled.
+    """
+    params = []
+    leaves = itertools.count()
+
+    def expression(form):
+        if isinstance(form, tuple):
+            return " + ".join(f"({expression(term)})" for term in form)
+        n = next(leaves)
+        names = {name: f"{name}{n}" for name in re.findall(r"{(\w+)}", form)}
+        params.extend(names.values())
+        return form.format(**names)
+
+    values = ", ".join(expression(form) for form in forms)
+    source = (f"def factory({', '.join(params)}):\n"
+              f"    def sample(t):\n"
+              f"        return {f'({values},)' if packed else values}\n"
+              f"    return sample\n")
+    return compile_function(
+        source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
+        {"cos": math.cos, "exp": math.exp, "require_real": _require_real})
 
 
 def _linear(times, values):
@@ -148,13 +190,37 @@ def _linear(times, values):
 
 
 class _RebuiltOnCopy:
-    """Mixin for frozen dataclasses that keep closures built in
-    __post_init__: pickling and copying rebuild the object through
+    """Mixin for frozen dataclasses that keep functions or arrays built
+    from their fields: pickling and copying rebuild the object through
     __init__, because closures do not pickle."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name)
                                  for f in fields(self) if f.init)
+
+
+class _Formula(_RebuiltOnCopy):
+    """Mixin for the drive shapes: `scalar` from the shape's `_formula`."""
+
+    def scalar(self, real=False):
+        """This drive as a function of a scalar t.
+
+        real=False gives complex values. real=True gives float values,
+        or None unless the parameters make the drive exactly real, so
+        that no per-sample realness check is needed. At a scalar t each
+        function gives the bits of `evaluate`, or of its real part.
+        """
+        formula = self._formula(real)
+        if formula is None:
+            return None
+        form, constants = formula
+        return _compiled((form,), False)(*constants)
+
+    @functools.cached_property
+    def _at(self):
+        # The complex function, built at first use: the scalar branch of
+        # evaluate for the cosine and Gaussian shapes.
+        return self.scalar()
 
 
 # Reader and writer of a number field's spec value, by the field's
@@ -194,10 +260,11 @@ class _NumberFields:
 
 
 @dataclass(frozen=True)
-class ConstantDrive(_NumberFields):
+class ConstantDrive(_NumberFields, _Formula):
     """Time-independent value."""
 
     SHAPE = "constant"
+    FORMULA = "{v}"
     value: complex
 
     def __post_init__(self):
@@ -208,36 +275,25 @@ class ConstantDrive(_NumberFields):
             return self.value
         return np.full(np.shape(t), self.value)
 
-    def scalar(self, real=False):
-        """This drive as a function of a scalar t, built once.
-
-        real=False gives complex values. real=True gives float values,
-        or None unless the parameters make the drive exactly real, so
-        that no per-sample realness check is needed. At a scalar t each
-        function gives the bits of `evaluate`, or of its real part.
-        """
+    def _formula(self, real):
         value = _exact_real(self.value) if real else self.value
-        if value is None:
-            return None
-        return lambda t: value
+        return None if value is None else (self.FORMULA, (value,))
 
 
 @dataclass(frozen=True)
-class CosineDrive(_NumberFields, _RebuiltOnCopy):
+class CosineDrive(_NumberFields, _Formula):
     """amplitude * cos(angular_frequency * t + phase_offset)."""
 
     SHAPE = "cosine"
+    FORMULA = "{a} * cos({w} * t + {p})"
     amplitude: complex
     angular_frequency: float
     phase_offset: float = 0.0
-    _at: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "angular_frequency", float(self.angular_frequency))
         object.__setattr__(self, "phase_offset", float(self.phase_offset))
-        object.__setattr__(self, "_at", _cosine(
-            self.amplitude, self.angular_frequency, self.phase_offset))
 
     def evaluate(self, t):
         if isinstance(t, (float, int)):
@@ -245,25 +301,21 @@ class CosineDrive(_NumberFields, _RebuiltOnCopy):
         return self.amplitude * np.cos(self.angular_frequency * np.asarray(t)
                                        + self.phase_offset)
 
-    def scalar(self, real=False):
-        """See ConstantDrive.scalar."""
-        if not real:
-            return self._at
-        amplitude = _exact_real(self.amplitude)
-        if amplitude is None:
-            return None
-        return _cosine(amplitude, self.angular_frequency, self.phase_offset)
+    def _formula(self, real):
+        a = _exact_real(self.amplitude) if real else self.amplitude
+        return None if a is None else (
+            self.FORMULA, (a, self.angular_frequency, self.phase_offset))
 
 
 @dataclass(frozen=True)
-class GaussianDrive(_NumberFields, _RebuiltOnCopy):
+class GaussianDrive(_NumberFields, _Formula):
     """amplitude * exp(-(t - center)^2 / (2 width^2))."""
 
     SHAPE = "gaussian"
+    FORMULA = "{a} * exp(-0.5 * (g := (t - {c}) / {s}) * g)"
     amplitude: complex
     center: float
     width: float
-    _at: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
@@ -271,8 +323,6 @@ class GaussianDrive(_NumberFields, _RebuiltOnCopy):
         object.__setattr__(self, "width", float(self.width))
         if not self.width > 0:
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-        object.__setattr__(self, "_at", _gaussian(
-            self.amplitude, self.center, self.width))
 
     def evaluate(self, t):
         if isinstance(t, (float, int)):
@@ -280,21 +330,22 @@ class GaussianDrive(_NumberFields, _RebuiltOnCopy):
         arg = (np.asarray(t) - self.center) / self.width
         return self.amplitude * np.exp(-0.5 * arg * arg)
 
-    def scalar(self, real=False):
-        """See ConstantDrive.scalar."""
-        if not real:
-            return self._at
-        amplitude = _exact_real(self.amplitude)
-        if amplitude is None:
-            return None
-        return _gaussian(amplitude, self.center, self.width)
+    def _formula(self, real):
+        a = _exact_real(self.amplitude) if real else self.amplitude
+        return None if a is None else (
+            self.FORMULA, (a, self.center, self.width))
 
 
 @dataclass(frozen=True)
-class PiecewiseDrive(_RebuiltOnCopy):
+class PiecewiseDrive(_Formula):
     """Linear interpolation through (t, value) knots, clamped outside."""
 
     SHAPE = "piecewise"
+    # re and im interpolate the real and imaginary knot values. The
+    # complex value is composed as in evaluate; with every imaginary knot
+    # value +0.0 the real part is re + 0.0, which turns a -0.0 into +0.0.
+    FORMULA = "{re}(t) + 1j * {im}(t)"
+    REAL_FORMULA = "{re}(t) + 0.0"
     times: tuple
     values: tuple
     # (knot times, real parts, imaginary parts) as float arrays
@@ -319,17 +370,14 @@ class PiecewiseDrive(_RebuiltOnCopy):
         # np.interp clamps to the end values outside the knot range.
         return np.interp(t, ts, re) + 1j * np.interp(t, ts, im)
 
-    def scalar(self, real=False):
-        """See ConstantDrive.scalar. The complex value is composed as in
-        evaluate, re + 1j * im; with every imaginary knot value +0.0 its
-        real part is re + 0.0, which turns a -0.0 into +0.0."""
+    def _formula(self, real):
         re = _linear(self.times, tuple(v.real for v in self.values))
         if real:
             if any(_exact_real(v) is None for v in self.values):
                 return None
-            return lambda t: re(t) + 0.0
+            return self.REAL_FORMULA, (re,)
         im = _linear(self.times, tuple(v.imag for v in self.values))
-        return lambda t: re(t) + 1j * im(t)
+        return self.FORMULA, (re, im)
 
     @classmethod
     def from_spec(cls, spec, path):
@@ -351,7 +399,7 @@ class PiecewiseDrive(_RebuiltOnCopy):
 
 
 @dataclass(frozen=True)
-class SumDrive:
+class SumDrive(_Formula):
     """Pointwise sum of component drives."""
 
     SHAPE = "sum"
@@ -368,20 +416,13 @@ class SumDrive:
             total = total + term.evaluate(t)
         return total
 
-    def scalar(self, real=False):
-        """See ConstantDrive.scalar: the terms' functions summed in
-        order, or None when a term has none."""
-        parts = [term.scalar(real) for term in self.terms]
+    def _formula(self, real):
+        # the terms' forms and constants, or None when a term has none
+        parts = [term._formula(real) for term in self.terms]
         if any(part is None for part in parts):
             return None
-        first, rest = parts[0], parts[1:]
-
-        def at(t):
-            total = first(t)
-            for part in rest:
-                total = total + part(t)
-            return total
-        return at
+        forms, constants = zip(*parts)
+        return forms, tuple(itertools.chain.from_iterable(constants))
 
     @classmethod
     def from_spec(cls, spec, path):
@@ -420,29 +461,6 @@ def drive_from_spec(spec, path="drive"):
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
-def _require_real(value, t, what):
-    # Diagonal drives must stay real; a stray imaginary part would
-    # silently break Hermiticity, so fail loudly instead.
-    c = complex(value)
-    if abs(c.imag) > 1e-14 * (1.0 + abs(c)):
-        raise ValueError(f"{what} must evaluate real, got {c} at t={t}")
-    return c.real
-
-
-def _entry_sampler(drive, what=None):
-    """Scalar sampler of one Hamiltonian entry, built once per Hamiltonian.
-
-    A coupling (what=None) returns complex values. A diagonal entry,
-    named by `what`, returns float values: a drive whose scalar function
-    is real by construction needs no check, and every other diagonal
-    drive is checked for realness at each sample.
-    """
-    if what is None:
-        return drive.scalar()
-    return drive.scalar(real=True) or (
-        lambda t: _require_real(drive.evaluate(t), t, what))
-
-
 def _grid_values(drive, times, what=None):
     """One entry over a whole time grid: complex for a coupling (what
     is None), real and checked for a diagonal entry named by `what`."""
@@ -459,7 +477,7 @@ class _Hamiltonian(_RebuiltOnCopy):
     """Traceless Hermitian dim x dim matrix built from its independent drives.
 
     Each subclass is a frozen dataclass with one drive field per name in
-    KEYS, plus `_samplers`, and sets the layout:
+    KEYS and sets the layout:
 
     * `dim`, the number of levels;
     * `KEYS`, the dim - 1 real diagonal drives first, then the complex
@@ -469,8 +487,7 @@ class _Hamiltonian(_RebuiltOnCopy):
       `_pick = itemgetter(*_SLOTS)`, which selects them in one call.
 
     `sample(t)` returns the KEYS values at t as a plain tuple in that
-    order; it stays a short explicit method in each subclass, since the
-    chart right-hand side calls it at every integrator stage.
+    order (see `sample`).
     """
 
     def _drives(self):
@@ -479,9 +496,26 @@ class _Hamiltonian(_RebuiltOnCopy):
         return [(getattr(self, key), f"diagonal drive {key}" if i < n else None)
                 for i, key in enumerate(self.KEYS)]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_samplers", tuple(
-            _entry_sampler(drive, what) for drive, what in self._drives()))
+    @functools.cached_property
+    def sample(self):
+        """The function of t that gives the KEYS values at t as a plain
+        tuple: a float per diagonal drive, a complex value per coupling.
+        The derived diagonal entry is left to the caller.
+
+        The chart right-hand sides call it at every distinct stage time,
+        so it is one function generated from the drives' FORMULA
+        templates, built at first use: drives of the same shapes share
+        its code (`_compiled`). A diagonal drive that is real by
+        construction is sampled with its float formula, any other
+        through `evaluate`, checked for realness at each sample.
+        """
+        forms, constants = [], []
+        for drive, what in self._drives():
+            form, values = (drive._formula(what is not None)
+                            or (_CHECKED, (drive.evaluate, what)))
+            forms.append(form)
+            constants += values
+        return _compiled(tuple(forms), True)(*constants)
 
     def _entries(self, values, conjugate):
         # Matrix entries in row-major order from KEYS values: Python
@@ -527,18 +561,12 @@ class Hamiltonian2(_Hamiltonian):
 
     h: DriveSignal
     v: DriveSignal
-    _samplers: tuple = field(init=False, repr=False, compare=False)
 
     dim = 2
     KEYS = ("h", "v")
     _SLOTS = (0, 3,
               1, 2)
     _pick = itemgetter(*_SLOTS)
-
-    def sample(self, t):
-        """(h, v) at time t as (float, complex)."""
-        h, v = self._samplers
-        return h(t), v(t)
 
 
 @dataclass(frozen=True)
@@ -557,7 +585,6 @@ class Hamiltonian3(_Hamiltonian):
     v1: DriveSignal
     v2: DriveSignal
     v3: DriveSignal
-    _samplers: tuple = field(init=False, repr=False, compare=False)
 
     dim = 3
     KEYS = ("h1", "h2", "v1", "v2", "v3")
@@ -565,34 +592,6 @@ class Hamiltonian3(_Hamiltonian):
               2, 1, 8,
               3, 4, 5)
     _pick = itemgetter(*_SLOTS)
-
-    def sample(self, t):
-        """(h1, h2, v1, v2, v3) at time t as two floats and three
-        complex values; the caller derives h3 as -(h1 + h2)."""
-        h1, h2, v1, v2, v3 = self._samplers
-        return h1(t), h2(t), v1(t), v2(t), v3(t)
-
-
-def memo_sample(ham):
-    """`ham.sample` with a one-entry memo: a function of t that calls
-    `ham.sample` only when t differs from the t of its last call.
-
-    The chart right-hand sides sample their drive through it, because
-    the 6th and 7th stages of a DOPRI5 attempt both run at t + h: an
-    attempt then samples 5 times, not 6. Exact, since `sample` is a
-    function of t alone. A call whose `sample` raises leaves the memo as
-    it was, so the next call at that t samples again.
-    """
-    sample = ham.sample
-    last_t = last = None
-
-    def at(t):
-        nonlocal last_t, last
-        if t != last_t:
-            last = sample(t)
-            last_t = t
-        return last
-    return at
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +654,16 @@ def _check_phases(drive, path, t_start, t_end):
                 f"exceeds {_PHASE_ROUNDING_BOUND:g}")
 
 
+def _knot_times(drive):
+    """The knot times of every piecewise drive in drive, the terms of a
+    sum included."""
+    if isinstance(drive, SumDrive):
+        return [t for term in drive.terms for t in _knot_times(term)]
+    if isinstance(drive, PiecewiseDrive):
+        return list(drive.times)
+    return []
+
+
 _HAMILTONIANS = {2: Hamiltonian2, 3: Hamiltonian3}
 _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step")
 
@@ -715,8 +724,17 @@ def parse_config(source) -> RunConfig:
     for key, drive in built.items():
         _check_phases(drive, f"hamiltonian.{key}", t_start, t_end)
     # The diagonal drives must evaluate real; checked here on 11 points
-    # of the window, and by the Hamiltonian at each sample in between.
+    # of the window and at the knot times inside it, and by the
+    # Hamiltonian at each sample in between. A piecewise drive is linear
+    # between its knots, so an imaginary part anywhere on the window
+    # shows at one of these points. The h3 check uses the same points:
+    # where h1, h2 and h3 are piecewise or constant, h1 + h2 + h3 is
+    # linear between them.
     grid = np.linspace(t_start, t_end, 11)
+    knots = [t for key in (*cls.KEYS[:system - 1], "h3") if key in built
+             for t in _knot_times(built[key]) if t_start <= t <= t_end]
+    if knots:  # most configs have none, and np.union1d is not free
+        grid = np.union1d(grid, knots)
     diagonal = {}
     for key in cls.KEYS[:system - 1]:
         try:

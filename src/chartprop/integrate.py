@@ -14,8 +14,10 @@ each state size and compiles once per process; the loop around it
 keeps the step control, the escape test, first-same-as-last, the run
 counters and the dense-output record. The 6th and 7th stages of an
 attempt both run at t + h, with the same float, which lets the chart
-right-hand sides sample their drive 5 times per attempt
-(`drives.memo_sample`).
+right-hand sides sample their drive 5 times per attempt: each keeps the
+(t, sample) pair of its last call. `compile_function` compiles the
+generated code of the attempt, of the oracle's matrix product and of
+the drive samplers.
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
@@ -259,6 +261,19 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
                        error_weight)
 
 
+def compile_function(source, filename, name, namespace):
+    """The function `name` that generated `source` defines, compiled with
+    `namespace` as its globals.
+
+    The source is registered with linecache under `filename`, a name in
+    angle brackets that names no file, so tracebacks show its lines.
+    """
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
 def _magnitudes(y):
     # The error weight of a run without error_weight.
     return [abs(v) for v in y]
@@ -328,14 +343,10 @@ def _attempt(size):
               f"        err = sqrt(({squares}) / {size}) "
               f"if isfinite({scales}) else nan",
               "    return y1, w1, k3, k4, k5, k6, k7, err"]
-    source = "\n".join(lines) + "\n"
-    filename = f"<dopri5 attempt d={size}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True),
-                                 filename)
-    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
-                 "nan": math.nan}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["attempt"]
+    return compile_function("\n".join(lines) + "\n",
+                            f"<dopri5 attempt d={size}>", "attempt",
+                            {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                             "nan": math.nan})
 
 
 def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,

@@ -18,13 +18,13 @@ construction at any time, is the main comparative diagnostic.
 from __future__ import annotations
 
 import functools
-import linecache
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .integrate import IntegrationStats, IntegratorSettings, integrate
+from .integrate import (IntegrationStats, IntegratorSettings,
+                        compile_function, integrate)
 from .matrices import HermitianTraceless, hermitian_expm
 
 
@@ -53,13 +53,9 @@ def _minus_i_product(dim):
     lines.append("    return ("
                  + ", ".join(f"s_{k}.imag, -s_{k}.real" for k in range(n))
                  + ")")
-    source = "\n".join(lines) + "\n"
-    filename = f"<oracle product n={dim}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True),
-                                 filename)
-    namespace = {"c": complex}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["product"]
+    return compile_function("\n".join(lines) + "\n",
+                            f"<oracle product n={dim}>", "product",
+                            {"c": complex})
 
 
 def _schrodinger_rhs(ham):

@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import drives
-
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 8  # flat layout: [Re x, Im x, Re y, Im y, Re z, Im z, phi1, phi2]
@@ -134,13 +132,20 @@ def chart_rhs(ham):
     The phase rates add the same real parts in the same order as the
     expanded forms, so they keep their bits and stay exactly real.
 
-    The drive is sampled through `drives.memo_sample`, once per
-    distinct t: the last two stages of a DOPRI5 attempt share theirs.
+    `ham.sample` is called once per distinct t: the function keeps the
+    last (t, sample) pair, since the 6th and 7th stages of a DOPRI5
+    attempt both run at t + h. That is exact, as a sample depends on t
+    alone. A `ham.sample` that raises leaves the pair as it was.
     """
-    sample = drives.memo_sample(ham)
+    sample = ham.sample
+    last_t = last = None
 
     def rhs(t, vec):
-        h1, h2, v1, v2, v3 = sample(t)
+        nonlocal last_t, last
+        if t != last_t:
+            last = sample(t)
+            last_t = t
+        h1, h2, v1, v2, v3 = last
         re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
         x = complex(re_x, im_x)
         y = complex(re_y, im_y)

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import drives
-
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 3  # flat layout: [Re z, Im z, phi]
@@ -75,13 +73,20 @@ def chart_rhs(ham):
     have the same real part to the bit, so dphi keeps the bits of the
     expanded form and is exactly real; dz moves in its last bits.
 
-    The drive is sampled through `drives.memo_sample`, once per
-    distinct t.
+    `ham.sample` is called once per distinct t: the function keeps the
+    last (t, sample) pair, since the 6th and 7th stages of a DOPRI5
+    attempt both run at t + h. That is exact, as a sample depends on t
+    alone. A `ham.sample` that raises leaves the pair as it was.
     """
-    sample = drives.memo_sample(ham)
+    sample = ham.sample
+    last_t = last = None
 
     def rhs(t, vec):
-        h, v = sample(t)
+        nonlocal last_t, last
+        if t != last_t:
+            last = sample(t)
+            last_t = t
+        h, v = last
         re_z, im_z, _ = vec
         z = complex(re_z, im_z)
         a = v.conjugate() * z

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -235,7 +236,45 @@ def test_hamiltonian_copies_compare_equal_and_sample_identically(ham):
         for t in SAMPLE_TIMES:
             assert ([_bits(x) for x in other.sample(t)]
                     == [_bits(x) for x in ham.sample(t)])
-    assert "_samplers" not in repr(ham)
+        # each copy builds its own sampler, on the same compiled code
+        assert other.sample is not ham.sample
+        assert other.sample.__code__ is ham.sample.__code__
+    assert "sample" not in repr(ham)
+
+
+def test_hamiltonians_of_the_same_shapes_share_the_sampler_code():
+    # The sampler is compiled once per form, the shapes of the entries;
+    # the constants are bound per Hamiltonian.
+    def three(scale):
+        return Hamiltonian3(h1=CosineDrive(0.3 * scale, 1.2),
+                            h2=GaussianDrive(0.2 * scale, 1.0, 0.5),
+                            v1=ConstantDrive(0.1j * scale),
+                            v2=SumDrive((CosineDrive(0.2j, scale),
+                                         PiecewiseDrive((0.0, scale),
+                                                        (0.0, 1.0j)))),
+                            v3=CosineDrive(0.5 + 0.1j, 0.7 * scale))
+    a, b = three(1.0), three(2.0)
+    assert a.sample is not b.sample
+    assert a.sample.__code__ is b.sample.__code__
+    assert a.sample(0.4) != b.sample(0.4)
+    # real and complex diagonal parameters are different forms
+    other = Hamiltonian3(h1=CosineDrive(0.3 + 0.1j, 1.2), h2=a.h2, v1=a.v1,
+                         v2=a.v2, v3=a.v3)
+    assert other.sample.__code__ is not a.sample.__code__
+    assert (CosineDrive(0.4, 1.0).scalar().__code__
+            is CosineDrive(-0.2j, 3.0, 1.0).scalar().__code__)
+
+
+def test_sampler_tracebacks_show_the_generated_line():
+    # 1e308 * 10 overflows to inf, which math.cos rejects
+    drive = CosineDrive(1.0, 1e308)
+    ham = Hamiltonian2(h=ConstantDrive(0.0), v=drive)
+    for sample in (drive.evaluate, drive.scalar(), ham.sample):
+        with pytest.raises(ValueError, match="math domain error") as failure:
+            sample(10.0)
+        frame = traceback.extract_tb(failure.value.__traceback__)[-1]
+        assert frame.filename.startswith("<drive sampler ")
+        assert " * cos(w" in frame.line
 
 
 def test_hamiltonian3_matrix_structure():
@@ -515,6 +554,22 @@ def test_parse_config_rejects_a_diagonal_drive_that_is_not_real(system,
         parse_config(doc)
     assert str(err.value).startswith(f"hamiltonian.{key}: diagonal drive "
                                      f"{key} must evaluate real")
+    # complex only between the 11 evenly spaced check points, alone and
+    # as a term of a sum: the knot times inside the window are checked
+    knots = [[0.0, 0.0], [0.25, 0.0], [0.3, [0.0, 0.5]], [0.35, 0.0],
+             [2.0, 0.0]]
+    piecewise = {"shape": "piecewise", "knots": knots}
+    for drive in (piecewise, {"shape": "sum", "terms": [
+            {"shape": "constant", "value": 0.1}, piecewise]}):
+        drives[key] = drive
+        for end in (2.0, 6.0):
+            doc["time"]["end"] = end
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc)
+            assert str(err.value).startswith(
+                f"hamiltonian.{key}: diagonal drive {key} must evaluate real")
+    knots[2][1] = 0.5
+    parse_config(doc)
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():
@@ -543,6 +598,12 @@ hamiltonian:
     parse_config(good)
     with pytest.raises(ConfigError):
         parse_config(good.replace("value: -0.75", "value: -0.7"))
+    # off only between the 11 evenly spaced check points
+    with pytest.raises(ConfigError, match="^hamiltonian.h3: must equal"):
+        parse_config(good.replace(
+            "h3: {shape: constant, value: -0.75}",
+            "h3: {shape: piecewise, knots: [[0.0, -0.75], [0.52, -0.75], "
+            "[0.55, -0.5], [0.58, -0.75], [1.0, -0.75]]}"))
 
 
 @pytest.mark.parametrize("edit, path", [
