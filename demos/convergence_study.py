@@ -4,12 +4,15 @@ Runs `propagate` on one three-level scenario at a sequence of
 tolerances and prints the final-time operator error against a tightly
 converged reference. The chart's error weights make the tolerance act
 on the operator, so the error falls roughly in proportion to it until
-the rounding floor.
+the rounding floor. The script fails (AssertionError) unless each 100x
+tolerance cut lowers the error more than 10x; a flat or rising tail
+would signal an accuracy floor or an integrator defect.
 """
 
+import numpy as np
+
 from chartprop import (ConstantDrive, CosineDrive, GaussianDrive,
-                       Hamiltonian3, IntegratorSettings, convergence_probe,
-                       propagate)
+                       Hamiltonian3, IntegratorSettings, propagate)
 
 ham = Hamiltonian3(
     h1=CosineDrive(0.3, 1.2),
@@ -26,8 +29,15 @@ ref_settings = IntegratorSettings(max_step=0.05, rel_tol=1e-13,
 ref_traj, ref_unitaries, _ = propagate(ham, 0.0, t_end, ref_settings, [t_end])
 ref_traj.require_completed()
 
-tolerances = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11]
-rows = convergence_probe(ham, t_end, 0.05, ref_unitaries[-1], tolerances)
+# U(t_end) at each rel_tol, loosest first, with abs_tol = 1e-3 rel_tol
+rows = []
+for tol in [1e-3, 1e-5, 1e-7, 1e-9, 1e-11]:
+    settings = IntegratorSettings(max_step=0.05, rel_tol=tol,
+                                  abs_tol=tol * 1e-3)
+    traj, unitaries, _ = propagate(ham, 0.0, t_end, settings, [t_end])
+    traj.require_completed()
+    rows.append((tol, float(np.linalg.norm(unitaries[-1]
+                                           - ref_unitaries[-1]))))
 
 print("final-time operator error vs relative tolerance, t_end = 8")
 print()
@@ -36,6 +46,7 @@ previous = None
 for tol, err in rows:
     ratio = "" if previous is None else f"{previous / err:9.1f}"
     print(f"  {tol:8.0e}  {err:9.3e}  {ratio}")
+    assert previous is None or previous > 10 * err, "error ladder stalls"
     previous = err
 
 print()

@@ -7,7 +7,7 @@ ships a direct matrix integrator as an independent cross-check.
 """
 
 from . import three_level, two_level
-from .charts import convergence_probe, propagate
+from .charts import propagate
 from .drives import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                      Hamiltonian2, Hamiltonian3, PiecewiseDrive, RunConfig,
                      SumDrive, config_to_dict, drive_from_spec, parse_config,
@@ -16,22 +16,18 @@ from .integrate import (ChartSingularityError, IntegrationError,
                         IntegrationStats, IntegratorSettings,
                         NonFiniteDerivativeError, StepLimitError, Trajectory,
                         integrate)
-from .matrices import (HermitianTraceless, MatrixInvariantError,
-                       UnitaryMatrix, hermitian_expm)
 from .reference import (ComparisonReport, OracleTrajectory, compare,
-                        exact_constant_unitaries, integrate_schrodinger,
-                        schrodinger_residuals, unitarity_errors)
+                        integrate_schrodinger, schrodinger_residuals,
+                        unitarity_errors)
 
 __all__ = [
     "ChartSingularityError", "ComparisonReport", "ConfigError",
     "ConstantDrive", "CosineDrive", "GaussianDrive", "Hamiltonian2",
-    "Hamiltonian3", "HermitianTraceless",
-    "IntegrationError", "IntegrationStats", "IntegratorSettings",
-    "MatrixInvariantError", "NonFiniteDerivativeError", "OracleTrajectory",
+    "Hamiltonian3", "IntegrationError", "IntegrationStats",
+    "IntegratorSettings", "NonFiniteDerivativeError", "OracleTrajectory",
     "PiecewiseDrive", "RunConfig", "StepLimitError", "SumDrive", "Trajectory",
-    "UnitaryMatrix", "compare", "config_to_dict", "convergence_probe",
-    "drive_from_spec", "exact_constant_unitaries", "hermitian_expm",
-    "integrate", "integrate_schrodinger", "parse_config", "propagate",
+    "compare", "config_to_dict", "drive_from_spec", "integrate",
+    "integrate_schrodinger", "parse_config", "propagate",
     "schrodinger_residuals", "serialize_config", "three_level", "two_level",
     "unitarity_errors",
 ]

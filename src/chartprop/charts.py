@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import three_level, two_level
-from .integrate import IntegratorSettings, integrate
+from .integrate import integrate
 
 CHARTS = {2: two_level, 3: three_level}
 
@@ -27,20 +27,3 @@ def propagate(ham, t_start, t_end, settings, sample_times) -> tuple:
                            error_weight=chart.error_weight)
     return trajectory, chart.reconstruct_batch(trajectory.states), chart
 
-
-def convergence_probe(ham, t_end, max_step, reference, tolerances) -> list:
-    """[(tolerance, error), ...], loosest first: the Frobenius distance
-    to `reference` of U(t_end) from `propagate` on [0, t_end], at each
-    rel_tol with abs_tol = 1e-3 rel_tol. Errors should fall as the
-    tolerance tightens; a flat or rising tail signals an accuracy floor
-    or an integrator defect."""
-    rows = []
-    for tol in sorted(tolerances, reverse=True):
-        settings = IntegratorSettings(max_step=max_step, rel_tol=tol,
-                                      abs_tol=tol * 1e-3)
-        trajectory, unitaries, _ = propagate(ham, 0.0, t_end, settings,
-                                             [t_end])
-        trajectory.require_completed()
-        rows.append((float(tol), float(np.linalg.norm(unitaries[-1]
-                                                      - reference))))
-    return rows

@@ -387,7 +387,7 @@ def _oracle_fields(oracle, times, unitaries) -> dict:
     report = compare(times, unitaries, trajectory)
     return {"max_frobenius_error": report.max_frobenius_error,
             "time_of_max_error": report.time_of_max,
-            "oracle_unitarity_drift": report.oracle_drift,
+            "oracle_unitarity_drift": trajectory.drift,
             "oracle": trajectory.stats}
 
 

@@ -29,7 +29,7 @@ from typing import Union, get_args
 import numpy as np
 import yaml
 
-from .integrate import compile_function, steps_stall
+from .integrate import IntegratorSettings, compile_function, steps_stall
 
 
 class ConfigError(ValueError):
@@ -703,8 +703,8 @@ def parse_config(source) -> RunConfig:
         if not value > 0:
             raise ConfigError(f"integrator.{key}: must be positive, got {value}")
     # A run needs a finite window, a first step, max_step / 100, that
-    # does not underflow to 0, and steps that move t on the window
-    # (max_step defaults to window / 100).
+    # does not underflow to 0, steps that move t on the window, and few
+    # enough of them (max_step defaults to window / 100).
     if not math.isfinite(t_end - t_start):
         raise ConfigError("time: end - start overflows a double")
     max_step = settings.get("max_step", (t_end - t_start) / 100.0)
@@ -715,6 +715,15 @@ def parse_config(source) -> RunConfig:
     if steps_stall(t_start, t_end, max_step):
         raise ConfigError(f"{field}: max_step = {max_step!r} is too small to "
                           f"move t on [{t_start!r}, {t_end!r}]")
+    # A step moves t by at most max_step plus the rounding of t + h, at
+    # most spacing(t_far); a window wider than max_steps such moves can
+    # only end in step_limit. The 1e-9 covers this check's own rounding.
+    budget = IntegratorSettings.max_steps
+    t_far = max(abs(t_start), abs(t_end))
+    if t_end - t_start > budget * (max_step + math.ulp(t_far)) * (1 + 1e-9):
+        raise ConfigError(f"{field}: {budget} steps of max_step = "
+                          f"{max_step!r} cannot cross [{t_start!r}, "
+                          f"{t_end!r}]")
 
     cls = _HAMILTONIANS[system]
     drives = _mapping(raw["hamiltonian"], "hamiltonian", cls.KEYS,

@@ -1,13 +1,10 @@
-"""Independent reference solutions and trajectory comparison.
+"""Direct integration of the matrix equation, and trajectory comparison.
 
-Two references are available for checking a chart-coordinate run:
-
-* direct integration of the matrix equation i dU/dt = H(t) U with the
-  same Runge-Kutta engine but a completely different state (all real
-  components of U, no chart), so agreement validates the chart
-  equations rather than exercising the integrator twice;
-* the exact eigendecomposition exponential, for constant H only, which
-  is independent of both.
+The reference for checking a chart-coordinate run integrates
+i dU/dt = H(t) U with the same Runge-Kutta engine but a completely
+different state (all real components of U, no chart), so agreement
+validates the chart equations rather than exercising the integrator
+twice.
 
 The direct integration applies no unitarity reprojection on purpose.
 Its drift away from the unitary group is measured and reported; the
@@ -25,7 +22,6 @@ import numpy as np
 
 from .integrate import (IntegrationStats, IntegratorSettings,
                         compile_function, integrate)
-from .matrices import HermitianTraceless, hermitian_expm
 
 
 @functools.cache
@@ -98,7 +94,6 @@ class ComparisonReport:
     max_frobenius_error: float
     time_of_max: float
     errors: np.ndarray
-    oracle_drift: float
 
 
 def integrate_schrodinger(ham, t_start, t_end, settings: IntegratorSettings,
@@ -115,11 +110,6 @@ def integrate_schrodinger(ham, t_start, t_end, settings: IntegratorSettings,
                             stats=traj.stats)
 
 
-def exact_constant_unitaries(h: HermitianTraceless, times) -> np.ndarray:
-    """Stacked exp(-i t H) for constant H, via eigendecomposition."""
-    return np.stack([hermitian_expm(h, float(t)).matrix for t in np.asarray(times)])
-
-
 def compare(times, unitaries, reference: OracleTrajectory) -> ComparisonReport:
     """Frobenius distances between a reconstructed trajectory and a reference.
 
@@ -134,8 +124,7 @@ def compare(times, unitaries, reference: OracleTrajectory) -> ComparisonReport:
     peak = int(np.argmax(errors))
     return ComparisonReport(max_frobenius_error=float(errors[peak]),
                             time_of_max=float(times[peak]),
-                            errors=errors,
-                            oracle_drift=reference.drift)
+                            errors=errors)
 
 
 def schrodinger_residuals(times, unitaries, ham) -> np.ndarray:

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from chartprop import (ConstantDrive, CosineDrive, GaussianDrive,
-                       Hamiltonian2, Hamiltonian3, HermitianTraceless,
-                       IntegratorSettings, SumDrive, compare,
-                       exact_constant_unitaries, integrate,
-                       integrate_schrodinger, unitarity_errors)
+                       Hamiltonian2, Hamiltonian3, IntegratorSettings,
+                       SumDrive, compare, integrate, integrate_schrodinger,
+                       unitarity_errors)
 from chartprop import three_level, two_level
 from chartprop.cli import main
+from exact import exact_unitaries
 
 FINE = np.linspace(0.0, 10.0, 25001)
 FINE_DT = FINE[1] - FINE[0]
@@ -112,8 +112,7 @@ def constant_pack():
             max_unit = max(max_unit, float(np.max(unitarity_errors(us))))
             oracle = integrate_schrodinger(ham, 0.0, 10.0, SETTINGS9, GRID101)
             min_drift = min(min_drift, oracle.drift)
-            exact = exact_constant_unitaries(
-                HermitianTraceless(ham.matrix(0.0)), GRID101)
+            exact = exact_unitaries(ham.matrix(0.0), GRID101)
             worst = max(
                 worst,
                 compare(GRID101, us, oracle).max_frobenius_error,

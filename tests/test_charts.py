@@ -2,6 +2,7 @@
 reconstruction at the origin and across magnitudes, the escape
 threshold, the output-table blocks, and the chart run `propagate`."""
 
+import importlib
 from types import ModuleType
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 
 import chartprop
 from chartprop import (ConstantDrive, CosineDrive, Hamiltonian2, Hamiltonian3,
-                       HermitianTraceless, IntegratorSettings,
-                       convergence_probe, exact_constant_unitaries,
-                       integrate, propagate, three_level, two_level)
+                       IntegratorSettings, integrate, propagate, three_level,
+                       two_level)
+from exact import exact_unitaries
 from test_integrate import CHART_RUNS, assert_same_run
 
 CHARTS = pytest.mark.parametrize("chart", [two_level, three_level],
@@ -21,15 +22,19 @@ INTERFACE = {"SINGULARITY_THRESHOLD", "STATE_SIZE", "COORD_COLUMNS",
              "chart_rhs", "escaped", "error_weight", "reconstruct_batch",
              "coords_from_states", "coord_block", "extra_residuals"}
 
-# The object-form chart API, the unused matrix helpers and the named
-# three-level sample are gone.
+# The object-form chart API, the unused matrix helpers, the named
+# three-level sample, and the ground truths that only tests and one demo
+# used (the validated matrix types, the exact exponential, the tolerance
+# ladder) are gone.
 DELETED = ("ChartState2", "ChartState3", "ChartDerivative2",
            "ChartDerivative3", "initial_state2", "initial_state3",
            "pack_state", "state_from_vector", "rhs2", "rhs3",
            "reconstruct_u2", "reconstruct_u3", "delta1", "delta2",
            "log_delta_rates", "multiply", "adjoint", "frobenius_norm",
            "frobenius_distance", "ConvergenceScenario",
-           "HamiltonianSample3")
+           "HamiltonianSample3", "UnitaryMatrix", "MatrixInvariantError",
+           "HermitianTraceless", "hermitian_expm",
+           "exact_constant_unitaries", "convergence_probe")
 
 
 def coordinate_pairs(chart):
@@ -63,6 +68,8 @@ def test_package_exports():
     for name in DELETED:
         assert name not in chartprop.__all__
         assert not hasattr(chartprop, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("chartprop.matrices")
 
 
 @CHARTS
@@ -332,15 +339,18 @@ def test_propagate_is_the_weighted_chart_run(chart, ham, t_end, status):
         assert len(traj.times) < len(grid)
 
 
-def test_convergence_probe_errors_fall_with_tolerance():
+def test_propagate_errors_fall_with_tolerance():
     # A constant Hamiltonian has the exact answer exp(-i t H). The step
     # bound is loose, so the tolerance sets the error.
     ham = Hamiltonian3(h1=ConstantDrive(0.2), h2=ConstantDrive(-0.5),
                        v1=ConstantDrive(0.3 + 0.1j), v2=ConstantDrive(0.2j),
                        v3=ConstantDrive(-0.25))
-    reference = exact_constant_unitaries(HermitianTraceless(ham.matrix(0.0)),
-                                         [5.0])[0]
-    rows = convergence_probe(ham, 5.0, 1.0, reference, [1e-9, 1e-6, 1e-3])
-    tols, errs = zip(*rows)
-    assert tols == (1e-3, 1e-6, 1e-9)
+    reference = exact_unitaries(ham.matrix(0.0), [5.0])[0]
+    errs = []
+    for tol in (1e-3, 1e-6, 1e-9):
+        settings = IntegratorSettings(max_step=1.0, rel_tol=tol,
+                                      abs_tol=tol * 1e-3)
+        traj, unitaries, _ = propagate(ham, 0.0, 5.0, settings, [5.0])
+        traj.require_completed()
+        errs.append(np.linalg.norm(unitaries[-1] - reference))
     assert errs[0] > errs[1] > errs[2] and errs[1] / errs[2] > 10

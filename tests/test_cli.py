@@ -370,9 +370,11 @@ def test_invalid_config_is_exit_one(tmp_path, capsys):
      " phase_offset: 1.5707963267948966}", "hamiltonian.h"),
     ("time: {start: 0.0, end: 2.0}\nintegrator: {max_step: 0.05}",
      "time: {start: 1.0e6, end: 1000000.0000000002}", "time"),
+    ("integrator: {max_step: 0.05}", "integrator: {max_step: 1.0e-7}",
+     "integrator.max_step"),
 ], ids=["width_inf", "value_nan", "knot_time_inf", "shape_list",
         "end_400_digits", "end_5001_digits", "cosine_phase_overflow",
-        "diagonal_not_real", "window_too_narrow"])
+        "diagonal_not_real", "window_too_narrow", "beyond_step_budget"])
 def test_malformed_config_gives_one_error_line(tmp_path, capsys, old, new,
                                                path):
     p = tmp_path / "bad.yaml"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chartprop import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
-                       Hamiltonian2, Hamiltonian3, HermitianTraceless,
+                       Hamiltonian2, Hamiltonian3, IntegratorSettings,
                        PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
                        drive_from_spec, parse_config, serialize_config)
 
@@ -128,7 +128,7 @@ def test_hamiltonian2_matrix_structure():
     assert m[1, 0] == 0.5 + 0.2j
     h, v = ham.sample(1.7)
     assert h == 0.3 and v == 0.5 + 0.2j
-    HermitianTraceless(ham.matrix(0.0))  # validates Hermitian and traceless
+    assert np.array_equal(m, m.conj().T) and np.trace(m) == 0
 
 
 def test_hamiltonian2_rejects_complex_diagonal():
@@ -518,6 +518,8 @@ hamiltonian:
     # steps too small to move t on the window: t + h == t at its far end
     ("time: {start: 1.0e6, end: 1000000.0000000002}", "time"),
     ("integrator: {max_step: 1.0e-17}", "integrator.max_step"),
+    # steps too small to cross the window within the step budget
+    ("integrator: {max_step: 1.0e-7}", "integrator.max_step"),
 ])
 def test_parse_config_rejects_bad_documents(mutation, fragment):
     base = """
@@ -536,6 +538,33 @@ hamiltonian:
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("start, end", [(0.0, 2.0), (1.0e6, 1.0e6 + 2.0),
+                                        (-3.0, -1.0)])
+def test_parse_config_rejects_a_window_beyond_the_step_budget(start, end):
+    # A step moves t by at most max_step plus the rounding of t + h. So
+    # max_steps steps of window / max_steps may cross the window and are
+    # accepted; steps 0.1 % shorter, less that rounding, cannot.
+    budget = IntegratorSettings.max_steps
+    window = end - start
+    rounding = math.ulp(max(abs(start), abs(end)))
+    base = f"""
+system: 2
+time: {{start: {start!r}, end: {end!r}}}
+hamiltonian:
+  h: {{shape: constant, value: 0.3}}
+  v: {{shape: cosine, amplitude: 0.8, angular_frequency: 2.0}}
+"""
+    inside = window / budget
+    assert parse_config(
+        base + f"integrator: {{max_step: {inside!r}}}\n").max_step == inside
+    outside = 0.999 * window / budget - rounding
+    with pytest.raises(ConfigError) as err:
+        parse_config(base + f"integrator: {{max_step: {outside!r}}}\n")
+    assert str(err.value).startswith(
+        f"integrator.max_step: {budget} steps of max_step = {outside!r} "
+        f"cannot cross [{start!r}, {end!r}]")
 
 
 @pytest.mark.parametrize("system, key", [(2, "h"), (3, "h1"), (3, "h2")])

@@ -17,11 +17,11 @@ import csv
 import numpy as np
 import pytest
 
-from chartprop import (ConstantDrive, Hamiltonian2, Hamiltonian3,
-                       HermitianTraceless, exact_constant_unitaries,
-                       integrate, integrate_schrodinger, three_level,
-                       two_level, unitarity_errors)
+from chartprop import (ConstantDrive, Hamiltonian2, Hamiltonian3, integrate,
+                       integrate_schrodinger, three_level, two_level,
+                       unitarity_errors)
 from chartprop.cli import main
+from exact import exact_unitaries
 from test_acceptance import (CONSTANT_SEED, COARSE, FINE, GRID101,
                              SCENARIO_SEED, SETTINGS9, scenario_stream)
 
@@ -77,8 +77,7 @@ def check_weighted_run(chart, ham, grid, references, plain_calls):
 @pytest.mark.parametrize("index", [*range(10), *range(25, 35)])
 def test_weighted_constant_systems_match_exact_and_oracle(index):
     chart, ham = list(constant_systems())[index]
-    exact = exact_constant_unitaries(HermitianTraceless(ham.matrix(0.0)),
-                                     GRID101)
+    exact = exact_unitaries(ham.matrix(0.0), GRID101)
     oracle = integrate_schrodinger(ham, 0.0, 10.0, SETTINGS9, GRID101)
     _, plain_calls = counted_run(chart, ham, GRID101, weighted=False)
     check_weighted_run(chart, ham, GRID101, [exact, oracle.unitaries],
@@ -121,8 +120,7 @@ def test_weighted_tangent_orbit_near_the_pole(t_end):
                   / (1.0 + np.abs(exact_z) ** 2)) <= 1e-7
     assert np.max(np.abs(phi)) <= 1e-12
     us = two_level.reconstruct_batch(traj.states)
-    exact = exact_constant_unitaries(HermitianTraceless(ham.matrix(0.0)),
-                                     grid)
+    exact = exact_unitaries(ham.matrix(0.0), grid)
     assert np.max(np.linalg.norm(us - exact, axis=(1, 2))) <= 1e-6
     assert np.max(unitarity_errors(us)) <= 1e-11
     assert calls < plain_calls

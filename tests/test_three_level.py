@@ -4,10 +4,11 @@ identities, and reconstruction."""
 import numpy as np
 
 from chartprop import (ConstantDrive, Hamiltonian2, Hamiltonian3,
-                       HermitianTraceless, hermitian_expm, two_level)
+                       IntegratorSettings, propagate, two_level)
 from chartprop.three_level import (chart_rhs, coords_from_states,
                                    delta_residuals, log_delta_rates,
                                    reconstruct_batch)
+from exact import exact_unitaries
 
 
 def state(x=0j, y=0j, z=0j, phi1=0.0, phi2=0.0):
@@ -152,11 +153,10 @@ def test_chart_matches_unitary_flow_locally():
             [v1, h2, np.conj(v3)],
             [v2, v3, -(h1 + h2)],
         ])
-        herm = HermitianTraceless(mat)
         t0, dt = 0.3, 1e-6
 
         def coords(t):
-            u = hermitian_expm(herm, t).matrix
+            u = exact_unitaries(mat, [t])[0]
             x = u[1, 0] / u[0, 0]
             y = u[2, 0] / u[0, 0]
             z = -np.conj(u[1, 2] / u[2, 2])
@@ -214,3 +214,43 @@ def test_delta_residual_guards():
     r1, r2 = delta_residuals(times, states, ham)
     assert r1.shape == (2,)
     assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))
+
+
+# The spin-1 lift of criterion 2's h = 0, v = 1: h1 = h2 = 0 and
+# v1 = v3 = sqrt(2), whose orbit is x = z = -i sqrt(2) tan t and
+# y = -tan^2 t with both phases 0, up to the pole at pi / 2. Each bound
+# is at least 10 times the error measured when the test was added.
+SPIN1_TANGENT = Hamiltonian3(h1=ConstantDrive(0.0), h2=ConstantDrive(0.0),
+                             v1=ConstantDrive(np.sqrt(2.0)),
+                             v2=ConstantDrive(0.0),
+                             v3=ConstantDrive(np.sqrt(2.0)))
+
+
+def test_spin1_tangent_orbit_matches_closed_form():
+    # criterion 2's tight settings and grid; measured: x 2.2e-8,
+    # y 7.2e-8 (2.1e-9 relative to 1 + tan^2 t), z 2.0e-8, phases 0,
+    # U 5.2e-10
+    tight = IntegratorSettings(max_step=0.1, rel_tol=1e-10, abs_tol=1e-13)
+    grid = np.linspace(0.0, 1.4, 141)
+    traj, unitaries, _ = propagate(SPIN1_TANGENT, 0.0, 1.4, tight, grid)
+    assert traj.status == "completed"
+    x, y, z, phi1, phi2 = coords_from_states(traj.states)
+    tan = np.tan(traj.times)
+    assert np.max(np.abs(x + 1j * np.sqrt(2.0) * tan)) <= 3e-7
+    assert np.max(np.abs(y + tan ** 2)) <= 1e-6
+    assert np.max(np.abs(y + tan ** 2) / (1.0 + tan ** 2)) <= 3e-8
+    assert np.max(np.abs(z + 1j * np.sqrt(2.0) * tan)) <= 3e-7
+    assert np.max(np.abs(phi1)) <= 1e-12 and np.max(np.abs(phi2)) <= 1e-12
+    exact = exact_unitaries(SPIN1_TANGENT.matrix(0.0), grid)
+    assert np.max(np.linalg.norm(unitaries - exact, axis=(1, 2))) <= 1e-8
+
+
+def test_spin1_tangent_orbit_stops_before_the_pole():
+    # criterion 2's pole settings; measured: the stop at 1.5697971,
+    # 1.0e-3 before pi / 2, after 26 escape halvings
+    settings = IntegratorSettings(max_step=0.1, rel_tol=1e-9, abs_tol=1e-12)
+    traj, _, _ = propagate(SPIN1_TANGENT, 0.0, 2.0, settings,
+                           np.linspace(0.0, 2.0, 21))
+    assert traj.status == "singularity"
+    assert 0.0 < np.pi / 2 - traj.singularity_time <= 0.01
+    assert traj.stats.escape_halvings > 0
