@@ -37,7 +37,8 @@ standard output or error and leaves through os._exit.
 
 The report's keys and their order are stated once, in _REPORT_KEYS;
 `main` prints the fields `_run_impl` returns in that order. The report
-ends in wall-clock lines: `parse_s` (reading the config), `chart_s`
+ends in wall-clock lines: `parse_s` (reading the config, the import of
+yaml included, since `parse_config` loads it only for text), `chart_s`
 (`propagate`: the chart integration and the reconstruction of U),
 `table_s` (the residuals and the table), `emit_s` (writing it),
 `oracle_wait_s` (how long the run then waited for the oracle) and
@@ -49,7 +50,6 @@ that one warning is ignored at each fork.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import pickle
@@ -167,12 +167,13 @@ def _json_float(value) -> str:
     return float.__repr__(value)
 
 
-def _json_rows(columns):
-    # One block of rows as one %-operation on a prebuilt row template;
-    # str of a Python float is the shortest text that round-trips, which
-    # is what json writes.
+def _json_rows(names):
+    # One block of rows as one %-operation on a prebuilt row template,
+    # names being the column names as JSON strings; str of a Python
+    # float is the shortest text that round-trips, which is what json
+    # writes.
     row_format = ("  {\n"
-                  + ",\n".join(f"   {json.dumps(name)}: %s" for name in columns)
+                  + ",\n".join(f"   {name}: %s" for name in names)
                   + "\n  }")
 
     def text(block):
@@ -187,10 +188,14 @@ def _write_json(columns, table, header, stream) -> None:
     # Writes json.dumps({"header": header, "samples": rows}, indent=1)
     # plus a newline, rows being one {column: value} object per table
     # row, streamed in blocks of rows like the CSV. A table has at least
-    # the row of the start time.
+    # the row of the start time. json is imported here, so that a CSV
+    # run never loads it.
+    import json
+
     head = json.dumps({"header": header}, indent=1)   # ends in "\n}"
     stream.write(head[:-2] + ',\n "samples": [\n')
-    _write_rows(table, _json_rows(columns), _JSON_BLOCK, ",\n", stream)
+    _write_rows(table, _json_rows([json.dumps(name) for name in columns]),
+                _JSON_BLOCK, ",\n", stream)
     stream.write("\n ]\n}\n")
 
 

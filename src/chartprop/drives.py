@@ -7,11 +7,13 @@ entries are real drives, off-diagonal couplings are complex drives,
 and the last diagonal entry is always derived from tracelessness.
 
 Configs are YAML mappings (JSON is a subset, so .json files load with
-the same parser). A drive's mapping form is `shape` plus the shape's
-keys: its fields for the constant, cosine and Gaussian shapes, `knots`
-for the piecewise shape and `terms` for the sum. `parse_config` checks
-the keys of every mapping, reads every number as a finite float, and
-raises ConfigError with the path of the offending field.
+the same parser). yaml is imported only where text is read or written:
+a config given as a mapping never loads it. A drive's mapping form is
+`shape` plus the shape's keys: its fields for the constant, cosine and
+Gaussian shapes, `knots` for the piecewise shape and `terms` for the
+sum. `parse_config` checks the keys of every mapping, reads every
+number as a finite float, and raises ConfigError with the path of the
+offending field.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from operator import itemgetter
 from typing import Union, get_args
 
 import numpy as np
-import yaml
 
 from .integrate import IntegratorSettings, compile_function, steps_stall
 
@@ -673,6 +674,8 @@ def parse_config(source) -> RunConfig:
     if isinstance(source, dict):
         raw = source
     else:
+        import yaml
+
         text = source.read() if hasattr(source, "read") else source
         try:
             raw = yaml.safe_load(text)
@@ -732,26 +735,42 @@ def parse_config(source) -> RunConfig:
              for key in (*cls.KEYS, "h3") if key in drives}
     for key, drive in built.items():
         _check_phases(drive, f"hamiltonian.{key}", t_start, t_end)
-    # The diagonal drives must evaluate real; checked here on 11 points
-    # of the window and at the knot times inside it, and by the
-    # Hamiltonian at each sample in between. A piecewise drive is linear
-    # between its knots, so an imaginary part anywhere on the window
-    # shows at one of these points. The h3 check uses the same points:
-    # where h1, h2 and h3 are piecewise or constant, h1 + h2 + h3 is
-    # linear between them.
+    h3 = built.pop("h3", None)
+    _check_diagonal(built, cls.KEYS[:system - 1], h3, t_start, t_end)
+    return RunConfig(hamiltonian=cls(**built), t_start=t_start, t_end=t_end,
+                     **settings)
+
+
+def _check_diagonal(built, keys, h3, t_start, t_end):
+    """Raise ConfigError unless the diagonal drives built[key] evaluate
+    real on [t_start, t_end] and a stated h3 equals -(h1 + h2) there.
+
+    Checked on 11 points of the window and at the knot times inside it,
+    and by the Hamiltonian at each sample in between. A piecewise drive
+    is linear between its knots, so an imaginary part anywhere on the
+    window shows at one of these points. The h3 check uses the same
+    points: where h1, h2 and h3 are piecewise or constant, h1 + h2 + h3
+    is linear between them. A drive that is real by construction (its
+    `_formula(True)`, as in `sample`) cannot fail the check, so it is
+    evaluated only when h3 is stated and needs its values.
+    """
+    checked = [key for key in keys
+               if h3 is not None or built[key]._formula(True) is None]
+    if not checked:
+        return
     grid = np.linspace(t_start, t_end, 11)
-    knots = [t for key in (*cls.KEYS[:system - 1], "h3") if key in built
-             for t in _knot_times(built[key]) if t_start <= t <= t_end]
+    drives = [built[key] for key in keys] + ([] if h3 is None else [h3])
+    knots = [t for drive in drives for t in _knot_times(drive)
+             if t_start <= t <= t_end]
     if knots:  # most configs have none, and np.union1d is not free
         grid = np.union1d(grid, knots)
     diagonal = {}
-    for key in cls.KEYS[:system - 1]:
+    for key in checked:
         try:
             diagonal[key] = _grid_values(built[key], grid,
                                          f"diagonal drive {key}")
         except ValueError as exc:
             raise ConfigError(f"hamiltonian.{key}: {exc}") from None
-    h3 = built.pop("h3", None)
     if h3 is not None:
         # Redundant entry tolerated only when consistent with tracelessness.
         derived = -(diagonal["h1"] + diagonal["h2"])
@@ -760,8 +779,6 @@ def parse_config(source) -> RunConfig:
                 raise ConfigError(
                     f"hamiltonian.h3: must equal -(h1 + h2); differs at t={t} "
                     f"({stated} vs {want})")
-    return RunConfig(hamiltonian=cls(**built), t_start=t_start, t_end=t_end,
-                     **settings)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -777,4 +794,6 @@ def config_to_dict(config: RunConfig) -> dict:
 
 def serialize_config(config: RunConfig) -> str:
     """YAML text for a config; round-trips exactly through parse_config."""
+    import yaml
+
     return yaml.safe_dump(config_to_dict(config), sort_keys=True)

@@ -214,10 +214,14 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     ValueError.
     sample_times must lie within [t_start, t_end]; t_start and t_end
     are always included in the output grid. A max_step too small to
-    move t on the window (`steps_stall`) raises ValueError. escape, if
-    given, is a predicate on the flat state; the run stops with
-    singularity status once only escaping steps remain, bracketing the
-    blow-up within one tiny step.
+    move t on the window (`steps_stall`) raises ValueError. The first
+    step is initial_step, raised to the spacing of the doubles at
+    t_start where it is smaller. A step that error rejections shrink
+    below 1e-12 of the window, or one that passes but whose t + h rounds
+    back to t, raises IntegrationError (step size underflow) instead of
+    being counted. escape, if given, is a predicate on the flat state;
+    the run stops with singularity status once only escaping steps
+    remain, bracketing the blow-up within one tiny step.
 
     The error estimate of a step from y to y1 is measured against the
     scale abs_tol + rel_tol * max(|y|, |y1|), componentwise. error_weight,
@@ -381,7 +385,9 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     if not np.all(np.isfinite(k1)):
         raise NonFiniteDerivativeError(t_start)
 
-    h = min(settings.initial_step, max_step, span)
+    # The first step is at least the spacing of the doubles at t_start,
+    # so that a tiny initial_step still moves t; the controller grows it.
+    h = min(max(settings.initial_step, math.ulp(t_start)), max_step, span)
     h_floor = 1e-12 * span
     facold = 1e-4
     just_rejected = False
@@ -447,13 +453,18 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
             escape_halvings += 1
             continue
 
+        t1 = t_end if hits_end else t + h
+        if t1 == t:
+            # h is below the spacing of the doubles at t: the step would
+            # move y but not t.
+            raise IntegrationError(f"step size underflow at t = {t:.12g}")
+
         # step accepted
         accepted += 1
         if h < smallest_step:
             smallest_step = h
         if h > largest_step:
             largest_step = h
-        t1 = t_end if hits_end else t + h
         if t1 >= next_time:
             end = bisect_right(grid, t1)
             record.extend(y)

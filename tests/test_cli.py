@@ -847,6 +847,22 @@ def test_process_stdout_matches_output_file(config3_path, tmp_path, fmt):
     assert to_stdout.stderr.decode().count("oracle_wait_s = ") == 1
 
 
+def test_step_that_does_not_move_t_exits_fast(tmp_path, capsys):
+    # Near 1e15 the doubles are 0.125 apart, so steps of at most 0.05
+    # never move t; the run stops at the first one, not after a step
+    # budget's worth of them.
+    p = tmp_path / "stall.yaml"
+    p.write_text(CONFIG_BLOWUP.replace(
+        "time: {start: 0.0, end: 2.0}",
+        "time: {start: 1.0e15, end: 1.0000000000001e15}"))
+    out = tmp_path / "x.csv"
+    started = time.perf_counter()
+    assert main(["run", str(p), "--output", str(out)]) == 1
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "error: step size underflow at t = 1e+15\n")
+
+
 def test_cosine_of_rounding_noise_exits_at_parse(tmp_path, capsys):
     # cos(1e300 * t) on [0, 6] is rounding noise; integrating it would
     # shrink the steps for minutes toward the step budget.

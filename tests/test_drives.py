@@ -16,6 +16,7 @@ from chartprop import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                        Hamiltonian2, Hamiltonian3, IntegratorSettings,
                        PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
                        drive_from_spec, parse_config, serialize_config)
+from chartprop.drives import _grid_values
 
 CONFIG3 = """
 system: 3
@@ -599,6 +600,53 @@ def test_parse_config_rejects_a_diagonal_drive_that_is_not_real(system,
                 f"hamiltonian.{key}: diagonal drive {key} must evaluate real")
     knots[2][1] = 0.5
     parse_config(doc)
+
+
+def test_realness_check_evaluates_only_drives_that_can_fail(monkeypatch):
+    # A diagonal drive that is real by construction is not evaluated on
+    # the check grid unless h3 is stated; every other one still is, and
+    # is still rejected where it turns complex.
+    checked = []
+
+    def grid_values(drive, times, what=None):
+        checked.append(what)
+        return _grid_values(drive, times, what)
+    monkeypatch.setattr("chartprop.drives._grid_values", grid_values)
+
+    h1 = {"shape": "cosine", "amplitude": 0.2, "angular_frequency": 1.3}
+    h2 = {"shape": "piecewise", "knots": [[0.0, 0.1], [3.0, -0.2],
+                                          [6.0, 0.0]]}
+    doc = {"system": 3, "time": {"start": 0.0, "end": 6.0},
+           "hamiltonian": {"h1": h1, "h2": h2,
+                           **{key: {"shape": "constant", "value": 0.1}
+                              for key in ("v1", "v2", "v3")}}}
+    parse_config(doc)
+    assert checked == []
+
+    # a complex amplitude, and a complex knot between the 11 points
+    bad = [{**h1, "amplitude": [0.2, 0.1]},
+           {"shape": "piecewise", "knots": [[0.0, 0.1], [0.7, [0.1, 0.3]],
+                                            [6.0, 0.0]]}]
+    for drive in bad:
+        doc["hamiltonian"]["h1"] = drive
+        with pytest.raises(ConfigError, match="^hamiltonian.h1: diagonal "
+                                              "drive h1 must evaluate real"):
+            parse_config(doc)
+    assert checked == ["diagonal drive h1"] * 2
+
+    # a stated h3 is checked against h1 and h2 real by construction
+    checked.clear()
+    doc["hamiltonian"]["h1"] = h1
+    minus = {"shape": "sum", "terms": [
+        {**h1, "amplitude": -0.2},
+        {**h2, "knots": [[t, -v] for t, v in h2["knots"]]}]}
+    doc["hamiltonian"]["h3"] = minus
+    parse_config(doc)
+    assert checked == ["diagonal drive h1", "diagonal drive h2", None]
+    minus["terms"][1]["knots"][1][1] = 0.1999
+    with pytest.raises(ConfigError, match=r"^hamiltonian.h3: must equal "
+                                          r"-\(h1 \+ h2\); differs at t="):
+        parse_config(doc)
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():

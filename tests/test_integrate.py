@@ -12,7 +12,8 @@ import pytest
 from chartprop import (ChartSingularityError, ConstantDrive, CosineDrive,
                        Hamiltonian2, Hamiltonian3, IntegrationError,
                        IntegratorSettings, NonFiniteDerivativeError,
-                       StepLimitError, integrate, three_level, two_level)
+                       StepLimitError, integrate, parse_config, propagate,
+                       three_level, two_level)
 from chartprop.integrate import _magnitudes
 from chartprop.reference import _schrodinger_rhs
 
@@ -137,6 +138,26 @@ def test_max_step_that_cannot_move_t_is_rejected():
     traj = integrate(decay, [1.0], 1.0 - 3 * u, 1.0,
                      IntegratorSettings(max_step=u), [])
     assert traj.status == "completed"
+
+
+def test_a_step_that_does_not_move_t_raises_underflow():
+    # The doubles near 1e15 are 0.125 apart. max_step = 0.05 passes
+    # steps_stall, but every t + h rounds back to t: the first such
+    # step raises instead of being counted as accepted.
+    config = parse_config({
+        "system": 2, "time": {"start": 1.0e15, "end": 1.0000000000001e15},
+        "integrator": {"max_step": 0.05},
+        "hamiltonian": {"h": {"shape": "constant", "value": 0.3},
+                        "v": {"shape": "constant", "value": 0.8}}})
+    settings = IntegratorSettings(max_step=config.max_step, max_steps=20000)
+    with pytest.raises(IntegrationError,
+                       match=r"^step size underflow at t = 1e\+15$"):
+        propagate(config.hamiltonian, config.t_start, config.t_end,
+                  settings, [])
+    rhs = counting(decay)
+    with pytest.raises(IntegrationError, match="^step size underflow"):
+        integrate(rhs, [1.0], config.t_start, config.t_end, settings, [])
+    assert rhs.calls == 7  # the first stage and one attempt
 
 
 def test_step_limit_reported():
