@@ -12,12 +12,26 @@ step attempt, the six stages after the first and the error norm, is a
 straight-line function that `_attempt` generates from the tableau for
 each state size and compiles once per process; the loop around it
 keeps the step control, the escape test, first-same-as-last, the run
-counters and the dense-output record. The 6th and 7th stages of an
-attempt both run at t + h, with the same float, which lets the chart
-right-hand sides sample their drive 5 times per attempt: each keeps the
-(t, sample) pair of its last call. `compile_function` compiles the
-generated code of the attempt, of the oracle's matrix product and of
-the drive samplers.
+counters and the dense-output record. Without error_weight, the
+attempt takes the weight |y| inline. The 6th and 7th stages of an
+attempt both run at t + h, with the same float, so the drive needs
+sampling only 5 times per attempt.
+
+A chart's right-hand side (`two_level.chart_rhs`,
+`three_level.chart_rhs`) is compiled by `_chart_rhs` from the chart's
+rates, stated once as source lines in real arithmetic. For such an
+rhs the attempt is generated once more per chart, with those same
+lines written inline at each stage, so that a stage makes no call but
+the drive sample and builds no complex value: it samples the drive
+once per distinct stage time and forms stage inputs only for the
+coordinates the rates read, never for the phases. The lines repeat
+CPython's complex arithmetic one operation at a time, so they keep the
+bits of the complex forms the chart equations are written in, and the
+inline attempt gives the bits of the attempt that calls the chart's
+rhs. Any other rhs, such as the oracle's or a wrapper around a chart's
+rhs, gets the attempt that calls it at every stage. `compile_function`
+compiles the generated code of the attempts, of the chart right-hand
+sides, of the oracle's matrix product and of the drive samplers.
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
@@ -147,11 +161,12 @@ class IntegrationStats:
     """What one integration run cost, counted in the stepping loop.
 
     Every attempt evaluates the six stages after the first, and the
-    run evaluates the first stage once, so rhs_calls is always
-    1 + 6 * attempts. An attempt ends in exactly one of: an accepted
-    step, an error rejection, a retry after a non-finite error estimate
-    or weight, an escape halving, or, once, the stop that brackets a
-    chart singularity. smallest_step and largest_step span the accepted
+    run evaluates the first stage once, so rhs_calls, the count of stage
+    evaluations, is always 1 + 6 * attempts, whether the attempt calls
+    rhs at each stage or writes a chart's rates inline. An attempt ends
+    in exactly one of: an accepted step, an error rejection, a retry
+    after a non-finite error estimate or weight, an escape halving, or,
+    once, the stop that brackets a chart singularity. smallest_step and largest_step span the accepted
     steps, the shortened last one included; both are None when no step
     was accepted.
     """
@@ -211,7 +226,9 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     sequence of d reals: a tuple or a list, or a 1-D array, which works
     but is slower. escape and error_weight receive the same list, and
     an rhs or error_weight result of another length than d raises
-    ValueError.
+    ValueError. A chart's own `chart_rhs` is called only at t_start:
+    the step attempts write its rates inline, with the same bits (see
+    the module docstring).
     sample_times must lie within [t_start, t_end]; t_start and t_end
     are always included in the output grid. A max_step too small to
     move t on the window (`steps_stall`) raises ValueError. The first
@@ -283,10 +300,17 @@ def _magnitudes(y):
     return [abs(v) for v in y]
 
 
+def _indented(body, depth):
+    # the lines of a rates body, each indented by `depth` spaces
+    return [" " * depth + line.strip()
+            for line in body.strip().splitlines()]
+
+
 @functools.cache
-def _attempt(size):
+def _attempt(size, rates=None):
     """The DOPRI5 step attempt on states of `size` components, generated
-    and compiled once per size.
+    and compiled once per size, and once more per chart for the chart's
+    `rates`.
 
     attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol) evaluates the
     stages k2..k7 of a step of size h from (t, y), where k1 = rhs(t, y)
@@ -296,61 +320,152 @@ def _attempt(size):
     scale abs_tol + rel_tol * max(w, w1), componentwise.
 
     The body is straight-line code with one local per stage and
-    component (y_0, p3_5, ...), which on 3 to 18 components costs about
+    component (_y_0, _p3_5, ...), which on 3 to 18 components costs about
     half of a loop over zip(). Component i of a stage input is
     y_i + h * (a1 * p1_i + a2 * p2_i + ...) over the stage's nonzero _A
     weights in order, and the error term is h * (e1 * p1_i + ...) / s_i
     with the nonzero _E weights; each weight is written with repr, which
-    gives back the same float. Unpacking makes a stage or a weight of
-    the wrong length raise ValueError. An infinite weight would scale
-    the error away, so a non-finite scale gives err = nan, as a wild
-    stage does; so does a zero scale, which only a negative weight can
-    give. The source is registered with linecache under the filename
-    "<dopri5 attempt d=size>", so tracebacks show its lines.
+    gives back the same float. With the default weight (`_magnitudes`)
+    w1 is |y1| taken inline, the same floats as the call. Unpacking makes
+    a stage or a weight of the wrong length raise ValueError. An
+    infinite weight would scale the error away, so a non-finite scale
+    gives err = nan, as a wild stage does; so does a zero scale, which
+    only a negative weight can give.
+
+    Without `rates` each stage is a call of rhs. With them, the attempt
+    of a chart's RHS (see `_chart_rhs`) writes the chart's rates inline
+    at each stage instead: rhs.sample(t) runs once per distinct stage
+    time, 5 times per attempt, since the 6th and 7th stages share t + h,
+    and a stage input is formed only for the components the rates read.
+    Both give the same bits, as the inline rates are the very lines the
+    chart's rhs runs. rates is (drives, reads, body, derivatives): the
+    names `drives` unpacks rhs.sample(t) into, the names of the leading
+    state components the body reads (the trailing ones, the phases, are
+    never read), the body's source lines, and one expression per
+    component for the derivative. The kernel's own names all start with
+    an underscore, and the rates' names do not, so the two never meet;
+    the body assigns no drive name, as the 7th stage reuses the 6th's.
+    The source is registered with linecache under the filename
+    "<dopri5 attempt d=size>", with ", inlined rates" appended for a
+    chart, so tracebacks show its lines.
     """
     def names(prefix):
-        return ", ".join(f"{prefix}_{i}" for i in range(size))
+        return ", ".join(f"_{prefix}_{i}" for i in range(size))
 
     def combination(weights, i):
-        return " + ".join(f"{c!r} * p{j}_{i}"
+        return " + ".join(f"{c!r} * _p{j}_{i}"
                           for j, c in enumerate(weights, 1) if c != 0.0)
 
-    def stage_input(weights):
-        return ", ".join(f"y_{i} + h * ({combination(weights, i)})"
-                         for i in range(size))
+    def stage_input(weights, i):
+        return f"_y_{i} + _h * ({combination(weights, i)})"
 
-    lines = ["def attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol):",
-             f"    {names('y')}, = y",
-             f"    {names('p1')}, = k1"]
-    for stage in range(2, 7):
-        c = _C[stage - 1]
-        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        lines += [f"    k{stage} = rhs({at}, [{stage_input(_A[stage - 1])}])",
-                  f"    {names(f'p{stage}')}, = k{stage}"]
+    if rates is not None:
+        drives, reads, body, derivatives = rates
+        reads = [name.strip() for name in reads.split(",")]
+        body = _indented(body, 4)
+
+    def stage(k, inputs, vector):
+        # stage k at time t + _C[k - 1] * h: a call of rhs on `vector`,
+        # or the inline rates on the expressions `inputs` of its components
+        c = _C[k - 1]
+        at = "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
+        if rates is None:
+            return [f"    _k{k} = _rhs({at}, {vector})",
+                    f"    {names(f'p{k}')}, = _k{k}"]
+        lines = []
+        if c != _C[k - 2]:
+            lines.append(f"    {drives} = _sample({at})")
+        lines += [f"    {name} = {value}"
+                  for name, value in zip(reads, inputs)]
+        lines += body
+        lines += [f"    _p{k}_{i} = {derivative}"
+                  for i, derivative in enumerate(derivatives)]
+        if k > 2:
+            lines.append(f"    _k{k} = ({names(f'p{k}')},)")
+        return lines
+
+    lines = ["def attempt(_rhs, _weight, _t, _h, _y, _k1, _w, _abs_tol, "
+             "_rel_tol):"]
+    if rates is not None:
+        lines.append("    _sample = _rhs.sample")
+    lines += [f"    {names('y')}, = _y",
+              f"    {names('p1')}, = _k1"]
+    for k in range(2, 7):
+        inputs = [stage_input(_A[k - 1], i) for i in range(size)]
+        lines += stage(k, inputs, f"[{', '.join(inputs)}]")
     # the 7th stage input is the 5th-order result
-    lines += [f"    y1 = [{stage_input(_A[6])}]",
-              "    k7 = rhs(t + h, y1)",
-              f"    {names('p7')}, = k7",
-              "    w1 = weight(y1)",
-              f"    {names('v')}, = w1",
-              f"    {names('w')}, = w",
+    lines += [f"    _r_{i} = {stage_input(_A[6], i)}" for i in range(size)]
+    lines.append(f"    _y1 = [{names('r')}]")
+    lines += stage(7, [f"_r_{i}" for i in range(size)], "_y1")
+    lines += ["    if _weight is magnitudes:",
+              *(f"        _v_{i} = abs(_r_{i})" for i in range(size)),
+              f"        _w1 = [{names('v')}]",
+              "    else:",
+              "        _w1 = _weight(_y1)",
+              f"        {names('v')}, = _w1",
+              f"    {names('w')}, = _w",
               "    try:"]
     for i in range(size):
-        lines += [f"        s_{i} = abs_tol + rel_tol * "
-                  f"(w_{i} if w_{i} > v_{i} else v_{i})",
-                  f"        q_{i} = h * ({combination(_E, i)}) / s_{i}"]
-    squares = " + ".join(f"q_{i} * q_{i}" for i in range(size))
-    scales = " + ".join(f"s_{i}" for i in range(size))
+        lines += [f"        _s_{i} = _abs_tol + _rel_tol * "
+                  f"(_w_{i} if _w_{i} > _v_{i} else _v_{i})",
+                  f"        _q_{i} = _h * ({combination(_E, i)}) / _s_{i}"]
+    squares = " + ".join(f"_q_{i} * _q_{i}" for i in range(size))
+    scales = " + ".join(f"_s_{i}" for i in range(size))
     lines += ["    except ZeroDivisionError:",
-              "        err = nan",
+              "        _err = nan",
               "    else:",
-              f"        err = sqrt(({squares}) / {size}) "
+              f"        _err = sqrt(({squares}) / {size}) "
               f"if isfinite({scales}) else nan",
-              "    return y1, w1, k3, k4, k5, k6, k7, err"]
+              "    return _y1, _w1, _k3, _k4, _k5, _k6, _k7, _err"]
+    inlined = "" if rates is None else ", inlined rates"
     return compile_function("\n".join(lines) + "\n",
-                            f"<dopri5 attempt d={size}>", "attempt",
+                            f"<dopri5 attempt d={size}{inlined}>", "attempt",
                             {"sqrt": math.sqrt, "isfinite": math.isfinite,
-                             "nan": math.nan})
+                             "nan": math.nan, "magnitudes": _magnitudes})
+
+
+@functools.cache
+def _rhs_factory(rates):
+    # factory(sample) -> rhs(t, vec) for a chart's rates, generated and
+    # compiled once per chart (see `_chart_rhs`)
+    drives, reads, body, derivatives = rates
+    unread = len(derivatives) - len(reads.split(","))
+    source = "\n".join([
+        "def factory(_sample):",
+        "    _last_t = _last = None",
+        "",
+        "    def rhs(_t, _vec):",
+        "        nonlocal _last_t, _last",
+        "        if _t != _last_t:",
+        "            _last = _sample(_t)",
+        "            _last_t = _t",
+        f"        {drives} = _last",
+        f"        {reads}{', _' * unread}, = _vec",
+        *_indented(body, 8),
+        f"        return {', '.join(derivatives)}",
+        "    return rhs",
+        ""])
+    return compile_function(source, f"<chart rhs d={len(derivatives)}>",
+                            "factory", {})
+
+
+def _chart_rhs(rates, sample):
+    """The flat-vector rhs(t, vec) of a chart's `rates` (see `_attempt`)
+    on the drive sampler `sample`.
+
+    rhs returns the derivatives as a tuple of floats. It calls sample
+    once per distinct t: it keeps the (t, sample) pair of its last call,
+    since the 6th and 7th stages of a DOPRI5 attempt both run at t + h.
+    That is exact, as a sample depends on t alone, and a sample that
+    raises leaves the pair as it was. rhs carries `rates` and `sample`
+    as attributes, by which `integrate` takes the attempt with the rates
+    inline. The code is compiled once per chart and registered with
+    linecache under the filename "<chart rhs d=size>".
+    """
+    rhs = _rhs_factory(rates)(sample)
+    rhs.rates = rates
+    rhs.sample = sample
+    return rhs
 
 
 def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
@@ -358,7 +473,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     # The stepping loop of `integrate`, run inside its errstate. The
     # state, the stages k1..k7 and the weights are sequences of Python
     # floats, and each step attempt is one call of the generated
-    # `_attempt` for the state size.
+    # `_attempt` for the state size, and for a chart's rhs its rates.
     d1, _, d3, d4, d5, d6, d7 = _D
     abs_tol = settings.abs_tol
     rel_tol = settings.rel_tol
@@ -366,7 +481,6 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
 
     span = t_end - t_start
     size = initial.size
-    attempt = _attempt(size)
     y = initial.tolist()
     grid = samples.tolist()
     # Per accepted step that holds samples, in order: its sample count,
@@ -384,6 +498,8 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
                          f"expected ({size},)")
     if not np.all(np.isfinite(k1)):
         raise NonFiniteDerivativeError(t_start)
+    # a chart's rhs (`_chart_rhs`) gets the attempt with its rates inline
+    attempt = _attempt(size, getattr(rhs, "rates", None))
 
     # The first step is at least the spacing of the doubles at t_start,
     # so that a tiny initial_step still moves t; the controller grows it.

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .integrate import _chart_rhs
+
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 8  # flat layout: [Re x, Im x, Re y, Im y, Re z, Im z, phi1, phi2]
@@ -113,6 +115,66 @@ def reconstruct_batch(states) -> np.ndarray:
     return u
 
 
+# The rates of chart_rhs, stated once for `integrate`, which compiles
+# them into chart_rhs and into the step attempt that writes them inline
+# (see `integrate._attempt` for the layout). The lines repeat, one
+# operation at a time, what CPython does with the complex products of
+# the chart_rhs docstring: conj(v) is (v_re, -v_im), a float meeting a
+# complex is promoted with a +0.0 imaginary part (so h2 - h1 - g has the
+# imaginary part 0.0 - g_im), and x - (-p) is written x + p, the same
+# IEEE operation, so every bit and signed zero is kept.
+_RATES = (
+    "h1, h2, v1, v2, v3",
+    "re_x, im_x, re_y, im_y, re_z, im_z",
+    """
+    h3 = -(h1 + h2)
+    v1_re = v1.real
+    v1_im = v1.imag
+    v2_re = v2.real
+    v2_im = v2.imag
+    v3_re = v3.real
+    v3_im = v3.imag
+    # a = conj(v1) x, b = conj(v2) y, c = conj(v3) z, g = a + b
+    a_re = v1_re * re_x + v1_im * im_x
+    a_im = v1_re * im_x - v1_im * re_x
+    b_re = v2_re * re_y + v2_im * im_y
+    b_im = v2_re * im_y - v2_im * re_y
+    c_re = v3_re * re_z + v3_im * im_z
+    c_im = v3_re * im_z - v3_im * re_z
+    g_re = a_re + b_re
+    sg_im = 0.0 - (a_im + b_im)
+    # Bx = v1 + (h2 - h1 - g) x + conj(v3) y
+    sx_re = (h2 - h1) - g_re
+    bx_re = ((v1_re + (sx_re * re_x - sg_im * im_x))
+             + (v3_re * re_y + v3_im * im_y))
+    bx_im = ((v1_im + (sx_re * im_x + sg_im * re_x))
+             + (v3_re * im_y - v3_im * re_y))
+    # By = v2 + (h3 - h1 - g) y + v3 x
+    sy_re = (h3 - h1) - g_re
+    by_re = ((v2_re + (sy_re * re_y - sg_im * im_y))
+             + (v3_re * re_x - v3_im * im_x))
+    by_im = ((v2_im + (sy_re * im_y + sg_im * re_y))
+             + (v3_re * im_x + v3_im * re_x))
+    # Bz = v3 + (h3 - h2 - c) z + e f, e = x z - y, f = conj(v1) + conj(v2) z
+    sz_re = (h3 - h2) - c_re
+    sz_im = 0.0 - c_im
+    e_re = (re_x * re_z - im_x * im_z) - re_y
+    e_im = (re_x * im_z + im_x * re_z) - im_y
+    f_re = v1_re + (v2_re * re_z + v2_im * im_z)
+    f_im = -v1_im + (v2_re * im_z - v2_im * re_z)
+    bz_re = ((v3_re + (sz_re * re_z - sz_im * im_z))
+             + (e_re * f_re - e_im * f_im))
+    bz_im = ((v3_im + (sz_re * im_z + sz_im * re_z))
+             + (e_re * f_im + e_im * f_re))
+    # m = conj(v2) x, whose product with z ends dphi2
+    m_re = v2_re * re_x + v2_im * im_x
+    m_im = v2_re * im_x - v2_im * re_x
+    """,
+    ("bx_im", "-bx_re", "by_im", "-by_re", "bz_im", "-bz_re",
+     "-((h1 + a_re) + b_re)",
+     "((-h2 - c_re) + a_re) + (m_re * re_z - m_im * im_z)"))
+
+
 def chart_rhs(ham):
     """Flat-vector derivative function for a 3-level Hamiltonian.
 
@@ -132,40 +194,17 @@ def chart_rhs(ham):
     The phase rates add the same real parts in the same order as the
     expanded forms, so they keep their bits and stay exactly real.
 
-    `ham.sample` is called once per distinct t: the function keeps the
-    last (t, sample) pair, since the 6th and 7th stages of a DOPRI5
-    attempt both run at t + h. That is exact, as a sample depends on t
-    alone. A `ham.sample` that raises leaves the pair as it was.
+    The rates are written in real arithmetic (`_RATES`) that repeats
+    CPython's complex operations one by one, signed zeros included, so
+    that `integrate` can write them inline in its step attempt without
+    changing a bit: there a stage builds no complex value and no input
+    for phi1 or phi2, which no rate reads. `ham.sample` is called once
+    per distinct t: the function keeps the last (t, sample) pair, since
+    the 6th and 7th stages of a DOPRI5 attempt both run at t + h. That
+    is exact, as a sample depends on t alone. A `ham.sample` that raises
+    leaves the pair as it was.
     """
-    sample = ham.sample
-    last_t = last = None
-
-    def rhs(t, vec):
-        nonlocal last_t, last
-        if t != last_t:
-            last = sample(t)
-            last_t = t
-        h1, h2, v1, v2, v3 = last
-        re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
-        x = complex(re_x, im_x)
-        y = complex(re_y, im_y)
-        z = complex(re_z, im_z)
-        h3 = -(h1 + h2)
-        v1c = v1.conjugate()
-        v2c = v2.conjugate()
-        v3c = v3.conjugate()
-        a = v1c * x
-        b = v2c * y
-        c = v3c * z
-        g = a + b
-        bx = v1 + (h2 - h1 - g) * x + v3c * y
-        by = v2 + (h3 - h1 - g) * y + v3 * x
-        bz = v3 + (h3 - h2 - c) * z + (x * z - y) * (v1c + v2c * z)
-        dphi1 = -((h1 + a.real) + b.real)
-        dphi2 = ((-h2 - c.real) + a.real) + (v2c * x * z).real
-        return (bx.imag, -bx.real, by.imag, -by.real,
-                bz.imag, -bz.real, dphi1, dphi2)
-    return rhs
+    return _chart_rhs(_RATES, ham.sample)
 
 
 def error_weight(vec) -> tuple:

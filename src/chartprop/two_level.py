@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .integrate import _chart_rhs
+
 SINGULARITY_THRESHOLD = 1e6
 
 STATE_SIZE = 3  # flat layout: [Re z, Im z, phi]
@@ -61,38 +63,53 @@ def reconstruct_batch(states) -> np.ndarray:
     return u
 
 
+# The rates of chart_rhs, stated once for `integrate`, which compiles
+# them into chart_rhs and into the step attempt that writes them inline
+# (see `integrate._attempt` for the layout). The lines repeat, one
+# operation at a time, what CPython does with the complex values
+# a = conj(v) z and B = (a + 2 h) z - v: a float meeting a complex is
+# promoted with a +0.0 imaginary part, and x - (-p) is written x + p, the
+# same IEEE operation, so every bit and signed zero is kept.
+_RATES = (
+    "h, v",
+    "re_z, im_z",
+    """
+    v_re = v.real
+    v_im = v.imag
+    # a = conj(v) z, s = a + 2 h, B = s z - v
+    a_re = v_re * re_z + v_im * im_z
+    a_im = v_re * im_z - v_im * re_z
+    s_re = a_re + 2.0 * h
+    s_im = a_im + 0.0
+    b_re = (s_re * re_z - s_im * im_z) - v_re
+    b_im = (s_re * im_z + s_im * re_z) - v_im
+    """,
+    ("-b_im", "b_re", "-(a_re + h)"))
+
+
 def chart_rhs(ham):
     """Flat-vector derivative function for a 2-level Hamiltonian.
 
         dz   = i * (conj(v) z^2 + 2 h z - v)
         dphi = -(v conj(z) + conj(v) z + 2 h) / 2
 
-    The body computes a = conj(v) z once: with B = (a + 2 h) z - v,
+    The rates compute a = conj(v) z once: with B = (a + 2 h) z - v,
     dz = i B is returned as (-Im B, Re B), with no complex
     multiplication, and dphi = -(Re a + h). v conj(z) and conj(v) z
     have the same real part to the bit, so dphi keeps the bits of the
     expanded form and is exactly real; dz moves in its last bits.
 
-    `ham.sample` is called once per distinct t: the function keeps the
-    last (t, sample) pair, since the 6th and 7th stages of a DOPRI5
-    attempt both run at t + h. That is exact, as a sample depends on t
-    alone. A `ham.sample` that raises leaves the pair as it was.
+    The rates are written in real arithmetic (`_RATES`) that repeats
+    CPython's complex operations one by one, signed zeros included, so
+    that `integrate` can write them inline in its step attempt without
+    changing a bit: there a stage builds no complex value and no input
+    for phi, which no rate reads. `ham.sample` is called once per
+    distinct t: the function keeps the last (t, sample) pair, since the
+    6th and 7th stages of a DOPRI5 attempt both run at t + h. That is
+    exact, as a sample depends on t alone. A `ham.sample` that raises
+    leaves the pair as it was.
     """
-    sample = ham.sample
-    last_t = last = None
-
-    def rhs(t, vec):
-        nonlocal last_t, last
-        if t != last_t:
-            last = sample(t)
-            last_t = t
-        h, v = last
-        re_z, im_z, _ = vec
-        z = complex(re_z, im_z)
-        a = v.conjugate() * z
-        b = (a + 2.0 * h) * z - v
-        return -b.imag, b.real, -(a.real + h)
-    return rhs
+    return _chart_rhs(_RATES, ham.sample)
 
 
 def error_weight(vec) -> tuple:

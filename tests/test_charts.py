@@ -250,6 +250,67 @@ def test_factored_rhs_matches_the_expanded_equations(chart):
         assert list(out[2 * pairs:]) == phases
 
 
+def _complex_rates(chart, values, vec):
+    """The factored brackets of the chart_rhs docstrings in complex
+    arithmetic, each float that meets a complex value promoted to one
+    with a +0.0 imaginary part, as CPython up to 3.13 does."""
+    if chart is two_level:
+        h, v = values
+        z = complex(vec[0], vec[1])
+        a = v.conjugate() * z
+        b = (a + complex(2.0 * h, 0.0)) * z - v
+        return -b.imag, b.real, -(a.real + h)
+    h1, h2, v1, v2, v3 = values
+    x, y, z = (complex(vec[i], vec[i + 1]) for i in (0, 2, 4))
+    h3 = -(h1 + h2)
+    v1c, v2c, v3c = v1.conjugate(), v2.conjugate(), v3.conjugate()
+    a, b, c = v1c * x, v2c * y, v3c * z
+    g = a + b
+    bx = v1 + (complex(h2 - h1, 0.0) - g) * x + v3c * y
+    by = v2 + (complex(h3 - h1, 0.0) - g) * y + v3 * x
+    bz = (v3 + (complex(h3 - h2, 0.0) - c) * z
+          + (x * z - y) * (v1c + v2c * z))
+    return (bx.imag, -bx.real, by.imag, -by.real, bz.imag, -bz.real,
+            -((h1 + a.real) + b.real),
+            ((-h2 - c.real) + a.real) + (v2c * x * z).real)
+
+
+@CHARTS
+def test_real_rates_repeat_the_complex_arithmetic_to_the_bit(chart):
+    # chart_rhs works in real arithmetic; it must give the bits of the
+    # complex forms, signed zeros, infinities and NaN positions included.
+    # Half the draws are mostly signed zeros, so that zero sums and
+    # products reach every line.
+    rng = np.random.default_rng(22)
+    special = [1e-300, -1e300, np.inf, -np.inf, np.nan, 1.0]
+    zeros = 0.0
+
+    def real():
+        if rng.random() < zeros:
+            return float(rng.choice([0.0, -0.0]))
+        if rng.random() < 0.2:
+            return float(rng.choice(special))
+        return float(rng.normal() * 10.0 ** rng.uniform(-4, 7))
+
+    def coupling():
+        kind = rng.integers(4)
+        parts = [(real(), real()), (real(), 0.0), (0.0, real()),
+                 (float(rng.choice([0.0, -0.0])),
+                  float(rng.choice([0.0, -0.0])))][kind]
+        return complex(*parts)
+
+    diagonal = 1 if chart is two_level else 2
+    for draw in range(2000):
+        zeros = 0.1 if draw % 2 else 0.8
+        values = (*(real() for _ in range(diagonal)),
+                  *(coupling() for _ in range(coordinate_pairs(chart))))
+        vec = [real() for _ in range(chart.STATE_SIZE)]
+        out = chart.chart_rhs(_Fixed(values))(0.5, vec)
+        expected = _complex_rates(chart, values, vec)
+        assert ([float(v).hex() for v in out]
+                == [float(v).hex() for v in expected])
+
+
 class _CountingHamiltonian:
     """A real Hamiltonian whose sample calls are counted."""
 
@@ -262,11 +323,19 @@ class _CountingHamiltonian:
         return self.ham.sample(t)
 
 
+def _called(rhs):
+    # the chart's rhs behind a plain function, as perfbench's traced
+    # pass wraps it: integrate then calls it at every stage
+    return lambda t, vec: rhs(t, vec)
+
+
 @CHARTS
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-def test_one_drive_sample_per_distinct_stage_time(chart, weighted):
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "called"])
+def test_one_drive_sample_per_distinct_stage_time(chart, weighted, inline):
     # The 6th and 7th stages of an attempt both run at t + h, so a run
-    # samples the drive once at t_start and 5 times per attempt.
+    # samples the drive once at t_start and 5 times per attempt, whether
+    # the attempt writes the chart's rates inline or calls its rhs.
     if chart is two_level:
         ham = Hamiltonian2(h=ConstantDrive(0.3), v=CosineDrive(0.8, 2.0))
     else:
@@ -274,14 +343,39 @@ def test_one_drive_sample_per_distinct_stage_time(chart, weighted):
                            v1=CosineDrive(0.5 + 0.2j, 1.1),
                            v2=ConstantDrive(0.25j), v3=CosineDrive(-0.4, 0.9))
     counted = _CountingHamiltonian(ham)
+    rhs = chart.chart_rhs(counted)
     traj = integrate(
-        chart.chart_rhs(counted), np.zeros(chart.STATE_SIZE), 0.0, 6.0,
-        IntegratorSettings(max_step=0.05),
+        rhs if inline else _called(rhs), np.zeros(chart.STATE_SIZE), 0.0,
+        6.0, IntegratorSettings(max_step=0.05),
         np.linspace(0.0, 6.0, 41), escape=chart.escaped,
         error_weight=chart.error_weight if weighted else None)
     assert traj.status == "completed"
     assert traj.stats.attempts > 100
     assert counted.calls == 1 + 5 * traj.stats.attempts
+
+
+@CHART_RUNS
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_inline_rates_and_called_rhs_give_the_same_run(chart, ham, t_end,
+                                                       status, weighted):
+    # integrate writes a chart's rates inline in its step attempt; behind
+    # a plain function the same rhs is called at every stage. Both runs
+    # must have the same times, states, status, singularity time and
+    # stats, to the bit.
+    settings = IntegratorSettings(max_step=0.05)
+    grid = np.linspace(0.0, t_end, 41)
+    rhs = chart.chart_rhs(ham)
+    inline, called = (
+        integrate(fn, np.zeros(chart.STATE_SIZE), 0.0, t_end, settings, grid,
+                  escape=chart.escaped,
+                  error_weight=chart.error_weight if weighted else None)
+        for fn in (rhs, _called(rhs)))
+    assert inline.status == status
+    assert_same_run(inline, called)
+    if status == "singularity":
+        assert inline.stats.escape_halvings > 0
+    elif t_end == 20.0:
+        assert inline.stats.error_rejections > 0
 
 
 class _FailsOnce(_CountingHamiltonian):

@@ -423,13 +423,26 @@ def test_first_time_is_t_start_itself():
 # Chart runs for the step accounting: a driven two-level system, a
 # driven three-level system, and the tangent orbit h = 0, v = 1 that
 # leaves the chart at t = pi / 2.
+# Weak drives on each chart, strong drives that reach |coord| of about
+# 15 to 18 with error rejections, and the tangent-pole member h = 0,
+# v = 1, whose chart singularity at pi / 2 is bracketed by escape
+# halvings.
 CHART_RUNS = pytest.mark.parametrize("chart, ham, t_end, status", [
     (two_level, Hamiltonian2(h=ConstantDrive(0.3), v=CosineDrive(0.8, 2.0)),
      6.0, "completed"),
     (three_level, COSINE3, 6.0, "completed"),
     (two_level, Hamiltonian2(h=ConstantDrive(0.0), v=ConstantDrive(1.0)),
      2.0, "singularity"),
-], ids=["two_level", "three_level", "pole"])
+    (two_level, Hamiltonian2(h=CosineDrive(2.5, 1.9),
+                             v=CosineDrive(1.8 - 1.5j, 0.6, 0.3)),
+     20.0, "completed"),
+    (three_level, Hamiltonian3(h1=CosineDrive(2.4, 0.7),
+                               h2=CosineDrive(-1.9, 2.1, 0.5),
+                               v1=CosineDrive(1.6 - 1.2j, 1.3),
+                               v2=CosineDrive(-0.8 + 1.9j, 0.4),
+                               v3=CosineDrive(1.1 + 1.7j, 2.8, 1.0)),
+     20.0, "completed"),
+], ids=["two_level", "three_level", "pole", "strong2", "strong3"])
 
 
 @CHART_RUNS
