@@ -1,10 +1,13 @@
 """Drive signals, Hamiltonian containers, and run configuration.
 
 A drive is a scalar function of time (real or complex valued) built
-from a small set of named shapes. Hamiltonians bundle the drives for
-the independent entries of a traceless Hermitian matrix: diagonal
-entries are real drives, off-diagonal couplings are complex drives,
-and the last diagonal entry is always derived from tracelessness.
+from a small set of named shapes. Each shape states its formula once,
+as a FORMULA template in t; the code generated from it runs at one t
+with math's functions and on a time grid with numpy's. Hamiltonians
+bundle the drives for the independent entries of a traceless Hermitian
+matrix: diagonal entries are real drives, off-diagonal couplings are
+complex drives, and the last diagonal entry is always derived from
+tracelessness.
 
 Configs are YAML mappings (JSON is a subset, so .json files load with
 the same parser). yaml is imported only where text is read or written:
@@ -24,7 +27,7 @@ import math
 import re
 import reprlib
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from typing import Union, get_args
 
@@ -83,23 +86,20 @@ def _mapping(value, path, required, optional=()):
 
 
 def _exact_real(value):
-    """value.real when value is exactly real, else None.
-
-    An imaginary part of -0.0 does not count: the real part of
-    complex(a, -0.0) * x is a * x + 0.0, which is +0.0 where a * x is
-    -0.0, so a float closure would not reproduce the complex one to the
-    bit.
-    """
+    """value.real when value is exactly real, else None. An imaginary
+    part of -0.0 does not count: the real part of complex(a, -0.0) * x
+    is a * x + 0.0, which a float formula does not reproduce where a * x
+    is -0.0."""
     if value.imag == 0.0 and math.copysign(1.0, value.imag) > 0.0:
         return value.real
     return None
 
 
 def _complex_out(value):
-    # Emit real scalars as bare floats, everything else as [re, im].
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
+    # Exactly real values (see _exact_real) as bare floats, everything
+    # else as [re, im]: a bare float reads back with imaginary part +0.0.
+    real = _exact_real(value)
+    return [value.real, value.imag] if real is None else real
 
 
 def _require_real(value, t, what):
@@ -111,33 +111,75 @@ def _require_real(value, t, what):
     return c.real
 
 
-# Scalar formulas. Each shape states its formula once, as FORMULA: a
-# Python expression in t whose constants are named in braces. A drive's
-# `_formula(real)` gives its (form, constants): the form is the FORMULA,
-# or for a sum the tuple of its terms' forms, and the constants are the
-# values of the names in braces in the order they appear, terms in
-# order. `_compiled` generates and compiles the code of a form once per
-# process, so drives and Hamiltonians of the same shapes share it and
-# differ only in the constants they pass.
+def _on_grid(value, times, dtype=complex):
+    # a formula's value (a constant's is one scalar) in the grid's shape
+    return np.broadcast_to(np.asarray(value, dtype=dtype), np.shape(times))
+
+
+def _require_real_grid(value, times, what):
+    # _require_real over a whole time grid
+    c = _on_grid(value, times)
+    if np.any(np.abs(c.imag) > 1e-14 * (1.0 + np.abs(c))):
+        raise ValueError(f"{what} must evaluate real everywhere on the grid")
+    return c.real
+
+
+def _interp(t, times, values):
+    """numpy's interp(t, times, values) at one scalar t, in Python
+    floats and to the bit: the same clamping outside the knots, segment
+    slopes and arithmetic, and the same retry from the right knot where
+    the left one gives NaN. A NaN t gives NaN."""
+    t = float(t)
+    j = bisect_right(times, t)  # 0 before the knots, len(times) from the last
+    if 0 < j < len(times):
+        t0, f0 = times[j - 1], values[j - 1]
+        if t == t0:
+            return f0
+        t1, f1 = times[j], values[j]
+        slope = (f1 - f0) / (t1 - t0)
+        value = slope * (t - t0) + f0
+        if value != value:
+            value = slope * (t - t1) + f1
+            if value != value and f0 == f1:
+                value = f0
+        return value
+    if t != t:
+        return t
+    return values[0] if j == 0 else values[-1]
+
+
+# Drive formulas. FORMULA is a Python expression in t whose constants
+# are named in braces. A drive's `_formula(real)` gives its (form,
+# constants): the form is the FORMULA, or for a sum the tuple of its
+# terms' forms, and the constants are the values of the names in braces
+# in the order they first appear, terms in order. `_compiled` compiles
+# the code of a form once per process and path, shared by drives and
+# Hamiltonians of the same shapes. The scalar and the grid path run the
+# same code, each in its namespace:
+_NAMESPACES = ({"cos": math.cos, "exp": math.exp, "interp": _interp,
+                "require_real": _require_real},
+               {"cos": np.cos, "exp": np.exp, "interp": np.interp,
+                "require_real": _require_real_grid})
 
 # A diagonal entry whose drive is not real by construction: the drive's
-# value, checked for realness at each sample.
+# value, checked for realness at each sample or over the whole grid.
 _CHECKED = "require_real({at}(t), t, {what})"
 
 _SAMPLER_NUMBERS = itertools.count(1)
 
 
 @functools.cache
-def _compiled(forms, packed):
+def _compiled(forms, packed, grid):
     """factory(*constants) -> sample(t) for a tuple of forms.
 
     sample(t) returns the tuple of the forms' values at t when packed,
-    else the value of the one form. A sum's terms are added left to
-    right, each in parentheses, as the sum of their functions would add
-    them. The names of the n-th FORMULA in the code, counted from 0,
-    get the suffix n (a0, w0, p0, v1, ...), and the factory takes them
-    as parameters in that order. The source is registered under the
-    filename "<drive sampler k>", k counting the forms compiled.
+    else the value of the one form. `grid` picks the namespace: math's
+    functions for a scalar t, numpy's for a float array. A sum's terms
+    are added left to right, each in parentheses. The names of the n-th
+    FORMULA in the code, counted from 0, get the suffix n (a0, w0, p0,
+    v1, ...), and the factory takes them as parameters in that order.
+    The source is registered under the filename "<drive sampler k>", k
+    counting the codes compiled.
     """
     params = []
     leaves = itertools.count()
@@ -157,43 +199,26 @@ def _compiled(forms, packed):
               f"    return sample\n")
     return compile_function(
         source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
-        {"cos": math.cos, "exp": math.exp, "require_real": _require_real})
+        dict(_NAMESPACES[grid]))
 
 
-def _linear(times, values):
-    """np.interp(t, times, values) at one scalar t, in Python floats.
+def _joined(parts):
+    # (forms, constants) of (form, constants) pairs: the forms as a
+    # tuple, the constants concatenated in order
+    forms, constants = zip(*parts)
+    return forms, tuple(itertools.chain.from_iterable(constants))
 
-    The clamping outside the knots, the slope of each segment, the
-    arithmetic and np.interp's retry from the right knot when the left
-    one gives NaN are all the same, so the value is the same to the
-    bit. A NaN t gives NaN.
-    """
-    first, last = times[0], times[-1]
-    slopes = tuple((f1 - f0) / (t1 - t0) for t0, t1, f0, f1
-                   in zip(times, times[1:], values, values[1:]))
 
-    def at(t):
-        t = float(t)
-        if not first <= t < last:
-            if t != t:
-                return t
-            return values[0] if t < first else values[-1]
-        j = bisect_right(times, t) - 1
-        if t == times[j]:
-            return values[j]
-        value = slopes[j] * (t - times[j]) + values[j]
-        if value != value:
-            value = slopes[j] * (t - times[j + 1]) + values[j + 1]
-            if value != value and values[j] == values[j + 1]:
-                value = values[j]
-        return value
-    return at
+def _bound(parts, packed, grid):
+    # the `_compiled` function of the parts, with their constants bound
+    forms, constants = _joined(parts)
+    return _compiled(forms, packed, grid)(*constants)
 
 
 class _RebuiltOnCopy:
-    """Mixin for frozen dataclasses that keep functions or arrays built
-    from their fields: pickling and copying rebuild the object through
-    __init__, because closures do not pickle."""
+    """Mixin for frozen dataclasses that keep functions built from their
+    fields: pickling and copying rebuild the object through __init__,
+    because closures do not pickle."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name)
@@ -201,27 +226,24 @@ class _RebuiltOnCopy:
 
 
 class _Formula(_RebuiltOnCopy):
-    """Mixin for the drive shapes: `scalar` from the shape's `_formula`."""
+    """Mixin for the drive shapes: `evaluate` from the shape's `_formula`."""
 
-    def scalar(self, real=False):
-        """This drive as a function of a scalar t.
-
-        real=False gives complex values. real=True gives float values,
-        or None unless the parameters make the drive exactly real, so
-        that no per-sample realness check is needed. At a scalar t each
-        function gives the bits of `evaluate`, or of its real part.
-        """
-        formula = self._formula(real)
-        if formula is None:
-            return None
-        form, constants = formula
-        return _compiled((form,), False)(*constants)
+    def evaluate(self, t):
+        """The drive's complex value at t: a complex for a scalar t, else
+        an array of t's shape. Both come from the shape's FORMULA, built
+        at first use for each."""
+        if isinstance(t, (float, int)):
+            return self._scalar(t)
+        t = np.asarray(t, dtype=float)
+        return _on_grid(self._grid(t), t)
 
     @functools.cached_property
-    def _at(self):
-        # The complex function, built at first use: the scalar branch of
-        # evaluate for the cosine and Gaussian shapes.
-        return self.scalar()
+    def _scalar(self):
+        return _bound([self._formula(False)], False, False)
+
+    @functools.cached_property
+    def _grid(self):
+        return _bound([self._formula(False)], False, True)
 
 
 # Reader and writer of a number field's spec value, by the field's
@@ -271,11 +293,6 @@ class ConstantDrive(_NumberFields, _Formula):
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
 
-    def evaluate(self, t):
-        if isinstance(t, (float, int)):
-            return self.value
-        return np.full(np.shape(t), self.value)
-
     def _formula(self, real):
         value = _exact_real(self.value) if real else self.value
         return None if value is None else (self.FORMULA, (value,))
@@ -295,12 +312,6 @@ class CosineDrive(_NumberFields, _Formula):
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "angular_frequency", float(self.angular_frequency))
         object.__setattr__(self, "phase_offset", float(self.phase_offset))
-
-    def evaluate(self, t):
-        if isinstance(t, (float, int)):
-            return self._at(t)
-        return self.amplitude * np.cos(self.angular_frequency * np.asarray(t)
-                                       + self.phase_offset)
 
     def _formula(self, real):
         a = _exact_real(self.amplitude) if real else self.amplitude
@@ -325,12 +336,6 @@ class GaussianDrive(_NumberFields, _Formula):
         if not self.width > 0:
             raise ValueError(f"gaussian width must be positive, got {self.width}")
 
-    def evaluate(self, t):
-        if isinstance(t, (float, int)):
-            return self._at(t)
-        arg = (np.asarray(t) - self.center) / self.width
-        return self.amplitude * np.exp(-0.5 * arg * arg)
-
     def _formula(self, real):
         a = _exact_real(self.amplitude) if real else self.amplitude
         return None if a is None else (
@@ -342,43 +347,29 @@ class PiecewiseDrive(_Formula):
     """Linear interpolation through (t, value) knots, clamped outside."""
 
     SHAPE = "piecewise"
-    # re and im interpolate the real and imaginary knot values. The
-    # complex value is composed as in evaluate; with every imaginary knot
-    # value +0.0 the real part is re + 0.0, which turns a -0.0 into +0.0.
-    FORMULA = "{re}(t) + 1j * {im}(t)"
-    REAL_FORMULA = "{re}(t) + 0.0"
+    # The complex value is composed from the interpolated real and
+    # imaginary knot values. With every imaginary knot value +0.0 its
+    # real part is re + 0.0, which turns a -0.0 into +0.0.
+    FORMULA = "interp(t, {ts}, {re}) + 1j * interp(t, {ts}, {im})"
+    REAL_FORMULA = "interp(t, {ts}, {re}) + 0.0"
     times: tuple
     values: tuple
-    # (knot times, real parts, imaginary parts) as float arrays
-    _knots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("piecewise drive needs at least two (t, value) knots")
-        ts = np.asarray(self.times, dtype=float)
-        if not np.all(np.diff(ts) > 0):
+        if not all(t0 < t1 for t0, t1 in zip(self.times, self.times[1:])):
             raise ValueError("piecewise knot times must be strictly increasing")
-        vs = np.asarray(self.values, dtype=complex)
-        knots = (ts, vs.real.copy(), vs.imag.copy())
-        for array in knots:
-            array.flags.writeable = False
-        object.__setattr__(self, "_knots", knots)
-
-    def evaluate(self, t):
-        ts, re, im = self._knots
-        # np.interp clamps to the end values outside the knot range.
-        return np.interp(t, ts, re) + 1j * np.interp(t, ts, im)
 
     def _formula(self, real):
-        re = _linear(self.times, tuple(v.real for v in self.values))
+        re = tuple(v.real for v in self.values)
         if real:
             if any(_exact_real(v) is None for v in self.values):
                 return None
-            return self.REAL_FORMULA, (re,)
-        im = _linear(self.times, tuple(v.imag for v in self.values))
-        return self.FORMULA, (re, im)
+            return self.REAL_FORMULA, (self.times, re)
+        return self.FORMULA, (self.times, re, tuple(v.imag for v in self.values))
 
     @classmethod
     def from_spec(cls, spec, path):
@@ -411,19 +402,10 @@ class SumDrive(_Formula):
         if len(self.terms) == 0:
             raise ValueError("sum drive needs at least one term")
 
-    def evaluate(self, t):
-        total = self.terms[0].evaluate(t)
-        for term in self.terms[1:]:
-            total = total + term.evaluate(t)
-        return total
-
     def _formula(self, real):
         # the terms' forms and constants, or None when a term has none
         parts = [term._formula(real) for term in self.terms]
-        if any(part is None for part in parts):
-            return None
-        forms, constants = zip(*parts)
-        return forms, tuple(itertools.chain.from_iterable(constants))
+        return None if None in parts else _joined(parts)
 
     @classmethod
     def from_spec(cls, spec, path):
@@ -462,18 +444,6 @@ def drive_from_spec(spec, path="drive"):
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
-def _grid_values(drive, times, what=None):
-    """One entry over a whole time grid: complex for a coupling (what
-    is None), real and checked for a diagonal entry named by `what`."""
-    out = np.broadcast_to(np.asarray(drive.evaluate(times), dtype=complex),
-                          np.shape(times))
-    if what is None:
-        return out
-    if np.any(np.abs(out.imag) > 1e-14 * (1.0 + np.abs(out))):
-        raise ValueError(f"{what} must evaluate real everywhere on the grid")
-    return out.real.copy()
-
-
 class _Hamiltonian(_RebuiltOnCopy):
     """Traceless Hermitian dim x dim matrix built from its independent drives.
 
@@ -491,32 +461,32 @@ class _Hamiltonian(_RebuiltOnCopy):
     order (see `sample`).
     """
 
-    def _drives(self):
-        # (drive, label) per key; only diagonal drives carry a label
-        n = self.dim - 1
-        return [(getattr(self, key), f"diagonal drive {key}" if i < n else None)
-                for i, key in enumerate(self.KEYS)]
+    def _parts(self):
+        # (form, constants) per drive in KEYS order; see `sample`
+        parts = []
+        for i, key in enumerate(self.KEYS):
+            drive = getattr(self, key)
+            parts.append(drive._formula(i < self.dim - 1) or (
+                _CHECKED, (drive.evaluate, f"diagonal drive {key}")))
+        return parts
 
     @functools.cached_property
     def sample(self):
         """The function of t that gives the KEYS values at t as a plain
-        tuple: a float per diagonal drive, a complex value per coupling.
-        The derived diagonal entry is left to the caller.
+        tuple: a float per diagonal drive, a complex value per coupling;
+        the derived diagonal entry is left to the caller.
 
         The chart right-hand sides call it at every distinct stage time,
         so it is one function generated from the drives' FORMULA
-        templates, built at first use: drives of the same shapes share
-        its code (`_compiled`). A diagonal drive that is real by
-        construction is sampled with its float formula, any other
-        through `evaluate`, checked for realness at each sample.
+        templates at first use (`_compiled`). A diagonal drive that is
+        real by construction is sampled with its float formula, any
+        other through `evaluate`, checked for realness at each sample.
         """
-        forms, constants = [], []
-        for drive, what in self._drives():
-            form, values = (drive._formula(what is not None)
-                            or (_CHECKED, (drive.evaluate, what)))
-            forms.append(form)
-            constants += values
-        return _compiled(tuple(forms), True)(*constants)
+        return _bound(self._parts(), True, False)
+
+    @functools.cached_property
+    def _grid_sampler(self):
+        return _bound(self._parts(), True, True)
 
     def _entries(self, values, conjugate):
         # Matrix entries in row-major order from KEYS values: Python
@@ -536,10 +506,14 @@ class _Hamiltonian(_RebuiltOnCopy):
                         dtype=complex).reshape(self.dim, self.dim)
 
     def sample_grid(self, times) -> tuple:
-        """The KEYS values as arrays over a whole time grid."""
+        """The KEYS values over a whole time grid: a float array per
+        diagonal drive, a complex array per coupling, each of the grid's
+        shape. The forms of `sample`, compiled at first use for the grid
+        namespace; a checked diagonal drive is checked on the grid."""
         times = np.asarray(times, dtype=float)
-        return tuple(_grid_values(drive, times, what)
-                     for drive, what in self._drives())
+        n = self.dim - 1
+        return tuple(_on_grid(value, times, float if i < n else complex)
+                     for i, value in enumerate(self._grid_sampler(times)))
 
     def matrix_grid(self, times) -> np.ndarray:
         """Stacked Hamiltonian matrices over a time grid, shape (N, dim, dim)."""
@@ -767,14 +741,14 @@ def _check_diagonal(built, keys, h3, t_start, t_end):
     diagonal = {}
     for key in checked:
         try:
-            diagonal[key] = _grid_values(built[key], grid,
-                                         f"diagonal drive {key}")
+            diagonal[key] = _require_real_grid(built[key].evaluate(grid), grid,
+                                               f"diagonal drive {key}")
         except ValueError as exc:
             raise ConfigError(f"hamiltonian.{key}: {exc}") from None
     if h3 is not None:
         # Redundant entry tolerated only when consistent with tracelessness.
         derived = -(diagonal["h1"] + diagonal["h2"])
-        for t, stated, want in zip(grid, _grid_values(h3, grid), derived):
+        for t, stated, want in zip(grid, h3.evaluate(grid), derived):
             if abs(stated - want) > 1e-12 * (1.0 + abs(want)):
                 raise ConfigError(
                     f"hamiltonian.h3: must equal -(h1 + h2); differs at t={t} "

@@ -166,9 +166,9 @@ class IntegrationStats:
     rhs at each stage or writes a chart's rates inline. An attempt ends
     in exactly one of: an accepted step, an error rejection, a retry
     after a non-finite error estimate or weight, an escape halving, or,
-    once, the stop that brackets a chart singularity. smallest_step and largest_step span the accepted
-    steps, the shortened last one included; both are None when no step
-    was accepted.
+    once, the stop that brackets a chart singularity. smallest_step and
+    largest_step span the accepted steps, the shortened last one
+    included; both are None when no step was accepted.
     """
 
     attempts: int
@@ -194,8 +194,8 @@ class Trajectory:
     times: np.ndarray            # (N,)
     states: np.ndarray           # (N, d) flat real states
     status: str                  # "completed" | "singularity" | "step_limit"
+    stats: IntegrationStats
     singularity_time: Optional[float] = None
-    stats: Optional[IntegrationStats] = None
 
     def require_completed(self) -> "Trajectory":
         if self.status == "singularity":

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -84,7 +83,7 @@ class OracleTrajectory:
     times: np.ndarray        # (N,)
     unitaries: np.ndarray    # (N, dim, dim)
     drift: float
-    stats: Optional[IntegrationStats] = None
+    stats: IntegrationStats
 
 
 @dataclass(frozen=True)

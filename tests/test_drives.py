@@ -16,7 +16,7 @@ from chartprop import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                        Hamiltonian2, Hamiltonian3, IntegratorSettings,
                        PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
                        drive_from_spec, parse_config, serialize_config)
-from chartprop.drives import _grid_values
+from chartprop import drives
 
 CONFIG3 = """
 system: 3
@@ -136,6 +136,9 @@ def test_hamiltonian2_rejects_complex_diagonal():
     ham = Hamiltonian2(h=ConstantDrive(1.0j), v=ConstantDrive(0.0))
     with pytest.raises(ValueError, match="diagonal drive h"):
         ham.sample(0.0)
+    with pytest.raises(ValueError, match="^diagonal drive h must evaluate "
+                                         "real everywhere on the grid"):
+        ham.sample_grid([0.0, 1.0])
 
 
 @pytest.mark.parametrize("entry", ["h1", "h2"])
@@ -147,6 +150,9 @@ def test_hamiltonian3_rejects_complex_diagonal(entry):
     ham = Hamiltonian3(**drives)
     with pytest.raises(ValueError, match=f"diagonal drive {entry}"):
         ham.sample(0.0)
+    with pytest.raises(ValueError, match=f"^diagonal drive {entry} must "
+                                         "evaluate real everywhere"):
+        ham.matrix_grid([0.0, 1.0])
 
 
 # Every shape, with exactly real and with complex parameters. The edge
@@ -262,15 +268,20 @@ def test_hamiltonians_of_the_same_shapes_share_the_sampler_code():
     other = Hamiltonian3(h1=CosineDrive(0.3 + 0.1j, 1.2), h2=a.h2, v1=a.v1,
                          v2=a.v2, v3=a.v3)
     assert other.sample.__code__ is not a.sample.__code__
-    assert (CosineDrive(0.4, 1.0).scalar().__code__
-            is CosineDrive(-0.2j, 3.0, 1.0).scalar().__code__)
+    # the grid path and the drives' own functions are shared the same way
+    a.sample_grid([0.4])
+    b.sample_grid([0.4])
+    assert a._grid_sampler.__code__ is b._grid_sampler.__code__
+    assert a._grid_sampler.__code__ is not a.sample.__code__
+    assert (CosineDrive(0.4, 1.0)._scalar.__code__
+            is CosineDrive(-0.2j, 3.0, 1.0)._scalar.__code__)
 
 
 def test_sampler_tracebacks_show_the_generated_line():
     # 1e308 * 10 overflows to inf, which math.cos rejects
     drive = CosineDrive(1.0, 1e308)
     ham = Hamiltonian2(h=ConstantDrive(0.0), v=drive)
-    for sample in (drive.evaluate, drive.scalar(), ham.sample):
+    for sample in (drive.evaluate, ham.sample):
         with pytest.raises(ValueError, match="math domain error") as failure:
             sample(10.0)
         frame = traceback.extract_tb(failure.value.__traceback__)[-1]
@@ -366,6 +377,110 @@ def _knot_formula(drive, t):
     return np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)
 
 
+def _numpy_evaluate(drive, t):
+    # `evaluate` as each shape stated it before the grid path was
+    # compiled from the FORMULA templates: math's functions at a scalar
+    # t, numpy's on a grid, and np.interp for the piecewise shape
+    scalar = isinstance(t, (float, int))
+    if isinstance(drive, SumDrive):
+        total = _numpy_evaluate(drive.terms[0], t)
+        for term in drive.terms[1:]:
+            total = total + _numpy_evaluate(term, t)
+        return total
+    if isinstance(drive, ConstantDrive):
+        return drive.value if scalar else np.full(np.shape(t), drive.value)
+    if isinstance(drive, PiecewiseDrive):
+        return _knot_formula(drive, t)
+    cos, exp = (math.cos, math.exp) if scalar else (np.cos, np.exp)
+    t = t if scalar else np.asarray(t)
+    if isinstance(drive, CosineDrive):
+        return drive.amplitude * cos(drive.angular_frequency * t
+                                     + drive.phase_offset)
+    arg = (t - drive.center) / drive.width
+    return drive.amplitude * exp(-0.5 * arg * arg)
+
+
+def _numpy_matrix_grid(ham, times):
+    # sample_grid and matrix_grid from _numpy_evaluate: each entry as a
+    # complex array of the grid's shape, the diagonal as its real part,
+    # laid out as in the class docstrings
+    values = [np.broadcast_to(np.asarray(_numpy_evaluate(getattr(ham, key),
+                                                         times),
+                                         dtype=complex), np.shape(times))
+              for key in ham.KEYS]
+    n = ham.dim - 1
+    values = [v.real if i < n else v for i, v in enumerate(values)]
+    if ham.dim == 2:
+        h, v = values
+        rows = [[h, v.conjugate()], [v, -h]]
+    else:
+        h1, h2, v1, v2, v3 = values
+        rows = [[h1, v1.conjugate(), v2.conjugate()],
+                [v1, h2, v3.conjugate()],
+                [v2, v3, -(h1 + h2)]]
+    matrices = np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
+    return values, matrices
+
+
+def _random_drive(rng, real, depth=0):
+    # A drive tree with signed zeros and imaginary parts of -0.0 and
+    # 1e-17; with `real`, every imaginary part is one of those.
+    def number():
+        return (0.0, -0.0, 1e-17, float(rng.normal()))[rng.integers(4)]
+
+    def value():
+        imag = (0.0, -0.0, 1e-17)[rng.integers(3)] if real else number()
+        return complex(number(), imag)
+    shape = rng.integers(5 if depth < 2 else 4)
+    if shape == 0:
+        return ConstantDrive(value())
+    if shape == 1:
+        return CosineDrive(value(), float(rng.normal()), number())
+    if shape == 2:
+        return GaussianDrive(value(), float(rng.normal()),
+                             float(rng.uniform(0.2, 2.0)))
+    if shape == 3:
+        times = np.cumsum(rng.uniform(0.1, 3.0, rng.integers(2, 5))) - 4.0
+        return PiecewiseDrive(tuple(times.tolist()),
+                              tuple(value() for _ in times))
+    return SumDrive(tuple(_random_drive(rng, real, depth + 1)
+                          for _ in range(rng.integers(1, 4))))
+
+
+def test_formulas_match_numpy_expressions_bit_for_bit():
+    # evaluate at scalar times and on 1-D and 2-D grids, and sample_grid
+    # and matrix_grid, against the numpy expressions each shape stated
+    # before: the grid path now runs the FORMULA templates
+    rng = np.random.default_rng(20)
+    grid = np.concatenate([np.linspace(-6.0, 6.0, 401), [-0.0, 0.0, -7.5]])
+    square = rng.uniform(-6.0, 6.0, (5, 3))
+    scalars = [0.0, -0.0, 1, -3, 2.5, np.float64(1.0) / 3,
+               *rng.uniform(-6.0, 6.0, 10).tolist()]
+    for _ in range(150):
+        real = rng.random() < 0.5
+        drive = _random_drive(rng, real)
+        for t in scalars:
+            assert _bits(drive.evaluate(t)) == _bits(_numpy_evaluate(drive, t))
+        for times in (grid, square, [0.5, -1.5]):
+            got, want = drive.evaluate(times), _numpy_evaluate(drive, times)
+            assert got.dtype == complex and got.shape == np.shape(times)
+            assert got.tobytes() == want.tobytes()
+        if not real:
+            continue
+        hams = [Hamiltonian2(h=drive, v=_random_drive(rng, False)),
+                Hamiltonian3(h1=_random_drive(rng, True), h2=drive,
+                             v1=drive, v2=_random_drive(rng, False),
+                             v3=_random_drive(rng, False))]
+        for ham in hams:
+            for times in (grid, square):
+                values, matrices = _numpy_matrix_grid(ham, times)
+                for got, want in zip(ham.sample_grid(times), values,
+                                     strict=True):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                assert ham.matrix_grid(times).tobytes() == matrices.tobytes()
+
+
 PIECEWISE = PiecewiseDrive((-1.0, 0.0, 0.5, 2.0),
                            (0.3 - 0.1j, complex(-0.0, -0.0), 1.0j,
                             -0.25 + 0.5j))
@@ -376,7 +491,7 @@ def test_piecewise_evaluate_matches_knot_formula_bit_for_bit():
     for t in (-3.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.7, 2.0, 9.0, 1,
               np.float64(1.0) / 3):
         got, want = PIECEWISE.evaluate(t), _knot_formula(PIECEWISE, t)
-        assert type(got) is type(want)
+        assert type(got) is complex
         assert _bits(got) == _bits(want)
     for ts in (np.linspace(-2.0, 3.0, 41), [0.3, 1.1],
                np.array([[0.1, 2.5], [-4.0, 0.5]])):
@@ -395,10 +510,6 @@ def test_piecewise_copies_compare_equal_and_evaluate_identically():
         assert other.evaluate(ts).tobytes() == PIECEWISE.evaluate(ts).tobytes()
     assert PIECEWISE != PiecewiseDrive(PIECEWISE.times,
                                        PIECEWISE.values[:-1] + (0.0,))
-    assert "_knots" not in repr(PIECEWISE)
-    # the knot arrays built at construction cannot be changed afterwards
-    with pytest.raises(ValueError):
-        PIECEWISE._knots[1][0] = 5.0
 
 
 # Piecewise drives for the scalar sampler: signed zeros among the
@@ -436,23 +547,28 @@ def _piecewise_times(drive):
 
 
 @pytest.mark.parametrize("drive", PIECEWISE_SCALARS, ids=repr)
-def test_piecewise_scalar_matches_evaluate_bit_for_bit(drive):
-    at = drive.scalar()
-    at_real = drive.scalar(real=True)
+def test_piecewise_scalar_matches_numpy_formula_bit_for_bit(drive):
+    # The scalar interpolation against np.interp, in evaluate and, for a
+    # drive that is real by construction, in the float formula that
+    # samples it as a diagonal entry.
     exactly_real = all(
         v.imag == 0.0 and math.copysign(1.0, v.imag) > 0.0
         for term in getattr(drive, "terms", (drive,))
         for v in getattr(term, "values", (term.evaluate(0.0),)))
-    assert (at_real is not None) == exactly_real
-    for t in _piecewise_times(drive):
-        want = complex(drive.evaluate(t))
-        got = at(t)
+    assert (drive._formula(True) is not None) == exactly_real
+    sample = Hamiltonian2(h=drive, v=ConstantDrive(0.0)).sample
+    times = _piecewise_times(drive)
+    for t in times:
+        want = complex(_numpy_evaluate(drive, t))
+        got = drive.evaluate(t)
         assert type(got) is complex
         assert _bits(got) == _bits(want), t
-        if at_real is not None:
-            got = at_real(t)
+        if exactly_real:
+            got, _ = sample(t)
             assert type(got) is float
             assert got.hex() == want.real.hex(), t
+    assert (drive.evaluate(np.array(times)).tobytes()
+            == _numpy_evaluate(drive, np.array(times)).tobytes())
 
 
 def test_sample_grid_matches_pointwise_samples():
@@ -603,15 +719,16 @@ def test_parse_config_rejects_a_diagonal_drive_that_is_not_real(system,
 
 
 def test_realness_check_evaluates_only_drives_that_can_fail(monkeypatch):
-    # A diagonal drive that is real by construction is not evaluated on
+    # A diagonal drive that is real by construction is not checked on
     # the check grid unless h3 is stated; every other one still is, and
     # is still rejected where it turns complex.
     checked = []
+    require_real = drives._require_real_grid
 
-    def grid_values(drive, times, what=None):
+    def recording(value, times, what):
         checked.append(what)
-        return _grid_values(drive, times, what)
-    monkeypatch.setattr("chartprop.drives._grid_values", grid_values)
+        return require_real(value, times, what)
+    monkeypatch.setattr(drives, "_require_real_grid", recording)
 
     h1 = {"shape": "cosine", "amplitude": 0.2, "angular_frequency": 1.3}
     h2 = {"shape": "piecewise", "knots": [[0.0, 0.1], [3.0, -0.2],
@@ -642,11 +759,30 @@ def test_realness_check_evaluates_only_drives_that_can_fail(monkeypatch):
         {**h2, "knots": [[t, -v] for t, v in h2["knots"]]}]}
     doc["hamiltonian"]["h3"] = minus
     parse_config(doc)
-    assert checked == ["diagonal drive h1", "diagonal drive h2", None]
+    assert checked == ["diagonal drive h1", "diagonal drive h2"]
     minus["terms"][1]["knots"][1][1] = 0.1999
     with pytest.raises(ConfigError, match=r"^hamiltonian.h3: must equal "
                                           r"-\(h1 \+ h2\); differs at t="):
         parse_config(doc)
+
+
+def test_parsing_real_diagonal_drives_compiles_no_code(monkeypatch):
+    # Every drive function is generated at first use: parsing a config
+    # whose diagonal drives are real by construction compiles none.
+    doc = config_to_dict(parse_config(CONFIG3))
+    calls = []
+    compiled = drives._compiled
+
+    def recording(*args):
+        calls.append(args)
+        return compiled(*args)
+    monkeypatch.setattr(drives, "_compiled", recording)
+    ham = parse_config(doc).hamiltonian
+    assert calls == []
+    ham.sample(0.5)
+    ham.sample_grid([0.5, 1.0])
+    ham.v1.evaluate(0.5)
+    assert [grid for _, _, grid in calls] == [False, True, False]
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():
@@ -719,21 +855,30 @@ hamiltonian:
     assert str(err.value).startswith(f"{path}: angular_frequency * t")
 
 
-def test_config_round_trip_is_exact():
+# Signed zeros in the imaginary parts: an h cosine of amplitude -0.0 -
+# 0.0i samples +0.0 where its float formula would give -0.0, and a v
+# constant keeps the sign of its zero imaginary part.
+SIGNED_ZEROS = RunConfig(
+    hamiltonian=Hamiltonian2(h=CosineDrive(complex(-0.0, -0.0), 1.0),
+                             v=ConstantDrive(complex(0.3, -0.0))),
+    t_start=0.0, t_end=2.0, max_step=0.05)
+
+
+@pytest.mark.parametrize("cfg", [parse_config(CONFIG3), SIGNED_ZEROS],
+                         ids=["config3", "signed_zeros"])
+def test_config_round_trip_is_exact(cfg):
     # Serialized and reparsed configs must drive the Hamiltonian to the
     # same values to the last bit at every probe time.
-    cfg = parse_config(CONFIG3)
     again = parse_config(serialize_config(cfg))
     assert again.system == cfg.system
     assert again.rel_tol == cfg.rel_tol
     assert again.abs_tol == cfg.abs_tol
     assert again.max_step == cfg.max_step
     rng = np.random.default_rng(11)
-    for t in rng.uniform(cfg.t_start, cfg.t_end, 100):
+    for t in [0.0, *rng.uniform(cfg.t_start, cfg.t_end, 100)]:
         a = cfg.hamiltonian.sample(float(t))
         b = again.hamiltonian.sample(float(t))
-        for va, vb in zip(a, b, strict=True):
-            assert abs(va - vb) <= 1e-14 * (1.0 + abs(va))
+        assert [_bits(v) for v in a] == [_bits(v) for v in b]
 
 
 @pytest.mark.parametrize("ham", [
