@@ -229,12 +229,14 @@ class _Formula(_RebuiltOnCopy):
     """Mixin for the drive shapes: `evaluate` from the shape's `_formula`."""
 
     def evaluate(self, t):
-        """The drive's complex value at t: a complex for a scalar t, else
-        an array of t's shape. Both come from the shape's FORMULA, built
-        at first use for each."""
+        """The drive's complex value at t: a complex for a scalar or 0-d
+        t, else an array of t's shape. Both come from the shape's
+        FORMULA, built at first use for each."""
         if isinstance(t, (float, int)):
             return self._scalar(t)
         t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return self._scalar(float(t))
         return _on_grid(self._grid(t), t)
 
     @functools.cached_property
@@ -500,8 +502,8 @@ class _Hamiltonian(_RebuiltOnCopy):
 
     def matrix(self, t) -> np.ndarray:
         """The Hamiltonian matrix at time t."""
-        # The direct-matrix oracle calls this at every stage, hence the
-        # one-call table and entry selection.
+        # The direct-matrix oracle calls this at every distinct stage
+        # time, hence the one-call table and entry selection.
         return np.array(self._entries(self.sample(t), complex.conjugate),
                         dtype=complex).reshape(self.dim, self.dim)
 

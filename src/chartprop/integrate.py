@@ -28,10 +28,10 @@ coordinates the rates read, never for the phases. The lines repeat
 CPython's complex arithmetic one operation at a time, so they keep the
 bits of the complex forms the chart equations are written in, and the
 inline attempt gives the bits of the attempt that calls the chart's
-rhs. Any other rhs, such as the oracle's or a wrapper around a chart's
+rhs. The direct-matrix oracle's -i H U is stated as rates too
+(`reference._rates`). Any other rhs, such as a wrapper around a chart's
 rhs, gets the attempt that calls it at every stage. `compile_function`
-compiles the generated code of the attempts, of the chart right-hand
-sides, of the oracle's matrix product and of the drive samplers.
+compiles the generated attempts, right-hand sides and drive samplers.
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
@@ -226,9 +226,9 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     sequence of d reals: a tuple or a list, or a 1-D array, which works
     but is slower. escape and error_weight receive the same list, and
     an rhs or error_weight result of another length than d raises
-    ValueError. A chart's own `chart_rhs` is called only at t_start:
-    the step attempts write its rates inline, with the same bits (see
-    the module docstring).
+    ValueError. A chart's own `chart_rhs`, or the oracle's rhs, is
+    called only at t_start: the step attempts write its rates inline,
+    with the same bits (see the module docstring).
     sample_times must lie within [t_start, t_end]; t_start and t_end
     are always included in the output grid. A max_step too small to
     move t on the window (`steps_stall`) raises ValueError. The first
@@ -309,8 +309,8 @@ def _indented(body, depth):
 @functools.cache
 def _attempt(size, rates=None):
     """The DOPRI5 step attempt on states of `size` components, generated
-    and compiled once per size, and once more per chart for the chart's
-    `rates`.
+    and compiled once per size, and once more per `rates` (of a chart,
+    or of the oracle).
 
     attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol) evaluates the
     stages k2..k7 of a step of size h from (t, y), where k1 = rhs(t, y)
@@ -333,21 +333,21 @@ def _attempt(size, rates=None):
     only a negative weight can give.
 
     Without `rates` each stage is a call of rhs. With them, the attempt
-    of a chart's RHS (see `_chart_rhs`) writes the chart's rates inline
-    at each stage instead: rhs.sample(t) runs once per distinct stage
-    time, 5 times per attempt, since the 6th and 7th stages share t + h,
-    and a stage input is formed only for the components the rates read.
-    Both give the same bits, as the inline rates are the very lines the
-    chart's rhs runs. rates is (drives, reads, body, derivatives): the
-    names `drives` unpacks rhs.sample(t) into, the names of the leading
-    state components the body reads (the trailing ones, the phases, are
-    never read), the body's source lines, and one expression per
+    of an rhs of rates (see `_chart_rhs`) writes the rates inline at
+    each stage instead: rhs.sample(t) runs once per distinct stage time,
+    5 times per attempt, since the 6th and 7th stages share t + h, and a
+    stage input is formed only for the components the rates read. Both
+    give the same bits, as the inline rates are the very lines the rhs
+    runs. rates is (drives, reads, body, derivatives): the names
+    `drives` unpacks rhs.sample(t) into, the names of the leading state
+    components the body reads (trailing ones, such as a chart's phases,
+    are never read), the body's source lines, and one expression per
     component for the derivative. The kernel's own names all start with
     an underscore, and the rates' names do not, so the two never meet;
     the body assigns no drive name, as the 7th stage reuses the 6th's.
     The source is registered with linecache under the filename
-    "<dopri5 attempt d=size>", with ", inlined rates" appended for a
-    chart, so tracebacks show its lines.
+    "<dopri5 attempt d=size>", with ", inlined rates" appended for
+    rates, so tracebacks show its lines.
     """
     def names(prefix):
         return ", ".join(f"_{prefix}_{i}" for i in range(size))
@@ -426,8 +426,8 @@ def _attempt(size, rates=None):
 
 @functools.cache
 def _rhs_factory(rates):
-    # factory(sample) -> rhs(t, vec) for a chart's rates, generated and
-    # compiled once per chart (see `_chart_rhs`)
+    # factory(sample) -> rhs(t, vec) for rates, generated and compiled
+    # once per rates (see `_chart_rhs`)
     drives, reads, body, derivatives = rates
     unread = len(derivatives) - len(reads.split(","))
     source = "\n".join([
@@ -450,8 +450,8 @@ def _rhs_factory(rates):
 
 
 def _chart_rhs(rates, sample):
-    """The flat-vector rhs(t, vec) of a chart's `rates` (see `_attempt`)
-    on the drive sampler `sample`.
+    """The flat-vector rhs(t, vec) of `rates` (see `_attempt`), a chart's
+    or the oracle's, on the drive sampler `sample`.
 
     rhs returns the derivatives as a tuple of floats. It calls sample
     once per distinct t: it keeps the (t, sample) pair of its last call,
@@ -459,7 +459,7 @@ def _chart_rhs(rates, sample):
     That is exact, as a sample depends on t alone, and a sample that
     raises leaves the pair as it was. rhs carries `rates` and `sample`
     as attributes, by which `integrate` takes the attempt with the rates
-    inline. The code is compiled once per chart and registered with
+    inline. The code is compiled once per rates and registered with
     linecache under the filename "<chart rhs d=size>".
     """
     rhs = _rhs_factory(rates)(sample)
@@ -473,7 +473,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     # The stepping loop of `integrate`, run inside its errstate. The
     # state, the stages k1..k7 and the weights are sequences of Python
     # floats, and each step attempt is one call of the generated
-    # `_attempt` for the state size, and for a chart's rhs its rates.
+    # `_attempt` for the state size, and for an rhs of rates the rates.
     d1, _, d3, d4, d5, d6, d7 = _D
     abs_tol = settings.abs_tol
     rel_tol = settings.rel_tol
@@ -498,7 +498,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
                          f"expected ({size},)")
     if not np.all(np.isfinite(k1)):
         raise NonFiniteDerivativeError(t_start)
-    # a chart's rhs (`_chart_rhs`) gets the attempt with its rates inline
+    # an rhs of rates (`_chart_rhs`) gets the attempt with them inline
     attempt = _attempt(size, getattr(rhs, "rates", None))
 
     # The first step is at least the spacing of the doubles at t_start,

@@ -19,49 +19,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import (IntegrationStats, IntegratorSettings,
-                        compile_function, integrate)
+from .integrate import (IntegrationStats, IntegratorSettings, _chart_rhs,
+                        integrate)
 
 
 @functools.cache
-def _minus_i_product(dim):
-    """The product -i M U of dim x dim complex matrices, generated and
-    compiled once per dimension.
+def _rates(dim):
+    """-i M U as rates (see `integrate._attempt`), built once per dimension.
 
-    product(m, y) takes M as its dim * dim entries in row-major order
-    (complex or real numbers) and U as the real and imaginary parts of
-    its entries, interleaved in row-major order, the oracle's state
-    vector; it returns -i M U in that layout, as a tuple of floats. The
-    body is straight-line code, one sum of dim products per entry, and
-    -i (a + ib) is written as b - ia, with no multiplication. The source
-    is registered with linecache under the filename
-    "<oracle product n=dim>", so tracebacks show its lines.
+    The drives m_k are the entries of M and the reads y_k the real and
+    imaginary parts of U's entries, interleaved, all in row-major order.
+    The body forms each entry s_k of M U as a sum of dim complex
+    products, left to right; -i (a + ib) is returned as (b, -a).
     """
     n = dim * dim
-    rows = [[f"m_{i * dim + k} * u_{k * dim + j}" for k in range(dim)]
-            for i in range(dim) for j in range(dim)]
-    lines = ["def product(m, y):",
-             f"    {', '.join(f'm_{k}' for k in range(n))}, = m",
-             f"    {', '.join(f'y_{k}' for k in range(2 * n))}, = y"]
-    lines += [f"    u_{k} = c(y_{2 * k}, y_{2 * k + 1})" for k in range(n)]
-    lines += [f"    s_{k} = {' + '.join(terms)}" for k, terms in enumerate(rows)]
-    lines.append("    return ("
-                 + ", ".join(f"s_{k}.imag, -s_{k}.real" for k in range(n))
-                 + ")")
-    return compile_function("\n".join(lines) + "\n",
-                            f"<oracle product n={dim}>", "product",
-                            {"c": complex})
+    body = [f"u_{k} = complex(y_{2 * k}, y_{2 * k + 1})" for k in range(n)]
+    body += [f"s_{i * dim + j} = " + " + ".join(
+                 f"m_{i * dim + k} * u_{k * dim + j}" for k in range(dim))
+             for i in range(dim) for j in range(dim)]
+    return (", ".join(f"m_{k}" for k in range(n)),
+            ", ".join(f"y_{k}" for k in range(2 * n)),
+            "\n".join(body),
+            tuple(part for k in range(n)
+                  for part in (f"s_{k}.imag", f"-s_{k}.real")))
 
 
 def _schrodinger_rhs(ham):
-    # The integrator passes the state as a list of floats and takes a
-    # sequence back; the matrix entries go straight into the product.
-    product = _minus_i_product(ham.dim)
+    # integrate writes the rates inline, as for a chart, and samples
+    # their drives, the matrix entries, once per distinct stage time
     matrix = ham.matrix
-
-    def rhs(t, vec):
-        return product(matrix(t).ravel().tolist(), vec)
-    return rhs
+    return _chart_rhs(_rates(ham.dim), lambda t: matrix(t).ravel().tolist())
 
 
 def unitarity_errors(unitaries) -> np.ndarray:

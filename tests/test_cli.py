@@ -261,6 +261,23 @@ def test_report_keys_in_order_with_the_oracle(config3_path, capsys,
         "wall_time_s"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--compare-oracle"]],
+                         ids=["chart", "with_oracle"])
+def test_wall_clock_lines_fit_in_the_wall_time(config3_path, capsys,
+                                               tmp_path, flags):
+    # The laps time disjoint stretches of the run, so none is negative
+    # and together they take at most wall_time_s.
+    assert main(["run", config3_path, "--samples", "7", *flags,
+                 "--output", str(tmp_path / "x.csv")]) == 0
+    fields = report_fields(capsys.readouterr().err)
+    laps = ["parse_s", "chart_s", "table_s", "emit_s"]
+    laps += ["oracle_wait_s"] if flags else []
+    values = [float(fields[key]) for key in laps]
+    wall = float(fields["wall_time_s"])
+    assert min(values) >= 0.0 and wall >= 0.0
+    assert sum(values) <= wall
+
+
 def test_report_keys_in_order_after_a_singularity(tmp_path, capsys):
     p = tmp_path / "blowup.yaml"
     p.write_text(CONFIG_BLOWUP)
@@ -417,12 +434,26 @@ def test_parser_defaults():
     assert args.rel_tol is None
 
 
+def assert_same_document(got, want):
+    # got == want for two whole documents (str or bytes). A failing ==
+    # of two long strings makes pytest diff them, which takes minutes
+    # on a few hundred kB; this reports the lengths and the first
+    # differing offset with a short window around it instead.
+    if len(got) == len(want) and got == want:
+        return
+    offset = len(os.path.commonprefix([got, want]))
+    window = slice(max(offset - 40, 0), offset + 40)
+    pytest.fail(f"documents of lengths {len(got)} and {len(want)} "
+                f"differ at offset {offset}: {got[window]!r} against "
+                f"{want[window]!r}", pytrace=False)
+
+
 def test_repeat_runs_identical(config3_path, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     main(["run", config3_path, "--samples", "30", "--output", str(a)])
     main(["run", config3_path, "--samples", "30", "--output", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    assert_same_document(a.read_bytes(), b.read_bytes())
 
 
 def csv_reference(columns, table):
@@ -478,7 +509,7 @@ def test_streamed_csv_matches_per_value_formatting():
     stream = RecordingStream()
     cli._write_table(columns, table, None, None, None, "csv", stream)
     text = stream.getvalue()
-    assert text == csv_reference(columns, table)
+    assert_same_document(text, csv_reference(columns, table))
     # the header, then one write per block of rows; no write holds the
     # whole file
     assert len(stream.sizes) == 1 + 3
@@ -494,10 +525,10 @@ def test_csv_file_and_stdout_match_per_value_formatting(config2_path,
     out = tmp_path / "out.csv"
     assert main(["run", config2_path, "--samples", str(samples),
                  "--output", str(out)]) == 0
-    assert out.read_bytes() == want.encode()
+    assert_same_document(out.read_bytes(), want.encode())
     capsys.readouterr()
     assert main(["run", config2_path, "--samples", str(samples)]) == 0
-    assert capsys.readouterr().out == want
+    assert_same_document(capsys.readouterr().out, want)
 
 
 def json_reference(header, columns, table):
@@ -533,17 +564,17 @@ def test_streamed_json_matches_one_dumps(tmp_path, capsys):
         want = json_reference(JSON_HEADER, columns, table)
         stream = RecordingStream()
         cli._write_json(columns, table, JSON_HEADER, stream)
-        assert stream.getvalue() == want
+        assert_same_document(stream.getvalue(), want)
         if rows > cli._JSON_BLOCK:
             # the header, then blocks of rows; no write holds the file
             assert max(stream.sizes) < len(want) / 2
         path = tmp_path / "out.json"
         with open(path, "w", encoding="utf-8") as fh:
             cli._write_json(columns, table, JSON_HEADER, fh)
-        assert path.read_text(encoding="utf-8") == want
+        assert_same_document(path.read_text(encoding="utf-8"), want)
         capsys.readouterr()
         cli._write_json(columns, table, JSON_HEADER, sys.stdout)
-        assert capsys.readouterr().out == want
+        assert_same_document(capsys.readouterr().out, want)
 
 
 def test_json_run_matches_one_dumps(config3_path, tmp_path):
@@ -552,7 +583,7 @@ def test_json_run_matches_one_dumps(config3_path, tmp_path):
     assert main(["run", config3_path, "--samples", str(cli._JSON_BLOCK + 5),
                  "--format", "json", "--output", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    assert_same_document(text, json.dumps(json.loads(text), indent=1) + "\n")
 
 
 class CountingForked(cli._Forked):
@@ -600,7 +631,7 @@ def test_shared_formatting_matches_per_value_text(monkeypatch,
         want = json_reference(JSON_HEADER, columns, table)
         assert_bounded_writes(stream.sizes, json_row_texts(columns, table),
                               block, ",\n")
-    assert stream.getvalue() == want
+    assert_same_document(stream.getvalue(), want)
     assert counting_forks.started == (fork and count > block)
     if fork:
         assert_no_child_left()
@@ -841,7 +872,7 @@ def test_process_stdout_matches_output_file(config3_path, tmp_path, fmt):
     to_stdout = subprocess.run(argv, env=env, capture_output=True)
     assert to_file.returncode == 0 and to_stdout.returncode == 0
     assert to_file.stdout == b""
-    assert to_stdout.stdout == out.read_bytes()
+    assert_same_document(to_stdout.stdout, out.read_bytes())
     assert (steady_lines(to_stdout.stderr.decode())
             == steady_lines(to_file.stderr.decode()))
     assert to_stdout.stderr.decode().count("oracle_wait_s = ") == 1

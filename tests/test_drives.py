@@ -225,6 +225,15 @@ def test_diagonal_sampler_matches_evaluate_bit_for_bit(drive):
             assert value.hex() == want
 
 
+@pytest.mark.parametrize("t", [np.int64(2), np.float32(2), np.array(2.0)],
+                         ids=["int64", "float32", "0-d array"])
+def test_evaluate_on_a_numpy_scalar_is_the_python_scalar_path(t):
+    for drive in REAL_DRIVES + COMPLEX_DRIVES:
+        value = drive.evaluate(t)
+        assert type(value) is complex
+        assert _bits(value) == _bits(drive.evaluate(2.0))
+
+
 @pytest.mark.parametrize("ham", [
     Hamiltonian2(h=CosineDrive(0.3, 1.2), v=GaussianDrive(0.5 + 0.1j, 1.0,
                                                           0.5)),
@@ -627,6 +636,8 @@ hamiltonian:
     ("time: {start: 0.0, end: .inf}", "time.end"),
     ("integrator: {rel_tol: .nan}", "integrator.rel_tol"),
     ("integrator: {abs_tol: .nan}", "integrator.abs_tol"),
+    ("integrator: {rel_tol: 0}", "integrator.rel_tol"),
+    ("integrator: {abs_tol: 0}", "integrator.abs_tol"),
     ("integrator: {max_step: .inf}", "integrator.max_step"),
     # a window too wide for a double, and steps that underflow to 0
     ("time: {start: -1.0e308, end: 1.0e308}", "time"),

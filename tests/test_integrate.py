@@ -468,6 +468,25 @@ def test_stats_account_for_every_attempt(chart, ham, t_end, status, weighted):
         assert stats.escape_halvings > 0
 
 
+@pytest.mark.parametrize("t0", [10.0, -50.0])
+def test_a_shifted_window_brackets_the_pole_the_same_way(t0):
+    # The tangent orbit h = 0, v = 1 has a constant H, so the run on
+    # [t0, t0 + 2] is the run on [0, 2] moved by t0: the step floor and
+    # the singularity bracket scale with the window's width, not with
+    # where it lies.
+    ham = Hamiltonian2(h=ConstantDrive(0.0), v=ConstantDrive(1.0))
+    settings = IntegratorSettings(max_step=0.05)
+    runs = [propagate(ham, start, start + 2.0, settings,
+                      np.linspace(start, start + 2.0, 41))[0]
+            for start in (0.0, t0)]
+    unshifted, shifted = runs
+    assert unshifted.status == shifted.status == "singularity"
+    assert (shifted.stats.escape_halvings
+            == unshifted.stats.escape_halvings > 0)
+    assert abs((shifted.singularity_time - t0)
+               - unshifted.singularity_time) <= 1e-9
+
+
 def test_stats_of_a_run_without_accepted_steps():
     settings = IntegratorSettings(max_step=0.1, max_steps=3)
     traj = integrate(blowup, [1e5], 0.0, 1.0, settings, [], escape=escapes)
@@ -501,13 +520,22 @@ def test_identity_weight_reproduces_the_plain_run(chart, ham, t_end, status):
     assert_same_run(plain, weighted)
 
 
+def _called_oracle_rhs(ham):
+    # the oracle's rhs in a plain function, which integrate calls at
+    # every stage instead of writing the oracle's rates inline
+    rhs = _schrodinger_rhs(ham)
+    return lambda t, y: rhs(t, y)
+
+
 @pytest.mark.parametrize("rhs, initial", [
     (decay, [1.0]),
-    (_schrodinger_rhs(COSINE3), np.eye(3, dtype=complex).ravel().view(float)),
+    (_called_oracle_rhs(COSINE3),
+     np.eye(3, dtype=complex).ravel().view(float)),
 ], ids=["d1_decay", "d18_oracle"])
 def test_identity_weight_at_one_and_eighteen_components(rhs, initial):
     # The same identity at the sizes no chart has: one component, and
-    # the 18 of the direct-matrix oracle, which always runs unweighted.
+    # the 18 of the direct-matrix oracle, which always runs unweighted,
+    # on the attempt that calls the rhs at every stage.
     grid = np.linspace(0.0, 6.0, 41)
     plain, weighted = (integrate(rhs, initial, 0.0, 6.0,
                                  IntegratorSettings(max_step=0.05), grid,
