@@ -176,8 +176,9 @@ def _compiled(forms, packed, grid):
     else the value of the one form. `grid` picks the namespace: math's
     functions for a scalar t, numpy's for a float array. A sum's terms
     are added left to right, each in parentheses. The names of the n-th
-    FORMULA in the code, counted from 0, get the suffix n (a0, w0, p0,
-    v1, ...), and the factory takes them as parameters in that order.
+    FORMULA in the code, counted from 0, get the suffix n (amplitude0,
+    angular_frequency0, phase_offset0, value1, ...), and the factory
+    takes them as parameters in that order.
     The source is registered under the filename "<drive sampler k>", k
     counting the codes compiled.
     """
@@ -248,14 +249,16 @@ class _Formula(_RebuiltOnCopy):
         return _bound([self._formula(False)], False, True)
 
 
-# Reader and writer of a number field's spec value, by the field's
-# annotation (text, under `from __future__ import annotations`).
-_NUMBER_KINDS = {"complex": (_as_complex, _complex_out), "float": (_number, float)}
+# Reader and writer of a number field's spec value and the coercer of
+# its value, by the field's annotation (text, under
+# `from __future__ import annotations`).
+_NUMBER_KINDS = {"complex": (_as_complex, _complex_out, complex),
+                 "float": (_number, float, float)}
 
 
 @functools.cache
 def _number_fields(cls):
-    """((name, reader, writer) per init field, required spec keys,
+    """((name, reader, writer, coercer) per init field, required spec keys,
     optional spec keys) of a _NumberFields shape, built once per class:
     fields() for every drive would double the time to parse a config."""
     init = [f for f in fields(cls) if f.init]
@@ -268,18 +271,30 @@ class _NumberFields:
     """Mixin for the shapes whose spec is `shape` plus their init
     fields, each a number: complex where the field is annotated complex,
     float where it is annotated float. A field with a default may be
-    left out."""
+    left out. FORMULA names the fields, in field order."""
+
+    def __post_init__(self):
+        for name, _, _, coerce in _number_fields(type(self))[0]:
+            object.__setattr__(self, name, coerce(getattr(self, name)))
+
+    def _formula(self, real):
+        # (FORMULA, field values); with `real`, the complex fields as
+        # floats, or None when one of them is not exactly real
+        values = tuple(_exact_real(getattr(self, name))
+                       if real and coerce is complex else getattr(self, name)
+                       for name, _, _, coerce in _number_fields(type(self))[0])
+        return None if None in values else (self.FORMULA, values)
 
     @classmethod
     def from_spec(cls, spec, path):
         numbers, required, optional = _number_fields(cls)
         _mapping(spec, path, required, optional)
         return cls(**{name: read(spec[name], f"{path}.{name}")
-                      for name, read, _ in numbers if name in spec})
+                      for name, read, _, _ in numbers if name in spec})
 
     def to_spec(self):
         spec = {"shape": self.SHAPE}
-        for name, _, write in _number_fields(type(self))[0]:
+        for name, _, write, _ in _number_fields(type(self))[0]:
             spec[name] = write(getattr(self, name))
         return spec
 
@@ -289,15 +304,8 @@ class ConstantDrive(_NumberFields, _Formula):
     """Time-independent value."""
 
     SHAPE = "constant"
-    FORMULA = "{v}"
+    FORMULA = "{value}"
     value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-
-    def _formula(self, real):
-        value = _exact_real(self.value) if real else self.value
-        return None if value is None else (self.FORMULA, (value,))
 
 
 @dataclass(frozen=True)
@@ -305,20 +313,10 @@ class CosineDrive(_NumberFields, _Formula):
     """amplitude * cos(angular_frequency * t + phase_offset)."""
 
     SHAPE = "cosine"
-    FORMULA = "{a} * cos({w} * t + {p})"
+    FORMULA = "{amplitude} * cos({angular_frequency} * t + {phase_offset})"
     amplitude: complex
     angular_frequency: float
     phase_offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "angular_frequency", float(self.angular_frequency))
-        object.__setattr__(self, "phase_offset", float(self.phase_offset))
-
-    def _formula(self, real):
-        a = _exact_real(self.amplitude) if real else self.amplitude
-        return None if a is None else (
-            self.FORMULA, (a, self.angular_frequency, self.phase_offset))
 
 
 @dataclass(frozen=True)
@@ -326,22 +324,15 @@ class GaussianDrive(_NumberFields, _Formula):
     """amplitude * exp(-(t - center)^2 / (2 width^2))."""
 
     SHAPE = "gaussian"
-    FORMULA = "{a} * exp(-0.5 * (g := (t - {c}) / {s}) * g)"
+    FORMULA = "{amplitude} * exp(-0.5 * (g := (t - {center}) / {width}) * g)"
     amplitude: complex
     center: float
     width: float
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "width", float(self.width))
+        super().__post_init__()
         if not self.width > 0:
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-
-    def _formula(self, real):
-        a = _exact_real(self.amplitude) if real else self.amplitude
-        return None if a is None else (
-            self.FORMULA, (a, self.center, self.width))
 
 
 @dataclass(frozen=True)
@@ -519,11 +510,9 @@ class _Hamiltonian(_RebuiltOnCopy):
 
     def matrix_grid(self, times) -> np.ndarray:
         """Stacked Hamiltonian matrices over a time grid, shape (N, dim, dim)."""
-        out = np.empty(np.shape(times) + (self.dim * self.dim,), dtype=complex)
         entries = self._entries(self.sample_grid(times), np.conjugate)
-        for k, entry in enumerate(entries):
-            out[..., k] = entry
-        return out.reshape(np.shape(times) + (self.dim, self.dim))
+        return np.stack(entries, axis=-1).reshape(
+            np.shape(times) + (self.dim, self.dim))
 
 
 @dataclass(frozen=True)
@@ -581,8 +570,8 @@ class RunConfig:
     hamiltonian: Union[Hamiltonian2, Hamiltonian3]
     t_start: float
     t_end: float
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+    rel_tol: float = IntegratorSettings.rel_tol
+    abs_tol: float = IntegratorSettings.abs_tol
     max_step: float = None            # default (t_end - t_start) / 100
 
     def __post_init__(self):
@@ -605,6 +594,16 @@ class RunConfig:
 _PHASE_ROUNDING_BOUND = 1e-6
 
 
+def _leaves(drive, path="drive"):
+    """(path, leaf) for every drive in drive that is not a sum, the
+    terms of sums included, in order."""
+    if isinstance(drive, SumDrive):
+        for i, term in enumerate(drive.terms):
+            yield from _leaves(term, f"{path}.terms[{i}]")
+    else:
+        yield path, drive
+
+
 def _check_phases(drive, path, t_start, t_end):
     """Raise ConfigError unless the phase angular_frequency * t +
     phase_offset of every cosine in drive, the terms of a sum included,
@@ -612,33 +611,22 @@ def _check_phases(drive, path, t_start, t_end):
     The phase is linear in t, so the window ends decide: past an
     overflow math.cos has no value, and the spacing of the doubles
     grows with |t|, so the end farther from 0 rounds coarsest."""
-    if isinstance(drive, SumDrive):
-        for i, term in enumerate(drive.terms):
-            _check_phases(term, f"{path}.terms[{i}]", t_start, t_end)
-    elif isinstance(drive, CosineDrive):
+    for path, cosine in _leaves(drive, path):
+        if not isinstance(cosine, CosineDrive):
+            continue
         for t in (t_start, t_end):
-            if not math.isfinite(drive.angular_frequency * t
-                                 + drive.phase_offset):
+            if not math.isfinite(cosine.angular_frequency * t
+                                 + cosine.phase_offset):
                 raise ConfigError(
                     f"{path}: angular_frequency * t + phase_offset "
                     f"overflows at t = {t!r}")
         t = max(abs(t_start), abs(t_end))
-        noise = abs(drive.angular_frequency) * math.ulp(t)
+        noise = abs(cosine.angular_frequency) * math.ulp(t)
         if noise > _PHASE_ROUNDING_BOUND:
             raise ConfigError(
                 f"{path}: angular_frequency * t + phase_offset is rounding "
                 f"noise: |angular_frequency| * spacing({t!r}) = {noise:.3g} "
                 f"exceeds {_PHASE_ROUNDING_BOUND:g}")
-
-
-def _knot_times(drive):
-    """The knot times of every piecewise drive in drive, the terms of a
-    sum included."""
-    if isinstance(drive, SumDrive):
-        return [t for term in drive.terms for t in _knot_times(term)]
-    if isinstance(drive, PiecewiseDrive):
-        return list(drive.times)
-    return []
 
 
 _HAMILTONIANS = {2: Hamiltonian2, 3: Hamiltonian3}
@@ -736,8 +724,9 @@ def _check_diagonal(built, keys, h3, t_start, t_end):
         return
     grid = np.linspace(t_start, t_end, 11)
     drives = [built[key] for key in keys] + ([] if h3 is None else [h3])
-    knots = [t for drive in drives for t in _knot_times(drive)
-             if t_start <= t <= t_end]
+    knots = [t for drive in drives for _, leaf in _leaves(drive)
+             if isinstance(leaf, PiecewiseDrive)
+             for t in leaf.times if t_start <= t <= t_end]
     if knots:  # most configs have none, and np.union1d is not free
         grid = np.union1d(grid, knots)
     diagonal = {}

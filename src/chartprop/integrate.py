@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -152,8 +153,16 @@ class IntegratorSettings:
             object.__setattr__(self, "initial_step", self.max_step / 100.0)
         if not _positive(self.initial_step):
             raise ValueError("initial_step must be finite and positive")
-        if not self.max_steps > 0:
-            raise ValueError("max_steps must be positive")
+        # A count of attempts, stored as an int: an infinite budget lets
+        # a run never end, and a fractional one or a bool is no count.
+        try:
+            max_steps = operator.index(self.max_steps)
+        except TypeError:
+            max_steps = 0
+        if isinstance(self.max_steps, bool) or max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, "
+                             f"got {self.max_steps!r}")
+        object.__setattr__(self, "max_steps", max_steps)
 
 
 @dataclass(frozen=True)

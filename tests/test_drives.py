@@ -295,7 +295,35 @@ def test_sampler_tracebacks_show_the_generated_line():
             sample(10.0)
         frame = traceback.extract_tb(failure.value.__traceback__)[-1]
         assert frame.filename.startswith("<drive sampler ")
-        assert " * cos(w" in frame.line
+        assert " * cos(angular_frequency" in frame.line
+
+
+NUMBER_SHAPES = [
+    lambda a: ConstantDrive(a),
+    lambda a: CosineDrive(a, 1.3, -0.2),
+    lambda a: GaussianDrive(a, 0.5, 0.8),
+]
+NUMBER_SHAPE_IDS = ["constant", "cosine", "gaussian"]
+
+
+@pytest.mark.parametrize("shape", NUMBER_SHAPES, ids=NUMBER_SHAPE_IDS)
+def test_formula_names_the_init_fields_in_order(shape):
+    drive = shape(0.3)
+    names = [f.name for f in dataclasses.fields(drive) if f.init]
+    assert list(dict.fromkeys(re.findall(r"{(\w+)}", drive.FORMULA))) == names
+    values = tuple(getattr(drive, name) for name in names)
+    assert drive._formula(False) == (drive.FORMULA, values)
+
+
+@pytest.mark.parametrize("shape", NUMBER_SHAPES, ids=NUMBER_SHAPE_IDS)
+@pytest.mark.parametrize("imag, real", [(0.0, True), (-0.0, False),
+                                        (1e-300, False)])
+def test_real_formula_only_for_a_plus_zero_imaginary_part(shape, imag, real):
+    drive = shape(complex(0.3, imag))
+    form, values = drive._formula(False)
+    got = drive._formula(True)
+    assert got == ((form, (0.3, *values[1:])) if real else None)
+    assert not real or type(got[1][0]) is float
 
 
 def test_hamiltonian3_matrix_structure():

@@ -73,6 +73,17 @@ def test_settings_reject_non_finite_values(name, value):
         IntegratorSettings(**values)
 
 
+@pytest.mark.parametrize("value", [2.5, True, math.inf, 0, -1])
+def test_settings_reject_a_max_steps_that_is_not_a_count(value):
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        IntegratorSettings(max_step=0.1, max_steps=value)
+
+
+def test_settings_accept_a_numpy_integer_max_steps():
+    s = IntegratorSettings(max_step=0.1, max_steps=np.int64(5))
+    assert s.max_steps == 5 and type(s.max_steps) is int
+
+
 def test_exponential_decay_accuracy():
     settings = IntegratorSettings(max_step=0.2)
     traj = integrate(decay, [1.0], 0.0, 5.0, settings, np.linspace(0, 5, 11))
