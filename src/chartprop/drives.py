@@ -24,11 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 import reprlib
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
-from operator import itemgetter
 from typing import Union, get_args
 
 import numpy as np
@@ -102,24 +102,28 @@ def _complex_out(value):
     return [value.real, value.imag] if real is None else real
 
 
+# Diagonal drives must stay real: an imaginary part beyond this share of
+# 1 + |value| would silently break Hermiticity, so it fails loudly.
+_REAL_TOLERANCE = 1e-14
+
+
 def _require_real(value, t, what):
-    # Diagonal drives must stay real; a stray imaginary part would
-    # silently break Hermiticity, so fail loudly instead.
     c = complex(value)
-    if abs(c.imag) > 1e-14 * (1.0 + abs(c)):
+    if abs(c.imag) > _REAL_TOLERANCE * (1.0 + abs(c)):
         raise ValueError(f"{what} must evaluate real, got {c} at t={t}")
     return c.real
 
 
-def _on_grid(value, times, dtype=complex):
+def _on_grid(value, times):
     # a formula's value (a constant's is one scalar) in the grid's shape
-    return np.broadcast_to(np.asarray(value, dtype=dtype), np.shape(times))
+    return np.broadcast_to(np.asarray(value, dtype=complex), np.shape(times))
 
 
 def _require_real_grid(value, times, what):
-    # _require_real over a whole time grid
+    # _require_real over a whole time grid; all-zero imaginary parts pass fast
     c = _on_grid(value, times)
-    if np.any(np.abs(c.imag) > 1e-14 * (1.0 + np.abs(c))):
+    if c.imag.any() and np.any(
+            np.abs(c.imag) > _REAL_TOLERANCE * (1.0 + np.abs(c))):
         raise ValueError(f"{what} must evaluate real everywhere on the grid")
     return c.real
 
@@ -156,31 +160,28 @@ def _interp(t, times, values):
 # the code of a form once per process and path, shared by drives and
 # Hamiltonians of the same shapes. The scalar and the grid path run the
 # same code, each in its namespace:
-_NAMESPACES = ({"cos": math.cos, "exp": math.exp, "interp": _interp,
-                "require_real": _require_real},
-               {"cos": np.cos, "exp": np.exp, "interp": np.interp,
-                "require_real": _require_real_grid})
+_NAMESPACES = ({"cos": math.cos, "exp": math.exp, "interp": _interp},
+               {"cos": np.cos, "exp": np.exp, "interp": np.interp})
 
-# A diagonal entry whose drive is not real by construction: the drive's
-# value, checked for realness at each sample or over the whole grid.
-_CHECKED = "require_real({at}(t), t, {what})"
+# a diagonal drive of `sample` not real by construction, checked at each t
+_CHECKED = "{check}({drive}(t), t, {what})"
 
 _SAMPLER_NUMBERS = itertools.count(1)
 
 
 @functools.cache
-def _compiled(forms, packed, grid):
+def _compiled(forms, grid):
     """factory(*constants) -> sample(t) for a tuple of forms.
 
-    sample(t) returns the tuple of the forms' values at t when packed,
-    else the value of the one form. `grid` picks the namespace: math's
-    functions for a scalar t, numpy's for a float array. A sum's terms
-    are added left to right, each in parentheses. The names of the n-th
-    FORMULA in the code, counted from 0, get the suffix n (amplitude0,
-    angular_frequency0, phase_offset0, value1, ...), and the factory
-    takes them as parameters in that order.
-    The source is registered under the filename "<drive sampler k>", k
-    counting the codes compiled.
+    sample(t) returns the tuple of the forms' values at t, or the value
+    of the one form. `grid` picks the namespace: math's functions for a
+    scalar t, numpy's for a float array (a drive's `evaluate` only). A
+    sum's terms are added left to right, each in parentheses. The names
+    of the n-th FORMULA in the code, counted from 0, get the suffix n
+    (amplitude0, angular_frequency0, phase_offset0, value1, ...), and
+    the factory takes them as parameters in that order. The source is
+    registered under the filename "<drive sampler k>", k counting the
+    codes compiled.
     """
     params = []
     leaves = itertools.count()
@@ -196,7 +197,7 @@ def _compiled(forms, packed, grid):
     values = ", ".join(expression(form) for form in forms)
     source = (f"def factory({', '.join(params)}):\n"
               f"    def sample(t):\n"
-              f"        return {f'({values},)' if packed else values}\n"
+              f"        return {values}\n"
               f"    return sample\n")
     return compile_function(
         source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
@@ -210,10 +211,10 @@ def _joined(parts):
     return forms, tuple(itertools.chain.from_iterable(constants))
 
 
-def _bound(parts, packed, grid):
+def _bound(parts, grid):
     # the `_compiled` function of the parts, with their constants bound
     forms, constants = _joined(parts)
-    return _compiled(forms, packed, grid)(*constants)
+    return _compiled(forms, grid)(*constants)
 
 
 class _RebuiltOnCopy:
@@ -238,15 +239,17 @@ class _Formula(_RebuiltOnCopy):
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             return self._scalar(float(t))
-        return _on_grid(self._grid(t), t)
+        # an overflow gives inf silently, as Python floats do at one t
+        with np.errstate(over="ignore"):
+            return _on_grid(self._grid(t), t)
 
     @functools.cached_property
     def _scalar(self):
-        return _bound([self._formula(False)], False, False)
+        return _bound([self._formula(False)], False)
 
     @functools.cached_property
     def _grid(self):
-        return _bound([self._formula(False)], False, True)
+        return _bound([self._formula(False)], True)
 
 
 # Reader and writer of a number field's spec value and the coercer of
@@ -448,10 +451,7 @@ class _Hamiltonian(_RebuiltOnCopy):
       couplings in lower-triangle column order;
     * `_SLOTS`, the matrix in row-major order, each slot an index into
       (KEYS values, derived diagonal, conjugated couplings), and
-      `_pick = itemgetter(*_SLOTS)`, which selects them in one call.
-
-    `sample(t)` returns the KEYS values at t as a plain tuple in that
-    order (see `sample`).
+      `_pick = operator.itemgetter(*_SLOTS)`, which selects them in one call.
     """
 
     def _parts(self):
@@ -460,7 +460,8 @@ class _Hamiltonian(_RebuiltOnCopy):
         for i, key in enumerate(self.KEYS):
             drive = getattr(self, key)
             parts.append(drive._formula(i < self.dim - 1) or (
-                _CHECKED, (drive.evaluate, f"diagonal drive {key}")))
+                _CHECKED,
+                (_require_real, drive.evaluate, f"diagonal drive {key}")))
         return parts
 
     @functools.cached_property
@@ -475,11 +476,7 @@ class _Hamiltonian(_RebuiltOnCopy):
         real by construction is sampled with its float formula, any
         other through `evaluate`, checked for realness at each sample.
         """
-        return _bound(self._parts(), True, False)
-
-    @functools.cached_property
-    def _grid_sampler(self):
-        return _bound(self._parts(), True, True)
+        return _bound(self._parts(), False)
 
     def _entries(self, values, conjugate):
         # Matrix entries in row-major order from KEYS values: Python
@@ -499,14 +496,14 @@ class _Hamiltonian(_RebuiltOnCopy):
                         dtype=complex).reshape(self.dim, self.dim)
 
     def sample_grid(self, times) -> tuple:
-        """The KEYS values over a whole time grid: a float array per
-        diagonal drive, a complex array per coupling, each of the grid's
-        shape. The forms of `sample`, compiled at first use for the grid
-        namespace; a checked diagonal drive is checked on the grid."""
-        times = np.asarray(times, dtype=float)
-        n = self.dim - 1
-        return tuple(_on_grid(value, times, float if i < n else complex)
-                     for i, value in enumerate(self._grid_sampler(times)))
+        """The KEYS values over a whole time grid, each of its shape: the
+        drives' `evaluate(times)`, a complex array per coupling and the
+        real part, checked for realness, per diagonal drive."""
+        values = [getattr(self, key).evaluate(times) for key in self.KEYS]
+        for i, key in enumerate(self.KEYS[:self.dim - 1]):
+            values[i] = _require_real_grid(values[i], times,
+                                           f"diagonal drive {key}")
+        return tuple(values)
 
     def matrix_grid(self, times) -> np.ndarray:
         """Stacked Hamiltonian matrices over a time grid, shape (N, dim, dim)."""
@@ -532,7 +529,7 @@ class Hamiltonian2(_Hamiltonian):
     KEYS = ("h", "v")
     _SLOTS = (0, 3,
               1, 2)
-    _pick = itemgetter(*_SLOTS)
+    _pick = operator.itemgetter(*_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -557,7 +554,7 @@ class Hamiltonian3(_Hamiltonian):
     _SLOTS = (0, 6, 7,
               2, 1, 8,
               3, 4, 5)
-    _pick = itemgetter(*_SLOTS)
+    _pick = operator.itemgetter(*_SLOTS)
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +648,12 @@ def parse_config(source) -> RunConfig:
             raise ConfigError(f"config: unreadable value: {exc}") from None
     _mapping(raw, "config", ("system", "time", "hamiltonian"), ("integrator",))
 
-    system = raw["system"]
-    if system not in (2, 3):
-        raise ConfigError(f"system: must be 2 or 3, got {reprlib.repr(system)}")
+    # an integer: operator.index takes no float such as 3.0
+    try:
+        cls = _HAMILTONIANS[operator.index(raw["system"])]
+    except (TypeError, KeyError):
+        raise ConfigError(f"system: must be 2 or 3, got "
+                          f"{reprlib.repr(raw['system'])}") from None
 
     time = _mapping(raw["time"], "time", ("start", "end"))
     t_start = _number(time["start"], "time.start")
@@ -692,15 +692,14 @@ def parse_config(source) -> RunConfig:
                           f"{max_step!r} cannot cross [{t_start!r}, "
                           f"{t_end!r}]")
 
-    cls = _HAMILTONIANS[system]
     drives = _mapping(raw["hamiltonian"], "hamiltonian", cls.KEYS,
-                      ("h3",) if system == 3 else ())
+                      ("h3",) if cls.dim == 3 else ())
     built = {key: drive_from_spec(drives[key], f"hamiltonian.{key}")
              for key in (*cls.KEYS, "h3") if key in drives}
     for key, drive in built.items():
         _check_phases(drive, f"hamiltonian.{key}", t_start, t_end)
     h3 = built.pop("h3", None)
-    _check_diagonal(built, cls.KEYS[:system - 1], h3, t_start, t_end)
+    _check_diagonal(built, cls.KEYS[:cls.dim - 1], h3, t_start, t_end)
     return RunConfig(hamiltonian=cls(**built), t_start=t_start, t_end=t_end,
                      **settings)
 

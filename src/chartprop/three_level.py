@@ -75,11 +75,11 @@ def coords_from_states(states) -> tuple:
 
 
 def coord_block(states) -> np.ndarray:
-    """Output-table columns named by COORD_COLUMNS, shape (N, 9); the
-    dependent phase phi3 = -(phi1 + phi2) is spelled out."""
-    x, y, z, phi1, phi2 = coords_from_states(states)
-    return np.column_stack([x.real, x.imag, y.real, y.imag, z.real, z.imag,
-                            phi1, phi2, -(phi1 + phi2)])
+    """Output-table columns named by COORD_COLUMNS, shape (N, 9): the
+    flat states as integrated, to the bit, and the dependent phase
+    phi3 = -(phi1 + phi2) spelled out."""
+    states = np.asarray(states, dtype=float)
+    return np.column_stack([states, -(states[:, 6] + states[:, 7])])
 
 
 def reconstruct_batch(states) -> np.ndarray:

@@ -38,9 +38,9 @@ def coords_from_states(states) -> tuple:
 
 
 def coord_block(states) -> np.ndarray:
-    """Output-table columns named by COORD_COLUMNS, shape (N, 3)."""
-    z, phi = coords_from_states(states)
-    return np.column_stack([z.real, z.imag, phi])
+    """Output-table columns named by COORD_COLUMNS, shape (N, 3): the
+    flat states as integrated, to the bit."""
+    return np.asarray(states, dtype=float)
 
 
 def extra_residuals(times, states, ham) -> dict:

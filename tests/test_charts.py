@@ -132,6 +132,24 @@ def test_output_blocks_match_column_names(chart):
 
 
 @CHARTS
+def test_output_blocks_keep_the_sign_bits_of_the_states(chart):
+    # The coordinate columns are the states as integrated: a -0.0 stays
+    # -0.0 (as in the row [-0.0, 1.0, 0.5]), which array_equal does not
+    # see, so the bytes are compared.
+    rng = np.random.default_rng(9)
+    states = random_states(rng, chart, 40, np.ones(40))
+    zeros = rng.random(states.shape) < 0.4
+    states[zeros] = np.where(rng.random(states.shape) < 0.5, -0.0, 0.0)[zeros]
+    states[0, :3] = [-0.0, 1.0, 0.5]
+    block = chart.coord_block(states)
+    assert block[:, :chart.STATE_SIZE].tobytes() == states.tobytes()
+    assert np.signbit(block[0, 0])
+    if chart is three_level:
+        phi3 = -(states[:, 6] + states[:, 7])
+        assert block[:, -1].tobytes() == phi3.tobytes()
+
+
+@CHARTS
 def test_error_weight_is_one_plus_squared_modulus(chart):
     # 1 + |c|^2 for both parts of each chart coordinate c, 1 per phase
     rng = np.random.default_rng(11)

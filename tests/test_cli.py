@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import chartprop
-from chartprop import NonFiniteDerivativeError, cli
+from chartprop import NonFiniteDerivativeError, cli, three_level
 from chartprop.cli import build_parser, main
 
 CONFIG2 = """
@@ -124,6 +125,23 @@ def test_csv_three_level_schema(config3_path, tmp_path):
     u0 = table[0, 10:28].reshape(3, 3, 2)
     assert np.array_equal(u0[..., 0], np.eye(3))
     assert np.array_equal(u0[..., 1], np.zeros((3, 3)))
+
+
+def test_delta_residuals_fall_with_the_grid_spacing_squared():
+    # The log-delta identities against finite differences of d1, d2
+    # along the chart run `chartprop run` makes: small on a fine grid and
+    # falling about 100x for 10x the samples (81x and 99x measured), as
+    # second-order differences do. A sign error in the identities reads
+    # about 1 at both densities.
+    maxima = {}
+    for samples in (201, 2001):
+        traj, _, ham = cli_run(CONFIG3, samples)
+        assert traj.status == "completed"
+        maxima[samples] = np.array([np.max(residual) for residual in
+                                    three_level.delta_residuals(
+                                        traj.times, traj.states, ham)])
+    assert np.all(maxima[2001] <= 1e-5)
+    assert np.all(maxima[201] >= 25 * maxima[2001])
 
 
 def test_csv_values_round_trip_through_text(config2_path, tmp_path):
@@ -239,6 +257,21 @@ def test_report_lists_run_counters(config3_path, capsys, tmp_path):
 
 def report_keys(lines):
     return [line.partition(" = ")[0] for line in lines]
+
+
+def test_narrow_gaussian_run_writes_only_report_lines(tmp_path, capsys):
+    # The Gaussian's ((t - center) / width)^2 overflows off its center,
+    # in the chart run and in the residual columns alike; that gives its
+    # limit 0 there, and no warning joins the report.
+    p = tmp_path / "narrow.yaml"
+    p.write_text(CONFIG_BLOWUP.replace("end: 2.0", "end: 1.0").replace(
+        "v: {shape: constant, value: 1.0}",
+        "v: {shape: gaussian, amplitude: 0.5, center: 0.5, width: 1.0e-200}"))
+    assert main(["run", str(p), "--compare-oracle", "--output",
+                 str(tmp_path / "x.csv")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert "max_frobenius_error" in report_keys(lines)
+    assert all(re.match(r"^[a-z0-9_]+ = ", line) for line in lines), lines
 
 
 def test_report_keys_in_order_with_the_oracle(config3_path, capsys,

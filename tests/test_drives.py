@@ -277,13 +277,33 @@ def test_hamiltonians_of_the_same_shapes_share_the_sampler_code():
     other = Hamiltonian3(h1=CosineDrive(0.3 + 0.1j, 1.2), h2=a.h2, v1=a.v1,
                          v2=a.v2, v3=a.v3)
     assert other.sample.__code__ is not a.sample.__code__
-    # the grid path and the drives' own functions are shared the same way
+    # the grid path, the drives' own grid functions, is shared the same way
     a.sample_grid([0.4])
     b.sample_grid([0.4])
-    assert a._grid_sampler.__code__ is b._grid_sampler.__code__
-    assert a._grid_sampler.__code__ is not a.sample.__code__
+    for key in a.KEYS:
+        drive_a, drive_b = getattr(a, key), getattr(b, key)
+        assert drive_a._grid is not drive_b._grid
+        assert drive_a._grid.__code__ is drive_b._grid.__code__
+        assert drive_a._grid.__code__ is not drive_a._scalar.__code__
     assert (CosineDrive(0.4, 1.0)._scalar.__code__
             is CosineDrive(-0.2j, 3.0, 1.0)._scalar.__code__)
+
+
+def test_grid_overflow_gives_inf_without_a_warning():
+    # ((t - center) / width)^2 overflows for so narrow a Gaussian. At one
+    # t Python floats overflow to inf silently; the grid path does the
+    # same (the suite turns a warning into an error), and both give the
+    # Gaussian's limit: the amplitude at the center, 0 elsewhere.
+    drive = GaussianDrive(0.5, 0.5, 1e-200)
+    grid = np.linspace(0.0, 1.0, 11)
+    want = np.where(grid == 0.5, 0.5, 0.0)
+    assert np.array_equal(drive.evaluate(grid), want)
+    assert [drive.evaluate(t) for t in grid.tolist()] == want.tolist()
+    for ham in (Hamiltonian2(h=drive, v=drive),
+                Hamiltonian3(h1=drive, h2=drive, v1=drive, v2=drive,
+                             v3=drive)):
+        for values in ham.sample_grid(grid):
+            assert np.array_equal(values, want)
 
 
 def test_sampler_tracebacks_show_the_generated_line():
@@ -641,6 +661,9 @@ def test_parse_config_accepts_file_objects_and_dicts():
     from_dict = parse_config(config_to_dict(from_text))
     assert from_file == from_text
     assert from_dict == from_text
+    # a numpy integer is an integer
+    assert parse_config({**config_to_dict(from_text),
+                         "system": np.int64(3)}) == from_text
 
 
 def test_parse_config_defaults():
@@ -658,6 +681,9 @@ hamiltonian:
 
 @pytest.mark.parametrize("mutation, fragment", [
     ("system: 4", "system"),
+    # a level count is an integer, not a float that equals one
+    ("system: 3.0", "system"),
+    ("system: 2.0", "system"),
     ("time: {start: 1.0, end: 1.0}", "time"),
     ("extra_key: 1", "unexpected"),
     ("time: {start: .inf, end: 2.0}", "time.start"),
@@ -821,7 +847,9 @@ def test_parsing_real_diagonal_drives_compiles_no_code(monkeypatch):
     ham.sample(0.5)
     ham.sample_grid([0.5, 1.0])
     ham.v1.evaluate(0.5)
-    assert [grid for _, _, grid in calls] == [False, True, False]
+    # the Hamiltonian's sampler, the grid function of each of its five
+    # drives, then v1's scalar function
+    assert [grid for _, grid in calls] == [False] + [True] * 5 + [False]
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():
