@@ -21,6 +21,7 @@ offending field.
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
@@ -33,7 +34,8 @@ from typing import Union, get_args
 
 import numpy as np
 
-from .integrate import IntegratorSettings, compile_function, steps_stall
+from .integrate import (_NODES, IntegratorSettings, compile_function,
+                        steps_stall)
 
 
 class ConfigError(ValueError):
@@ -120,12 +122,19 @@ def _on_grid(value, times):
 
 
 def _require_real_grid(value, times, what):
-    # _require_real over a whole time grid; all-zero imaginary parts pass fast
+    """_require_real over a whole time grid, as a read-only array; all-zero
+    imaginary parts pass fast. The real parts are copied out, so that
+    the complex array is freed, except for a broadcast constant, whose
+    view holds one value."""
     c = _on_grid(value, times)
     if c.imag.any() and np.any(
             np.abs(c.imag) > _REAL_TOLERANCE * (1.0 + np.abs(c))):
         raise ValueError(f"{what} must evaluate real everywhere on the grid")
-    return c.real
+    if 0 in c.strides:
+        return c.real
+    real = c.real.copy()
+    real.flags.writeable = False
+    return real
 
 
 def _interp(t, times, values):
@@ -169,20 +178,12 @@ _CHECKED = "{check}({drive}(t), t, {what})"
 _SAMPLER_NUMBERS = itertools.count(1)
 
 
-@functools.cache
-def _compiled(forms, grid):
-    """factory(*constants) -> sample(t) for a tuple of forms.
-
-    sample(t) returns the tuple of the forms' values at t, or the value
-    of the one form. `grid` picks the namespace: math's functions for a
-    scalar t, numpy's for a float array (a drive's `evaluate` only). A
-    sum's terms are added left to right, each in parentheses. The names
-    of the n-th FORMULA in the code, counted from 0, get the suffix n
-    (amplitude0, angular_frequency0, phase_offset0, value1, ...), and
-    the factory takes them as parameters in that order. The source is
-    registered under the filename "<drive sampler k>", k counting the
-    codes compiled.
-    """
+def _expressions(forms):
+    """(expressions, params) of a tuple of forms: the code of each form
+    in t, and the names of its constants in order. A sum's terms are
+    added left to right, each in parentheses. The names of the n-th
+    FORMULA, counted from 0, get the suffix n (amplitude0,
+    angular_frequency0, phase_offset0, value1, ...)."""
     params = []
     leaves = itertools.count()
 
@@ -194,10 +195,24 @@ def _compiled(forms, grid):
         params.extend(names.values())
         return form.format(**names)
 
-    values = ", ".join(expression(form) for form in forms)
+    return [expression(form) for form in forms], params
+
+
+@functools.cache
+def _compiled(forms, grid):
+    """factory(*constants) -> sample(t) for a tuple of forms.
+
+    sample(t) returns the tuple of the forms' values at t, or the value
+    of the one form. `grid` picks the namespace: math's functions for a
+    scalar t, numpy's for a float array (a drive's `evaluate` only). The
+    code is that of `_expressions`, and the factory takes the constants'
+    names as parameters in order. The source is registered under the
+    filename "<drive sampler k>", k counting the codes compiled.
+    """
+    values, params = _expressions(forms)
     source = (f"def factory({', '.join(params)}):\n"
               f"    def sample(t):\n"
-              f"        return {values}\n"
+              f"        return {', '.join(values)}\n"
               f"    return sample\n")
     return compile_function(
         source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
@@ -215,6 +230,160 @@ def _bound(parts, grid):
     # the `_compiled` function of the parts, with their constants bound
     forms, constants = _joined(parts)
     return _compiled(forms, grid)(*constants)
+
+
+class _Lowering:
+    """Forms written out in real arithmetic, one statement at a time.
+
+    A value is a tuple of parts, one for a float and (re, im) for a
+    complex value, each part a (source, constant) pair: `constant` says
+    that the part depends on no t and no call. Every operation is the
+    one CPython performs on the complex value, up to 3.13: a float that
+    meets a complex value is promoted to one with a +0.0 imaginary
+    part, the same rule the charts' `_RATES` follow, and a product is
+    (ac - bd) + (ad + bc) i. A constant part that is not a literal is
+    computed once, in the factory; a call, a division and an assignment expression each become
+    a statement of their own, in the order Python evaluates them, so a
+    sample raises where the scalar `sample` raises. Calls return floats
+    (cos, exp, interp and the realness check do); a complex argument is
+    passed as complex(re, im), the same value.
+    """
+
+    _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+
+    def __init__(self, complex_params):
+        self.complex_params = complex_params
+        self.hoisted = {}     # source of a constant part -> its name
+        self.lines = []       # the statements of the sampler
+        self.temps = itertools.count()
+
+    def _atom(self, part):
+        # part as a name or a literal, assigning it to a new one if it is
+        # neither; a constant one is assigned once, in the factory
+        source, constant = part
+        if source.isidentifier() or _is_literal(source):
+            return part
+        if constant:
+            name = self.hoisted.setdefault(source, f"_k{len(self.hoisted)}")
+            return name, True
+        name = f"_v{next(self.temps)}"
+        self.lines.append(f"        {name} = {source}")
+        return name, False
+
+    def _apply(self, a, op, b):
+        # the part a op b on float parts
+        (left, left_constant), (right, right_constant) = a, b
+        part = f"({left} {op} {right})", left_constant and right_constant
+        return self._atom(part) if op == "/" or part[1] else part
+
+    def value(self, node, t, bound):
+        """The parts of the expression `node` at the time named t;
+        `bound` maps the targets of assignment expressions to names."""
+        if isinstance(node, ast.Name):
+            if node.id == "t":
+                return ((t, False),)
+            if node.id in bound:
+                return (bound[node.id],)
+            if node.id in self.complex_params:
+                return ((f"{node.id}_re", True), (f"{node.id}_im", True))
+            return ((node.id, True),)
+        if isinstance(node, ast.Constant) and type(node.value) is complex:
+            return ((repr(node.value.real), True),
+                    (repr(node.value.imag), True))
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            return ((repr(node.value), True),)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return tuple((f"(-{source})", constant)
+                         for source, constant in self.value(node.operand, t,
+                                                            bound))
+        if isinstance(node, ast.NamedExpr):
+            (part,) = self.value(node.value, t, bound)
+            bound[node.target.id] = self._atom(part)
+            return (bound[node.target.id],)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = []
+            for arg in node.args:
+                parts = self.value(arg, t, bound)
+                args.append(parts[0][0] if len(parts) == 1 else
+                            f"complex({parts[0][0]}, {parts[1][0]})")
+            name = f"_v{next(self.temps)}"
+            self.lines.append(f"        {name} = {node.func.id}"
+                              f"({', '.join(args)})")
+            return ((name, False),)
+        if (isinstance(node, ast.BinOp)
+                and type(node.op) in self._OPERATORS):
+            op = self._OPERATORS[type(node.op)]
+            a = self.value(node.left, t, bound)
+            b = self.value(node.right, t, bound)
+            if len(a) == len(b) == 1:
+                return (self._apply(a[0], op, b[0]),)
+            zero = ("0.0", True)
+            a = a if len(a) == 2 else (a[0], zero)
+            b = b if len(b) == 2 else (b[0], zero)
+            if op in "+-":
+                return (self._apply(a[0], op, b[0]),
+                        self._apply(a[1], op, b[1]))
+            if op == "*":
+                (ar, ai), (br, bi) = ([self._atom(p) for p in v]
+                                      for v in (a, b))
+                return (self._apply(self._apply(ar, "*", br), "-",
+                                    self._apply(ai, "*", bi)),
+                        self._apply(self._apply(ar, "*", bi), "+",
+                                    self._apply(ai, "*", br)))
+        raise TypeError(f"cannot write {ast.unparse(node)!r} in real "
+                        f"arithmetic")
+
+
+def _is_literal(source):
+    # a float literal as repr writes a finite float, signed or not
+    return re.fullmatch(r"-?\d[\d.e+-]*", source) is not None
+
+
+@functools.cache
+def _lowered(forms, kinds, splits, count):
+    """factory(*constants) -> stages(t_0, ..., t_{count - 1}) for a tuple
+    of forms, generated and compiled once per forms, kinds and splits.
+
+    stages returns the forms' values at each of the times in turn, as
+    one flat tuple of floats: a form whose entry in `splits` is true as
+    the real and imaginary part of its value, any other as its float
+    value. kinds says which of the constants are complex; the factory
+    takes those as two parameters, name_re and name_im, and the others
+    as one, in the order of `_expressions`. The values are the bits of
+    the scalar `_compiled` sample's .real and .imag: the code is the
+    forms' own, written in real arithmetic by `_Lowering`. The source
+    is registered under the filename "<drive stage sampler k>".
+    """
+    expressions, params = _expressions(forms)
+    lowering = _Lowering({name for name, is_complex in zip(params, kinds)
+                          if is_complex})
+    trees = [ast.parse(expression, mode="eval").body
+             for expression in expressions]
+    values = []
+    for j in range(count):
+        for tree, split in zip(trees, splits):
+            parts = lowering.value(tree, f"_t{j}", {})
+            if len(parts) == 1 and split:
+                parts = (parts[0], ("0.0", True))
+            elif len(parts) == 2 and not split:
+                raise TypeError(f"a complex value where a float is due: "
+                                f"{ast.unparse(tree)!r}")
+            values += [source for source, _ in parts]
+    arguments = [part for name, is_complex in zip(params, kinds)
+                 for part in ((f"{name}_re", f"{name}_im") if is_complex
+                              else (name,))]
+    source = "\n".join([
+        f"def factory({', '.join(arguments)}):",
+        *(f"    {name} = {expression}"
+          for expression, name in lowering.hoisted.items()),
+        f"    def stages({', '.join(f'_t{j}' for j in range(count))}):",
+        *lowering.lines,
+        f"        return {', '.join(values)}",
+        "    return stages",
+        ""])
+    return compile_function(
+        source, f"<drive stage sampler {next(_SAMPLER_NUMBERS)}>", "factory",
+        dict(_NAMESPACES[False]))
 
 
 class _RebuiltOnCopy:
@@ -470,13 +639,37 @@ class _Hamiltonian(_RebuiltOnCopy):
         tuple: a float per diagonal drive, a complex value per coupling;
         the derived diagonal entry is left to the caller.
 
-        The chart right-hand sides call it at every distinct stage time,
-        so it is one function generated from the drives' FORMULA
-        templates at first use (`_compiled`). A diagonal drive that is
-        real by construction is sampled with its float formula, any
-        other through `evaluate`, checked for realness at each sample.
+        A chart's right-hand side, called, samples it at every distinct
+        stage time, and the direct-matrix oracle through `matrix`; so it
+        is one function generated from the drives' FORMULA templates at
+        first use (`_compiled`). A diagonal drive that is real by
+        construction is sampled with its float formula, any other
+        through `evaluate`, checked for realness at each sample. The
+        chart's step loop takes the same values from `_stages`, five
+        times at once.
         """
         return _bound(self._parts(), False)
+
+    @functools.cached_property
+    def _stages(self):
+        """The function of the five distinct stage times of a DOPRI5
+        attempt that gives the KEYS values at each of them in turn, as
+        one flat tuple of floats: a float per diagonal drive, the real
+        and imaginary part per coupling. They are the bits of `sample`'s
+        values, .real and .imag, and it raises where five calls of
+        `sample` would. The chart's step loop calls it once per attempt.
+
+        It is generated at first use from the same drive formulas as
+        `sample`, written in real arithmetic (`_lowered`), so no shape
+        states a second formula; the code is compiled once per shape
+        tree and shared by Hamiltonians of the same shapes.
+        """
+        forms, constants = _joined(self._parts())
+        kinds = tuple(isinstance(c, complex) for c in constants)
+        splits = tuple(i >= self.dim - 1 for i in range(len(self.KEYS)))
+        factory = _lowered(forms, kinds, splits, len(_NODES))
+        return factory(*(part for c in constants for part in (
+            (c.real, c.imag) if isinstance(c, complex) else (c,))))
 
     def _entries(self, values, conjugate):
         # Matrix entries in row-major order from KEYS values: Python

@@ -7,31 +7,37 @@ flat real vectors and knows nothing about charts except through two
 optional callables: error weights, and an escape predicate, which lets
 it stop cleanly when a Riccati trajectory runs off its chart.
 
-The stepping loop runs on Python floats and makes no numpy call. One
-step attempt, the six stages after the first and the error norm, is a
-straight-line function that `_attempt` generates from the tableau for
-each state size and compiles once per process; the loop around it
-keeps the step control, the escape test, first-same-as-last, the run
-counters and the dense-output record. Without error_weight, the
-attempt takes the weight |y| inline. The 6th and 7th stages of an
-attempt both run at t + h, with the same float, so the drive needs
-sampling only 5 times per attempt.
+The stepping loop runs on Python floats and makes no numpy call. It is
+one straight-line function that `_loop` generates from the tableau for
+each state size and compiles once per process: the state, the stages
+and the weights are locals, one per component, and each attempt's six
+stages after the first, the error norm, the step control, the escape
+test, first-same-as-last, the run counters and the dense-output record
+are written inline. Only the set-up before the loop and the dense
+output after it run in `_dopri5`. Without error_weight, the loop takes
+the weight |y| inline. The 6th and 7th stages of an attempt both run at
+t + h, with the same float, so the drive needs sampling only 5 times
+per attempt.
 
 A chart's right-hand side (`two_level.chart_rhs`,
 `three_level.chart_rhs`) is compiled by `_chart_rhs` from the chart's
-rates, stated once as source lines in real arithmetic. For such an
-rhs the attempt is generated once more per chart, with those same
-lines written inline at each stage, so that a stage makes no call but
-the drive sample and builds no complex value: it samples the drive
-once per distinct stage time and forms stage inputs only for the
-coordinates the rates read, never for the phases. The lines repeat
-CPython's complex arithmetic one operation at a time, so they keep the
-bits of the complex forms the chart equations are written in, and the
-inline attempt gives the bits of the attempt that calls the chart's
-rhs. The direct-matrix oracle's -i H U is stated as rates too
-(`reference._rates`). Any other rhs, such as a wrapper around a chart's
-rhs, gets the attempt that calls it at every stage. `compile_function`
-compiles the generated attempts, right-hand sides and drive samplers.
+rates (`_Rates`), stated once as source lines in real arithmetic. For
+such an rhs the loop is generated once more per chart, with those same
+lines written inline at each stage, so that a stage makes no call and
+builds no complex value, and stage inputs are formed only for the
+coordinates the rates read, never for the phases. The drive values
+come from one call per attempt of the rhs's stage sampler, which gives
+them at the attempt's five distinct stage times as floats, each complex
+drive as its real and imaginary part: a Hamiltonian's, which `drives`
+generates from the drive formulas, or the oracle's five calls of
+`ham.matrix`. The lines repeat CPython's complex arithmetic one
+operation at a time, so they keep the bits of the complex forms the
+chart equations are written in, and the inline loop gives the bits of
+the loop that calls the chart's rhs. The direct-matrix oracle's -i H U
+is stated as rates too (`reference._rates`). Any other rhs, such as a
+wrapper around a chart's rhs or the rhs of a chart on an object without
+a stage sampler, gets the loop that calls it at every stage. `compile_function` compiles the generated loops, right-hand
+sides and drive samplers.
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
@@ -50,10 +56,11 @@ import functools
 import linecache
 import math
 import operator
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,7 +69,7 @@ import numpy as np
 # i + 1's input, _C the stage times, _E the (5th minus 4th order) error
 # weights including the first-same-as-last stage, _D the dense-output
 # weights. The second stage's weight is zero in _A[6], _E and _D, and
-# the attempt kernel and the dense-output record leave it out.
+# the step loop and the dense-output record leave it out.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -236,8 +243,9 @@ def integrate(rhs, initial, t_start, t_end, settings: IntegratorSettings,
     but is slower. escape and error_weight receive the same list, and
     an rhs or error_weight result of another length than d raises
     ValueError. A chart's own `chart_rhs`, or the oracle's rhs, is
-    called only at t_start: the step attempts write its rates inline,
-    with the same bits (see the module docstring).
+    called only at t_start: the step loop writes its rates inline, with
+    the same bits, and samples the drive once per attempt (see the
+    module docstring).
     sample_times must lie within [t_start, t_end]; t_start and t_end
     are always included in the output grid. A max_step too small to
     move t on the window (`steps_stall`) raises ValueError. The first
@@ -309,54 +317,225 @@ def _magnitudes(y):
     return [abs(v) for v in y]
 
 
+class _Rates(NamedTuple):
+    """A right-hand side stated as source lines in real arithmetic, from
+    which `_chart_rhs` compiles the rhs and `_loop` the step loop with
+    the rates written inline at each stage.
+
+    drives names the values a drive sample unpacks into, in order, and
+    complex_drives those of them that are complex: the body reads a
+    complex drive v only as v_re and v_im, its real and imaginary
+    parts. reads names the leading state components the body reads
+    (trailing ones, such as a chart's phases, are never read), body is
+    the body's source lines, and derivatives holds one expression per
+    component. No name starts with an underscore, and the body assigns
+    no drive name.
+    """
+
+    drives: str
+    complex_drives: str
+    reads: str
+    body: str
+    derivatives: tuple
+
+
+def _drive_values(rates):
+    # the names of a drive sample's values as floats, in order: each
+    # complex drive v split into v_re and v_im
+    split = set(_names(rates.complex_drives))
+    return [part for name in _names(rates.drives)
+            for part in ((f"{name}_re", f"{name}_im") if name in split
+                         else (name,))]
+
+
+def _names(text):
+    # the names of a comma-separated list, "" giving none
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _indented(body, depth):
     # the lines of a rates body, each indented by `depth` spaces
     return [" " * depth + line.strip()
             for line in body.strip().splitlines()]
 
 
+def _stage_time(c):
+    # the source of the stage time t + c h, as the loop writes it
+    return "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
+
+
+# The distinct stage times of an attempt after its first, t + c h for c
+# in _NODES: the 6th and 7th stages both run at t + h.
+_NODES = _C[1:6]
+
+
+# The step loop that `_loop` generates, with its blocks and constants as
+# placeholders: {attempt} holds the stages of an attempt, {magnitudes}
+# the default weight |y1| and {norm} the error terms.
+_LOOP = '''\
+def dopri5(_rhs, _weight, _escape, _t, _t_end, _h, _h_floor, _max_step,
+           _max_steps, _abs_tol, _rel_tol, _y, _k1, _w, _grid, _steps,
+           _record):
+    {y}, = _y
+    {p1}, = _k1
+    {w}, = _w
+    _stages = getattr(_rhs, "stages", None)  # with rates only
+    _unweighted = _weight is magnitudes
+    _n_grid = len(_grid)
+    _next_sample = 1  # grid[0] == t needs no step
+    _next_time = _grid[1]
+    _facold = 1e-4
+    _just_rejected = False
+    _status = _singularity_time = None
+    _attempts = _accepted = _error_rejections = 0
+    _nonfinite_retries = _escape_halvings = 0
+    _smallest = inf
+    _largest = 0.0
+    while True:
+        if _t >= _t_end:
+            _status = "completed"
+            break
+        if _attempts >= _max_steps:
+            _status = "step_limit"
+            break
+        _attempts += 1
+        # h = min(h, max_step, t_end - t)
+        if _max_step < _h:
+            _h = _max_step
+        _rest = _t_end - _t
+        if _rest < _h:
+            _h = _rest
+        _hits_end = _h == _rest
+{attempt}
+        if _unweighted:
+{magnitudes}
+        else:
+            {v}, = _weight(_y1)
+        try:
+{norm}
+        except ZeroDivisionError:
+            _err = nan
+        else:
+            _err = (sqrt(({squares}) / {size}) if isfinite({scales})
+                    else nan)
+        # err is a square root or nan, so `< inf` tests its finiteness
+        if not _err < inf:
+            # A wild stage (often overflow past a blow-up) poisons the
+            # estimate; shrink hard and retry.
+            _h *= 0.1
+            _just_rejected = True
+            _nonfinite_retries += 1
+            if _h < _h_floor:
+                raise NonFiniteDerivativeError(_t)
+            continue
+        if _err > 1.0:
+            # h / min(FAC_MAX, err ** EXPO / SAFETY)
+            _fac = _err ** {expo} / {safety}
+            _h = _h / (_fac if _fac < {fac_max} else {fac_max})
+            _just_rejected = True
+            _error_rejections += 1
+            if _h < _h_floor:
+                raise IntegrationError("step size underflow at t = "
+                                       + format(_t, ".12g"))
+            continue
+        if _escape is not None and _escape(_y1):
+            # The step is accurate but lands outside the chart. Halve
+            # until a step stays inside; if none does, the blow-up is
+            # bracketed within [t, t + h] and we stop here.
+            if _h <= 2.0 * _h_floor:
+                _status = "singularity"
+                _singularity_time = _t
+                break
+            _h *= 0.5
+            _just_rejected = True
+            _escape_halvings += 1
+            continue
+        _t1 = _t_end if _hits_end else _t + _h
+        if _t1 == _t:
+            # h is below the spacing of the doubles at t: the step would
+            # move y but not t.
+            raise IntegrationError("step size underflow at t = "
+                                   + format(_t, ".12g"))
+        # step accepted
+        _accepted += 1
+        if _h < _smallest:
+            _smallest = _h
+        if _h > _largest:
+            _largest = _h
+        if _t1 >= _next_time:
+            _end = bisect_right(_grid, _t1)
+            _record.extend(({y}, {r}, {p1}, {p7}, {dense}))
+            _steps.append((_end - _next_sample, _t, _h, _t1))
+            _next_sample = _end
+            _next_time = _grid[_end] if _end < _n_grid else inf
+        # min(FAC_MAX, max(FAC_MIN, err ** EXPO / facold ** BETA / SAFETY))
+        _fac = _err ** {expo} / _facold ** {beta} / {safety}
+        _fac = _fac if _fac > {fac_min} else {fac_min}
+        _fac = _fac if _fac < {fac_max} else {fac_max}
+        _h_next = _h / _fac
+        if _just_rejected and _h < _h_next:
+            _h_next = _h
+        _facold = 1e-4 if 1e-4 > _err else _err  # max(err, 1e-4)
+        _just_rejected = False
+        {y} = {r}
+        {w} = {v}
+        {p1} = {p7}  # first-same-as-last
+        _t = _t1
+        _h = _h_next
+    return (_status, _singularity_time, _t, [{y}], _next_sample, _attempts,
+            _accepted, _error_rejections, _nonfinite_retries,
+            _escape_halvings, _smallest, _largest)
+'''
+
+
 @functools.cache
-def _attempt(size, rates=None):
-    """The DOPRI5 step attempt on states of `size` components, generated
+def _loop(size, rates=None):
+    """The DOPRI5 step loop on states of `size` components, generated
     and compiled once per size, and once more per `rates` (of a chart,
     or of the oracle).
 
-    attempt(rhs, weight, t, h, y, k1, w, abs_tol, rel_tol) evaluates the
-    stages k2..k7 of a step of size h from (t, y), where k1 = rhs(t, y)
-    and w = weight(y). It returns (y1, w1, k3, k4, k5, k6, k7, err): the
-    5th-order result y1, its weight w1 = weight(y1), the stages the dense
-    output needs, and the RMS norm of the error estimate against the
-    scale abs_tol + rel_tol * max(w, w1), componentwise.
+    dopri5(rhs, weight, escape, t, t_end, h, h_floor, max_step,
+    max_steps, abs_tol, rel_tol, y, k1, w, grid, steps, record) steps
+    from (t, y), where k1 = rhs(t, y) and w = weight(y), until t_end,
+    a stop or an error, appending the dense-output record of each
+    accepted step that holds samples of `grid` to `steps` and `record`
+    (see `_dopri5`). It returns (status, singularity_time, t, y,
+    next_sample, attempts, accepted, error_rejections,
+    nonfinite_retries, escape_halvings, smallest_step, largest_step):
+    the run's end, the index in grid of the first sample not reached,
+    and the counters.
 
-    The body is straight-line code with one local per stage and
-    component (_y_0, _p3_5, ...), which on 3 to 18 components costs about
-    half of a loop over zip(). Component i of a stage input is
+    The code is `_LOOP` with its blocks filled in. The state, the
+    stages k1..k7 and the weights are locals, one per component (_y_0,
+    _p3_5, _w_2, ...), which on 3 to 18 components costs about half of
+    a loop over zip(); first-same-as-last, the step control, the escape
+    test and the counters are written inline, the min and max of the
+    step control as comparisons that pick the same float. Component i
+    of a stage input is
     y_i + h * (a1 * p1_i + a2 * p2_i + ...) over the stage's nonzero _A
     weights in order, and the error term is h * (e1 * p1_i + ...) / s_i
-    with the nonzero _E weights; each weight is written with repr, which
-    gives back the same float. With the default weight (`_magnitudes`)
-    w1 is |y1| taken inline, the same floats as the call. Unpacking makes
-    a stage or a weight of the wrong length raise ValueError. An
-    infinite weight would scale the error away, so a non-finite scale
-    gives err = nan, as a wild stage does; so does a zero scale, which
-    only a negative weight can give.
+    with the nonzero _E weights; each weight is written with repr,
+    which gives back the same float. The error norm is the RMS of the
+    error terms against the scale s_i = abs_tol + rel_tol * max(w_i,
+    w1_i), w1 = weight(y1), componentwise. With the default weight
+    (`_magnitudes`) w1 is |y1| taken inline, the same floats as the
+    call. Unpacking makes a stage or a weight of the wrong length raise
+    ValueError, the first weight before the first attempt. An infinite weight would scale the error away, so a
+    non-finite scale fails the attempt, as a wild stage does; so does a
+    zero scale, which only a negative weight can give.
 
-    Without `rates` each stage is a call of rhs. With them, the attempt
-    of an rhs of rates (see `_chart_rhs`) writes the rates inline at
-    each stage instead: rhs.sample(t) runs once per distinct stage time,
-    5 times per attempt, since the 6th and 7th stages share t + h, and a
-    stage input is formed only for the components the rates read. Both
-    give the same bits, as the inline rates are the very lines the rhs
-    runs. rates is (drives, reads, body, derivatives): the names
-    `drives` unpacks rhs.sample(t) into, the names of the leading state
-    components the body reads (trailing ones, such as a chart's phases,
-    are never read), the body's source lines, and one expression per
-    component for the derivative. The kernel's own names all start with
-    an underscore, and the rates' names do not, so the two never meet;
-    the body assigns no drive name, as the 7th stage reuses the 6th's.
-    The source is registered with linecache under the filename
-    "<dopri5 attempt d=size>", with ", inlined rates" appended for
-    rates, so tracebacks show its lines.
+    Without `rates` each stage is a call of rhs. With them, the rates
+    (a `_Rates`) are written inline at each stage instead: one call of
+    rhs.stages at the start of each attempt gives the drive values at
+    its five distinct stage times, a stage input is formed only for
+    the components the rates read, and a stage makes no call. Both give
+    the same bits, as the inline rates are the very lines the rhs runs.
+    The loop's own names all start with an underscore, and the rates'
+    names do not, so the two never meet; the drive values of the j-th
+    stage time are the rates' names prefixed _dj_. The source is
+    registered with linecache under the filename "<dopri5 loop
+    d=size>", with ", inlined rates" appended for rates, so tracebacks
+    show its lines.
     """
     def names(prefix):
         return ", ".join(f"_{prefix}_{i}" for i in range(size))
@@ -369,76 +548,76 @@ def _attempt(size, rates=None):
         return f"_y_{i} + _h * ({combination(weights, i)})"
 
     if rates is not None:
-        drives, reads, body, derivatives = rates
-        reads = [name.strip() for name in reads.split(",")]
-        body = _indented(body, 4)
+        reads = _names(rates.reads)
+        body = [line for line in _indented(rates.body, 8)
+                if not line.lstrip().startswith("#")]
+        values = _drive_values(rates)
+        # a drive value's name in the rates, as a whole word
+        value_name = re.compile(r"\b(%s)\b" % "|".join(values))
+
+    def at(j, line):
+        # a line of the rates reading the drive values of stage time j
+        return value_name.sub(rf"_d{j}_\1", line)
 
     def stage(k, inputs, vector):
         # stage k at time t + _C[k - 1] * h: a call of rhs on `vector`,
         # or the inline rates on the expressions `inputs` of its components
         c = _C[k - 1]
-        at = "_t + _h" if c == 1.0 else f"_t + {c!r} * _h"
         if rates is None:
-            return [f"    _k{k} = _rhs({at}, {vector})",
-                    f"    {names(f'p{k}')}, = _k{k}"]
-        lines = []
-        if c != _C[k - 2]:
-            lines.append(f"    {drives} = _sample({at})")
-        lines += [f"    {name} = {value}"
-                  for name, value in zip(reads, inputs)]
-        lines += body
-        lines += [f"    _p{k}_{i} = {derivative}"
-                  for i, derivative in enumerate(derivatives)]
-        if k > 2:
-            lines.append(f"    _k{k} = ({names(f'p{k}')},)")
-        return lines
+            return [f"        {names(f'p{k}')}, = _rhs({_stage_time(c)}, "
+                    f"{vector})"]
+        j = _NODES.index(c)
+        return ([f"        {name} = {value}"
+                 for name, value in zip(reads, inputs)]
+                + [at(j, line) for line in body]
+                + [f"        _p{k}_{i} = {at(j, derivative)}"
+                   for i, derivative in enumerate(rates.derivatives)])
 
-    lines = ["def attempt(_rhs, _weight, _t, _h, _y, _k1, _w, _abs_tol, "
-             "_rel_tol):"]
+    attempt = []
     if rates is not None:
-        lines.append("    _sample = _rhs.sample")
-    lines += [f"    {names('y')}, = _y",
-              f"    {names('p1')}, = _k1"]
+        stage_values = ", ".join(f"_d{j}_{name}" for j in range(len(_NODES))
+                                 for name in values)
+        times = ", ".join(_stage_time(c) for c in _NODES)
+        attempt.append(f"        {stage_values}, = _stages({times})")
     for k in range(2, 7):
         inputs = [stage_input(_A[k - 1], i) for i in range(size)]
-        lines += stage(k, inputs, f"[{', '.join(inputs)}]")
-    # the 7th stage input is the 5th-order result
-    lines += [f"    _r_{i} = {stage_input(_A[6], i)}" for i in range(size)]
-    lines.append(f"    _y1 = [{names('r')}]")
-    lines += stage(7, [f"_r_{i}" for i in range(size)], "_y1")
-    lines += ["    if _weight is magnitudes:",
-              *(f"        _v_{i} = abs(_r_{i})" for i in range(size)),
-              f"        _w1 = [{names('v')}]",
-              "    else:",
-              "        _w1 = _weight(_y1)",
-              f"        {names('v')}, = _w1",
-              f"    {names('w')}, = _w",
-              "    try:"]
-    for i in range(size):
-        lines += [f"        _s_{i} = _abs_tol + _rel_tol * "
-                  f"(_w_{i} if _w_{i} > _v_{i} else _v_{i})",
-                  f"        _q_{i} = _h * ({combination(_E, i)}) / _s_{i}"]
-    squares = " + ".join(f"_q_{i} * _q_{i}" for i in range(size))
-    scales = " + ".join(f"_s_{i}" for i in range(size))
-    lines += ["    except ZeroDivisionError:",
-              "        _err = nan",
-              "    else:",
-              f"        _err = sqrt(({squares}) / {size}) "
-              f"if isfinite({scales}) else nan",
-              "    return _y1, _w1, _k3, _k4, _k5, _k6, _k7, _err"]
+        attempt += stage(k, inputs, f"[{', '.join(inputs)}]")
+    # the 7th stage input is the 5th-order result y1
+    attempt += [f"        _r_{i} = {stage_input(_A[6], i)}"
+                for i in range(size)]
+    attempt.append(f"        _y1 = [{names('r')}]")
+    attempt += stage(7, [f"_r_{i}" for i in range(size)], "_y1")
+    norm = [line for i in range(size) for line in (
+        f"            _s_{i} = _abs_tol + _rel_tol * "
+        f"(_w_{i} if _w_{i} > _v_{i} else _v_{i})",
+        f"            _q_{i} = _h * ({combination(_E, i)}) / _s_{i}")]
+    source = _LOOP.format(
+        y=names("y"), p1=names("p1"), p7=names("p7"), w=names("w"),
+        v=names("v"), r=names("r"), size=size, attempt="\n".join(attempt),
+        magnitudes="\n".join(f"            _v_{i} = abs(_r_{i})"
+                             for i in range(size)),
+        norm="\n".join(norm),
+        squares=" + ".join(f"_q_{i} * _q_{i}" for i in range(size)),
+        scales=" + ".join(f"_s_{i}" for i in range(size)),
+        dense=", ".join(" + ".join(f"{c!r} * _p{k}_{i}"
+                                   for k, c in enumerate(_D, 1) if c != 0.0)
+                        for i in range(size)),
+        expo=repr(_EXPO), beta=repr(_BETA), safety=repr(_SAFETY),
+        fac_min=repr(_FAC_MIN), fac_max=repr(_FAC_MAX))
     inlined = "" if rates is None else ", inlined rates"
-    return compile_function("\n".join(lines) + "\n",
-                            f"<dopri5 attempt d={size}{inlined}>", "attempt",
-                            {"sqrt": math.sqrt, "isfinite": math.isfinite,
-                             "nan": math.nan, "magnitudes": _magnitudes})
+    return compile_function(
+        source, f"<dopri5 loop d={size}{inlined}>", "dopri5",
+        {"sqrt": math.sqrt, "isfinite": math.isfinite, "nan": math.nan,
+         "inf": math.inf, "bisect_right": bisect_right,
+         "magnitudes": _magnitudes, "IntegrationError": IntegrationError,
+         "NonFiniteDerivativeError": NonFiniteDerivativeError})
 
 
 @functools.cache
 def _rhs_factory(rates):
     # factory(sample) -> rhs(t, vec) for rates, generated and compiled
     # once per rates (see `_chart_rhs`)
-    drives, reads, body, derivatives = rates
-    unread = len(derivatives) - len(reads.split(","))
+    unread = len(rates.derivatives) - len(_names(rates.reads))
     source = "\n".join([
         "def factory(_sample):",
         "    _last_t = _last = None",
@@ -448,58 +627,57 @@ def _rhs_factory(rates):
         "        if _t != _last_t:",
         "            _last = _sample(_t)",
         "            _last_t = _t",
-        f"        {drives} = _last",
-        f"        {reads}{', _' * unread}, = _vec",
-        *_indented(body, 8),
-        f"        return {', '.join(derivatives)}",
+        f"        {rates.drives}, = _last",
+        *(f"        {name}_re = {name}.real\n        {name}_im = {name}.imag"
+          for name in _names(rates.complex_drives)),
+        f"        {rates.reads}{', _' * unread}, = _vec",
+        *_indented(rates.body, 8),
+        f"        return {', '.join(rates.derivatives)}",
         "    return rhs",
         ""])
-    return compile_function(source, f"<chart rhs d={len(derivatives)}>",
-                            "factory", {})
+    return compile_function(
+        source, f"<chart rhs d={len(rates.derivatives)}>", "factory", {})
 
 
-def _chart_rhs(rates, sample):
-    """The flat-vector rhs(t, vec) of `rates` (see `_attempt`), a chart's
-    or the oracle's, on the drive sampler `sample`.
+def _chart_rhs(rates, sample, stages=None):
+    """The flat-vector rhs(t, vec) of `rates` (a `_Rates`), a chart's or
+    the oracle's, on the drive sampler `sample`.
 
     rhs returns the derivatives as a tuple of floats. It calls sample
     once per distinct t: it keeps the (t, sample) pair of its last call,
     since the 6th and 7th stages of a DOPRI5 attempt both run at t + h.
     That is exact, as a sample depends on t alone, and a sample that
-    raises leaves the pair as it was. rhs carries `rates` and `sample`
-    as attributes, by which `integrate` takes the attempt with the rates
-    inline. The code is compiled once per rates and registered with
-    linecache under the filename "<chart rhs d=size>".
+    raises leaves the pair as it was. The code is compiled once per
+    rates and registered with linecache under the filename "<chart rhs
+    d=size>".
+
+    With a stage sampler, rhs carries `rates` and `stages` as
+    attributes, by which `integrate` takes the step loop with the rates
+    inline. stages(t_0, ..., t_4) gives in one flat sequence what
+    sample gives at each of the five times, each complex drive as its
+    real and imaginary part, with the same bits and the same errors.
     """
     rhs = _rhs_factory(rates)(sample)
-    rhs.rates = rates
-    rhs.sample = sample
+    if stages is not None:
+        rhs.rates = rates
+        rhs.stages = stages
     return rhs
 
 
 def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
             error_weight):
-    # The stepping loop of `integrate`, run inside its errstate. The
-    # state, the stages k1..k7 and the weights are sequences of Python
-    # floats, and each step attempt is one call of the generated
-    # `_attempt` for the state size, and for an rhs of rates the rates.
-    d1, _, d3, d4, d5, d6, d7 = _D
-    abs_tol = settings.abs_tol
-    rel_tol = settings.rel_tol
-    max_step = settings.max_step
-
+    # `integrate` inside its errstate: the set-up of the generated step
+    # loop (`_loop`) for the state size, and for an rhs of rates the
+    # rates, then the trajectory from its record.
     span = t_end - t_start
     size = initial.size
     y = initial.tolist()
-    grid = samples.tolist()
     # Per accepted step that holds samples, in order: its sample count,
     # t, h and t1 in `steps`, and the vectors its interpolant needs in
     # `record` (y, y1, k1, k7 and the _D-weighted sum of the stages),
     # one after the other.
     steps = []
     record = array("d")
-    next_sample = 1  # samples[0] == t_start needs no step
-    next_time = grid[1]  # samples holds t_start < t_end
 
     k1 = rhs(t_start, y)
     if np.shape(k1) != (size,):
@@ -507,23 +685,11 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
                          f"expected ({size},)")
     if not np.all(np.isfinite(k1)):
         raise NonFiniteDerivativeError(t_start)
-    # an rhs of rates (`_chart_rhs`) gets the attempt with them inline
-    attempt = _attempt(size, getattr(rhs, "rates", None))
 
     # The first step is at least the spacing of the doubles at t_start,
     # so that a tiny initial_step still moves t; the controller grows it.
-    h = min(max(settings.initial_step, math.ulp(t_start)), max_step, span)
-    h_floor = 1e-12 * span
-    facold = 1e-4
-    just_rejected = False
-    status = None
-    singularity_time = None
-    t = t_start
-    # Step accounting for IntegrationStats, as plain Python numbers.
-    attempts = accepted = error_rejections = nonfinite_retries = 0
-    escape_halvings = 0
-    smallest_step = math.inf
-    largest_step = 0.0
+    h = min(max(settings.initial_step, math.ulp(t_start)), settings.max_step,
+            span)
     # w is the error weight of y, carried from step to step. The error
     # norm's comparison passes a NaN in w1 on to the scale but drops
     # one in w; w1 is checked before it becomes w, so only the first w
@@ -531,92 +697,14 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     weight = _magnitudes if error_weight is None else error_weight
     w = [v if v == v else math.inf for v in weight(y)]
 
-    while True:
-        if t >= t_end:
-            status = "completed"
-            break
-        if attempts >= settings.max_steps:
-            status = "step_limit"
-            break
-        attempts += 1
-
-        h = min(h, max_step, t_end - t)
-        hits_end = (h == t_end - t)
-
-        y1, w1, k3, k4, k5, k6, k7, err = attempt(
-            rhs, weight, t, h, y, k1, w, abs_tol, rel_tol)
-
-        if not math.isfinite(err):
-            # A wild stage (often overflow past a blow-up) poisons the
-            # estimate; shrink hard and retry.
-            h *= 0.1
-            just_rejected = True
-            nonfinite_retries += 1
-            if h < h_floor:
-                raise NonFiniteDerivativeError(t)
-            continue
-
-        if err > 1.0:
-            fac11 = err ** _EXPO
-            h = h / min(_FAC_MAX, fac11 / _SAFETY)
-            just_rejected = True
-            error_rejections += 1
-            if h < h_floor:
-                raise IntegrationError(f"step size underflow at t = {t:.12g}")
-            continue
-
-        if escape is not None and escape(y1):
-            # The step is accurate but lands outside the chart. Halve
-            # until a step stays inside; if none does, the blow-up is
-            # bracketed within [t, t + h] and we stop here.
-            if h <= 2.0 * h_floor:
-                status = "singularity"
-                singularity_time = t
-                break
-            h *= 0.5
-            just_rejected = True
-            escape_halvings += 1
-            continue
-
-        t1 = t_end if hits_end else t + h
-        if t1 == t:
-            # h is below the spacing of the doubles at t: the step would
-            # move y but not t.
-            raise IntegrationError(f"step size underflow at t = {t:.12g}")
-
-        # step accepted
-        accepted += 1
-        if h < smallest_step:
-            smallest_step = h
-        if h > largest_step:
-            largest_step = h
-        if t1 >= next_time:
-            end = bisect_right(grid, t1)
-            record.extend(y)
-            record.extend(y1)
-            record.extend(k1)
-            record.extend(k7)
-            record.extend(
-                [d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7
-                 for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
-            steps.append((end - next_sample, t, h, t1))
-            next_sample = end
-            next_time = grid[end] if end < len(grid) else math.inf
-
-        fac11 = err ** _EXPO
-        fac = fac11 / (facold ** _BETA)
-        fac = min(_FAC_MAX, max(_FAC_MIN, fac / _SAFETY))
-        h_next = h / fac
-        if just_rejected:
-            h_next = min(h_next, h)
-        facold = max(err, 1e-4)
-        just_rejected = False
-
-        y = y1
-        w = w1
-        k1 = k7  # first-same-as-last
-        t = t1
-        h = h_next
+    # an rhs of rates (`_chart_rhs`) gets the loop with them inline
+    loop = _loop(size, getattr(rhs, "rates", None))
+    (status, singularity_time, t, y, next_sample, attempts, accepted,
+     error_rejections, nonfinite_retries, escape_halvings, smallest_step,
+     largest_step) = loop(rhs, weight, escape, t_start, t_end, h,
+                          1e-12 * span, settings.max_step, settings.max_steps,
+                          settings.abs_tol, settings.rel_tol, y, k1, w,
+                          samples.tolist(), steps, record)
 
     # An early stop (singularity, step limit) between two samples closes
     # the trajectory with the last committed state.

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import (IntegrationStats, IntegratorSettings, _chart_rhs,
-                        integrate)
+                        _Rates, integrate)
 
 
 @functools.cache
 def _rates(dim):
-    """-i M U as rates (see `integrate._attempt`), built once per dimension.
+    """-i M U as rates (a `integrate._Rates`), built once per dimension.
 
     The drives m_k are the entries of M and the reads y_k the real and
     imaginary parts of U's entries, interleaved, all in row-major order.
@@ -37,18 +37,26 @@ def _rates(dim):
     body += [f"s_{i * dim + j} = " + " + ".join(
                  f"m_{i * dim + k} * u_{k * dim + j}" for k in range(dim))
              for i in range(dim) for j in range(dim)]
-    return (", ".join(f"m_{k}" for k in range(n)),
-            ", ".join(f"y_{k}" for k in range(2 * n)),
-            "\n".join(body),
-            tuple(part for k in range(n)
-                  for part in (f"s_{k}.imag", f"-s_{k}.real")))
+    return _Rates(", ".join(f"m_{k}" for k in range(n)), "",
+                  ", ".join(f"y_{k}" for k in range(2 * n)),
+                  "\n".join(body),
+                  tuple(part for k in range(n)
+                        for part in (f"s_{k}.imag", f"-s_{k}.real")))
 
 
 def _schrodinger_rhs(ham):
     # integrate writes the rates inline, as for a chart, and samples
-    # their drives, the matrix entries, once per distinct stage time
+    # their drives, the matrix entries, once per distinct stage time:
+    # the stage sampler makes the five ham.matrix calls of an attempt
     matrix = ham.matrix
-    return _chart_rhs(_rates(ham.dim), lambda t: matrix(t).ravel().tolist())
+
+    def sample(t):
+        return matrix(t).ravel().tolist()
+
+    def stages(t0, t1, t2, t3, t4):
+        return (*sample(t0), *sample(t1), *sample(t2), *sample(t3),
+                *sample(t4))
+    return _chart_rhs(_rates(ham.dim), sample, stages)
 
 
 def unitarity_errors(unitaries) -> np.ndarray:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrate import _chart_rhs
+from .integrate import _chart_rhs, _Rates
 
 SINGULARITY_THRESHOLD = 1e6
 
@@ -116,24 +116,19 @@ def reconstruct_batch(states) -> np.ndarray:
 
 
 # The rates of chart_rhs, stated once for `integrate`, which compiles
-# them into chart_rhs and into the step attempt that writes them inline
-# (see `integrate._attempt` for the layout). The lines repeat, one
+# them into chart_rhs and into the step loop that writes them inline
+# (see `integrate._Rates` for the layout). The lines repeat, one
 # operation at a time, what CPython does with the complex products of
 # the chart_rhs docstring: conj(v) is (v_re, -v_im), a float meeting a
 # complex is promoted with a +0.0 imaginary part (so h2 - h1 - g has the
 # imaginary part 0.0 - g_im), and x - (-p) is written x + p, the same
 # IEEE operation, so every bit and signed zero is kept.
-_RATES = (
+_RATES = _Rates(
     "h1, h2, v1, v2, v3",
+    "v1, v2, v3",
     "re_x, im_x, re_y, im_y, re_z, im_z",
     """
     h3 = -(h1 + h2)
-    v1_re = v1.real
-    v1_im = v1.imag
-    v2_re = v2.real
-    v2_im = v2.imag
-    v3_re = v3.real
-    v3_im = v3.imag
     # a = conj(v1) x, b = conj(v2) y, c = conj(v3) z, g = a + b
     a_re = v1_re * re_x + v1_im * im_x
     a_im = v1_re * im_x - v1_im * re_x
@@ -196,15 +191,18 @@ def chart_rhs(ham):
 
     The rates are written in real arithmetic (`_RATES`) that repeats
     CPython's complex operations one by one, signed zeros included, so
-    that `integrate` can write them inline in its step attempt without
+    that `integrate` can write them inline in its step loop without
     changing a bit: there a stage builds no complex value and no input
-    for phi1 or phi2, which no rate reads. `ham.sample` is called once
-    per distinct t: the function keeps the last (t, sample) pair, since
-    the 6th and 7th stages of a DOPRI5 attempt both run at t + h. That
-    is exact, as a sample depends on t alone. A `ham.sample` that raises
-    leaves the pair as it was.
+    for phi1 or phi2, which no rate reads, and an attempt takes its
+    drive values from one call of the Hamiltonian's stage sampler. On
+    an object without one, `integrate` calls the function at every
+    stage. Called, it samples through `ham.sample` once per distinct t:
+    it keeps the last (t, sample) pair, since the 6th and 7th stages of
+    a DOPRI5 attempt both run at t + h. That is exact, as a sample
+    depends on t alone. A `ham.sample` that raises leaves the pair as it
+    was.
     """
-    return _chart_rhs(_RATES, ham.sample)
+    return _chart_rhs(_RATES, ham.sample, getattr(ham, "_stages", None))
 
 
 def error_weight(vec) -> tuple:

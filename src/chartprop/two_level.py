@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrate import _chart_rhs
+from .integrate import _chart_rhs, _Rates
 
 SINGULARITY_THRESHOLD = 1e6
 
@@ -64,18 +64,17 @@ def reconstruct_batch(states) -> np.ndarray:
 
 
 # The rates of chart_rhs, stated once for `integrate`, which compiles
-# them into chart_rhs and into the step attempt that writes them inline
-# (see `integrate._attempt` for the layout). The lines repeat, one
+# them into chart_rhs and into the step loop that writes them inline
+# (see `integrate._Rates` for the layout). The lines repeat, one
 # operation at a time, what CPython does with the complex values
 # a = conj(v) z and B = (a + 2 h) z - v: a float meeting a complex is
 # promoted with a +0.0 imaginary part, and x - (-p) is written x + p, the
 # same IEEE operation, so every bit and signed zero is kept.
-_RATES = (
+_RATES = _Rates(
     "h, v",
+    "v",
     "re_z, im_z",
     """
-    v_re = v.real
-    v_im = v.imag
     # a = conj(v) z, s = a + 2 h, B = s z - v
     a_re = v_re * re_z + v_im * im_z
     a_im = v_re * im_z - v_im * re_z
@@ -101,15 +100,17 @@ def chart_rhs(ham):
 
     The rates are written in real arithmetic (`_RATES`) that repeats
     CPython's complex operations one by one, signed zeros included, so
-    that `integrate` can write them inline in its step attempt without
+    that `integrate` can write them inline in its step loop without
     changing a bit: there a stage builds no complex value and no input
-    for phi, which no rate reads. `ham.sample` is called once per
-    distinct t: the function keeps the last (t, sample) pair, since the
-    6th and 7th stages of a DOPRI5 attempt both run at t + h. That is
-    exact, as a sample depends on t alone. A `ham.sample` that raises
-    leaves the pair as it was.
+    for phi, which no rate reads, and an attempt takes its drive values
+    from one call of the Hamiltonian's stage sampler. On an object
+    without one, `integrate` calls the function at every stage. Called,
+    it samples through `ham.sample` once per distinct t: it keeps the
+    last (t, sample) pair, since the 6th and 7th stages of a DOPRI5
+    attempt both run at t + h. That is exact, as a sample depends on t
+    alone. A `ham.sample` that raises leaves the pair as it was.
     """
-    return _chart_rhs(_RATES, ham.sample)
+    return _chart_rhs(_RATES, ham.sample, getattr(ham, "_stages", None))
 
 
 def error_weight(vec) -> tuple:

@@ -330,15 +330,20 @@ def test_real_rates_repeat_the_complex_arithmetic_to_the_bit(chart):
 
 
 class _CountingHamiltonian:
-    """A real Hamiltonian whose sample calls are counted."""
+    """A real Hamiltonian whose sample calls are counted, and its stage
+    sampler's calls in stage_calls."""
 
     def __init__(self, ham):
         self.ham = ham
-        self.calls = 0
+        self.calls = self.stage_calls = 0
 
     def sample(self, t):
         self.calls += 1
         return self.ham.sample(t)
+
+    def _stages(self, *times):
+        self.stage_calls += 1
+        return self.ham._stages(*times)
 
 
 def _called(rhs):
@@ -352,8 +357,10 @@ def _called(rhs):
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "called"])
 def test_one_drive_sample_per_distinct_stage_time(chart, weighted, inline):
     # The 6th and 7th stages of an attempt both run at t + h, so a run
-    # samples the drive once at t_start and 5 times per attempt, whether
-    # the attempt writes the chart's rates inline or calls its rhs.
+    # that calls the chart's rhs at every stage samples the drive once at
+    # t_start and 5 times per attempt. With the rates inline, the loop
+    # samples once at t_start and makes one stage-sampler call per
+    # attempt, for the 5 distinct stage times.
     if chart is two_level:
         ham = Hamiltonian2(h=ConstantDrive(0.3), v=CosineDrive(0.8, 2.0))
     else:
@@ -369,7 +376,12 @@ def test_one_drive_sample_per_distinct_stage_time(chart, weighted, inline):
         error_weight=chart.error_weight if weighted else None)
     assert traj.status == "completed"
     assert traj.stats.attempts > 100
-    assert counted.calls == 1 + 5 * traj.stats.attempts
+    if inline:
+        assert (counted.calls, counted.stage_calls) == (
+            1, traj.stats.attempts)
+    else:
+        assert (counted.calls, counted.stage_calls) == (
+            1 + 5 * traj.stats.attempts, 0)
 
 
 @CHART_RUNS

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import re
+import struct
 import traceback
 
 import numpy as np
@@ -316,6 +317,144 @@ def test_sampler_tracebacks_show_the_generated_line():
         frame = traceback.extract_tb(failure.value.__traceback__)[-1]
         assert frame.filename.startswith("<drive sampler ")
         assert " * cos(angular_frequency" in frame.line
+
+
+def _stage_bits(values):
+    # the bits of a sequence of floats, NaN signs and payloads included
+    assert all(type(v) is float for v in values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _sampled_stages(ham, times):
+    """The stage sampler's values from ham.sample at each time: a float
+    per diagonal drive, .real and .imag per coupling."""
+    values = []
+    for t in times:
+        for i, value in enumerate(ham.sample(t)):
+            values += [value] if i < ham.dim - 1 else [value.real, value.imag]
+    return values
+
+
+STAGE_TIMES = [(0.0, 0.37, 2.0, 1.0 / 3.0, 0.9),
+               (-0.0, 1.0, 3.0, 1e-300, -2.5),
+               (0.5, 0.25, 7.0, 1.5, 0.75)]
+
+
+def _assert_stages_match_sample(ham):
+    for times in STAGE_TIMES:
+        assert (_stage_bits(ham._stages(*times))
+                == _stage_bits(_sampled_stages(ham, times)))
+
+
+def _each_level(diagonal, coupling):
+    return (Hamiltonian2(h=diagonal, v=coupling),
+            Hamiltonian3(h1=diagonal, h2=diagonal, v1=coupling, v2=coupling,
+                         v3=coupling))
+
+
+@pytest.mark.parametrize("drive", REAL_DRIVES + COMPLEX_DRIVES, ids=repr)
+def test_stage_sampler_gives_the_bits_of_sample(drive):
+    # the stage sampler is the drives' formulas in real arithmetic: its
+    # floats are the bits of sample's values, every shape and tree, with
+    # the drive as a coupling and, where it is real, as a diagonal drive
+    # (checked at each sample where it is not real by construction)
+    for ham in _each_level(ConstantDrive(0.3), drive):
+        _assert_stages_match_sample(ham)
+    if drive in REAL_DRIVES:
+        for ham in _each_level(drive, CosineDrive(0.4 - 0.2j, 0.8)):
+            _assert_stages_match_sample(ham)
+
+
+ZERO_PARTS = [complex(re, im) for re in (0.0, -0.0, 0.6)
+              for im in (0.0, -0.0, -0.3)]
+
+
+@pytest.mark.parametrize("shape", [
+    lambda a: ConstantDrive(a),
+    lambda a: CosineDrive(a, 1.3, -0.2),
+    lambda a: GaussianDrive(a, 0.5, 0.8),
+    lambda a: PiecewiseDrive((0.0, 1.0, 2.0), (a, -a, 0.5 * a)),
+    lambda a: SumDrive((ConstantDrive(a), CosineDrive(a, 0.7))),
+], ids=["constant", "cosine", "gaussian", "piecewise", "sum"])
+def test_stage_sampler_keeps_signed_zero_parts(shape):
+    # amplitudes with parts of +0.0 and -0.0, where a float meeting a
+    # complex value decides the sign of a zero
+    for amplitude in ZERO_PARTS:
+        for diagonal in (0.0, -0.0):
+            for ham in _each_level(shape(complex(diagonal)),
+                                   shape(amplitude)):
+                _assert_stages_match_sample(ham)
+
+
+def test_stage_sampler_overflow_and_nan():
+    # ((t - center) / width)^2 overflows for a width of 1e-200, giving
+    # the amplitude at the center and 0 elsewhere; NaN times and NaN
+    # amplitudes give NaN where sample does
+    narrow = GaussianDrive(0.5 - 0.25j, 0.5, 1e-200)
+    for ham in _each_level(GaussianDrive(0.5, 0.5, 1e-200), narrow):
+        _assert_stages_match_sample(ham)
+        values = ham._stages(0.5, 0.4, 0.6, 0.5, 1.0)
+        per_time = len(values) // 5
+        assert values[0] == 0.5
+        assert list(values[per_time - 2:per_time + 1]) == [0.5, -0.25, 0.0]
+    # NaN times with finite drives, and NaN amplitudes at finite times,
+    # to the bit. Where two NaNs meet in one product, C leaves open which
+    # one's sign and payload survive, in CPython's float and complex code
+    # alike, so there the NaN positions are pinned.
+    nan = math.nan
+    times = (nan, 0.5, -nan, 1.0, 2.0)
+    for ham in _each_level(CosineDrive(0.3, 1.0),
+                           GaussianDrive(0.4 - 0.1j, 1.0, 0.5)):
+        assert (_stage_bits(ham._stages(*times))
+                == _stage_bits(_sampled_stages(ham, times)))
+    for diagonal, coupling in [
+            (CosineDrive(nan, 1.0), ConstantDrive(complex(nan, 1.0))),
+            (ConstantDrive(0.2), CosineDrive(complex(1.0, nan), 1.0)),
+            (GaussianDrive(0.3, nan, 1.0), GaussianDrive(-nan, 1.0, 0.5))]:
+        for ham in _each_level(diagonal, coupling):
+            _assert_stages_match_sample(ham)
+            assert np.array_equal(ham._stages(*times),
+                                  _sampled_stages(ham, times), equal_nan=True)
+
+
+def test_stage_sampler_raises_where_sample_raises():
+    # A diagonal drive that is not real by construction is checked at
+    # each time: h1 = (0.3 + 0.2j) cos(t + pi / 2) passes at t = 0 and
+    # fails at t = 1, and h2 fails from t = 2 on. The first time in
+    # order that fails, and its first drive in key order, raise.
+    h1 = CosineDrive(0.3 + 0.2j, 1.0, math.pi / 2)
+    h2 = PiecewiseDrive((0.0, 1.5, 2.0), (0.1, 0.1, 0.1 + 0.5j))
+    ham = Hamiltonian3(h1=h1, h2=h2, v1=ConstantDrive(0.5 - 0.3j),
+                       v2=ConstantDrive(0.1), v3=ConstantDrive(0.2j))
+    for times in [(0.0, 1.0, 2.0, 3.0, 4.0), (0.0, 0.0, 2.0, 1.0, 0.0),
+                  (0.0, 0.0, 0.0, 0.0, 3.0)]:
+        for t in times:
+            try:
+                ham.sample(t)
+            except ValueError as exc:
+                want = str(exc)
+                break
+        with pytest.raises(ValueError) as failure:
+            ham._stages(*times)
+        assert str(failure.value) == want
+        assert "must evaluate real" in want
+    assert "h1" in want or "h2" in want
+
+
+def test_stage_samplers_share_their_code_per_shape_tree():
+    def three(scale):
+        return Hamiltonian3(h1=CosineDrive(0.3 * scale, 1.2),
+                            h2=ConstantDrive(0.2 * scale),
+                            v1=GaussianDrive(0.1j * scale, 1.0, scale),
+                            v2=SumDrive((CosineDrive(0.2j, scale),
+                                         ConstantDrive(scale))),
+                            v3=PiecewiseDrive((0.0, scale), (0.0, 1.0j)))
+    a, b = three(1.0), three(2.0)
+    assert a._stages is not b._stages
+    assert a._stages.__code__ is b._stages.__code__
+    assert a._stages.__code__.co_filename.startswith("<drive stage sampler ")
+    other = dataclasses.replace(a, h2=GaussianDrive(0.2, 1.0, 0.5))
+    assert other._stages.__code__ is not a._stages.__code__
 
 
 NUMBER_SHAPES = [

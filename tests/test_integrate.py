@@ -640,7 +640,7 @@ def test_rhs_of_the_wrong_length_is_rejected():
 def test_later_results_of_the_wrong_length_are_rejected(returns):
     # Only the first rhs result is shape-checked up front; every later
     # rhs or weight result of the wrong length must raise too, from the
-    # attempt kernel's unpacking, rather than be truncated by a zip.
+    # step loop's unpacking, rather than be truncated by a zip.
     def rhs(t, y):
         rhs.calls += 1
         k = [-v for v in y]
@@ -663,7 +663,7 @@ def test_later_results_of_the_wrong_length_are_rejected(returns):
         integrate(rhs, np.ones(8), 0.0, 1.0, IntegratorSettings(max_step=0.1),
                   [], error_weight=weight)
     frames = traceback.extract_tb(failure.value.__traceback__)
-    assert frames[-1].filename == "<dopri5 attempt d=8>"
+    assert frames[-1].filename == "<dopri5 loop d=8>"
 
 
 @pytest.mark.parametrize("wild", [0, 1])

@@ -138,21 +138,21 @@ def test_oracle_rhs_is_minus_i_h_u(ham):
 
 @pytest.mark.parametrize("ham", TIME_DEPENDENT, ids=["n2", "n3"])
 def test_oracle_writes_its_rates_inline(ham, monkeypatch):
-    # integrate_schrodinger takes the attempt with the oracle's rates
+    # integrate_schrodinger takes the step loop with the oracle's rates
     # inline, samples ham.matrix once per distinct stage time, and gives
-    # the bits of the attempt that calls the oracle's rhs at every stage.
+    # the bits of the loop that calls the oracle's rhs at every stage.
     from chartprop.reference import _rates, _schrodinger_rhs
     # the module, which the package's `integrate` function shadows
     integrate_module = importlib.import_module("chartprop.integrate")
     assert _schrodinger_rhs(ham).rates == _rates(ham.dim)
     kernels = []
-    attempt = integrate_module._attempt
+    loop = integrate_module._loop
 
     def recorded(size, rates=None):
-        kernel = attempt(size, rates)
+        kernel = loop(size, rates)
         kernels.append(kernel.__code__.co_filename)
         return kernel
-    monkeypatch.setattr(integrate_module, "_attempt", recorded)
+    monkeypatch.setattr(integrate_module, "_loop", recorded)
     times = []
 
     class Counted:  # ham.matrix with its calls recorded
@@ -166,13 +166,13 @@ def test_oracle_writes_its_rates_inline(ham, monkeypatch):
     grid = np.linspace(0.0, 3.0, 31)
     oracle = integrate_schrodinger(Counted(), 0.0, 3.0, settings, grid)
     size = 2 * ham.dim ** 2
-    assert kernels == [f"<dopri5 attempt d={size}, inlined rates>"]
+    assert kernels == [f"<dopri5 loop d={size}, inlined rates>"]
     assert len(times) == 1 + 5 * oracle.stats.attempts
     assert oracle.stats.attempts > 60
     rhs = _schrodinger_rhs(ham)
     identity = np.eye(ham.dim, dtype=complex).ravel().view(float)
     called = integrate_module.integrate(lambda t, y: rhs(t, y), identity,
                                         0.0, 3.0, settings, grid)
-    assert kernels[1:] == [f"<dopri5 attempt d={size}>"]
+    assert kernels[1:] == [f"<dopri5 loop d={size}>"]
     assert called.stats == oracle.stats
     assert called.states.tobytes() == oracle.unitaries.tobytes()
