@@ -105,13 +105,15 @@ def _complex_out(value):
 
 
 # Diagonal drives must stay real: an imaginary part beyond this share of
-# 1 + |value| would silently break Hermiticity, so it fails loudly.
+# 1 + |value|, or a NaN or infinite one, would silently break
+# Hermiticity, so it fails loudly.
 _REAL_TOLERANCE = 1e-14
 
 
 def _require_real(value, t, what):
     c = complex(value)
-    if abs(c.imag) > _REAL_TOLERANCE * (1.0 + abs(c)):
+    if (not math.isfinite(c.imag)
+            or abs(c.imag) > _REAL_TOLERANCE * (1.0 + abs(c))):
         raise ValueError(f"{what} must evaluate real, got {c} at t={t}")
     return c.real
 
@@ -127,8 +129,8 @@ def _require_real_grid(value, times, what):
     the complex array is freed, except for a broadcast constant, whose
     view holds one value."""
     c = _on_grid(value, times)
-    if c.imag.any() and np.any(
-            np.abs(c.imag) > _REAL_TOLERANCE * (1.0 + np.abs(c))):
+    if c.imag.any() and np.any(~np.isfinite(c.imag) | (
+            np.abs(c.imag) > _REAL_TOLERANCE * (1.0 + np.abs(c)))):
         raise ValueError(f"{what} must evaluate real everywhere on the grid")
     if 0 in c.strides:
         return c.real
@@ -232,111 +234,21 @@ def _bound(parts, grid):
     return _compiled(forms, grid)(*constants)
 
 
-class _Lowering:
-    """Forms written out in real arithmetic, one statement at a time.
+class _FloatCode(ast.NodeTransformer):
+    """The tree of a float value at the time named _t$, the value of
+    each assignment expression in it made a statement of its own by
+    `statement(source) -> name` and that name read for the target."""
 
-    A value is a tuple of parts, one for a float and (re, im) for a
-    complex value, each part a (source, constant) pair: `constant` says
-    that the part depends on no t and no call. Every operation is the
-    one CPython performs on the complex value, up to 3.13: a float that
-    meets a complex value is promoted to one with a +0.0 imaginary
-    part, the same rule the charts' `_RATES` follow, and a product is
-    (ac - bd) + (ad + bc) i. A constant part that is not a literal is
-    computed once, in the factory; a call, a division and an assignment expression each become
-    a statement of their own, in the order Python evaluates them, so a
-    sample raises where the scalar `sample` raises. Calls return floats
-    (cos, exp, interp and the realness check do); a complex argument is
-    passed as complex(re, im), the same value.
-    """
+    def __init__(self, statement):
+        self.statement, self.names = statement, {"t": "_t$"}
 
-    _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+    def visit_Name(self, node):
+        return ast.Name(self.names.get(node.id, node.id))
 
-    def __init__(self, complex_params):
-        self.complex_params = complex_params
-        self.hoisted = {}     # source of a constant part -> its name
-        self.lines = []       # the statements of the sampler
-        self.temps = itertools.count()
-
-    def _atom(self, part):
-        # part as a name or a literal, assigning it to a new one if it is
-        # neither; a constant one is assigned once, in the factory
-        source, constant = part
-        if source.isidentifier() or _is_literal(source):
-            return part
-        if constant:
-            name = self.hoisted.setdefault(source, f"_k{len(self.hoisted)}")
-            return name, True
-        name = f"_v{next(self.temps)}"
-        self.lines.append(f"        {name} = {source}")
-        return name, False
-
-    def _apply(self, a, op, b):
-        # the part a op b on float parts
-        (left, left_constant), (right, right_constant) = a, b
-        part = f"({left} {op} {right})", left_constant and right_constant
-        return self._atom(part) if op == "/" or part[1] else part
-
-    def value(self, node, t, bound):
-        """The parts of the expression `node` at the time named t;
-        `bound` maps the targets of assignment expressions to names."""
-        if isinstance(node, ast.Name):
-            if node.id == "t":
-                return ((t, False),)
-            if node.id in bound:
-                return (bound[node.id],)
-            if node.id in self.complex_params:
-                return ((f"{node.id}_re", True), (f"{node.id}_im", True))
-            return ((node.id, True),)
-        if isinstance(node, ast.Constant) and type(node.value) is complex:
-            return ((repr(node.value.real), True),
-                    (repr(node.value.imag), True))
-        if isinstance(node, ast.Constant) and type(node.value) is float:
-            return ((repr(node.value), True),)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return tuple((f"(-{source})", constant)
-                         for source, constant in self.value(node.operand, t,
-                                                            bound))
-        if isinstance(node, ast.NamedExpr):
-            (part,) = self.value(node.value, t, bound)
-            bound[node.target.id] = self._atom(part)
-            return (bound[node.target.id],)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            args = []
-            for arg in node.args:
-                parts = self.value(arg, t, bound)
-                args.append(parts[0][0] if len(parts) == 1 else
-                            f"complex({parts[0][0]}, {parts[1][0]})")
-            name = f"_v{next(self.temps)}"
-            self.lines.append(f"        {name} = {node.func.id}"
-                              f"({', '.join(args)})")
-            return ((name, False),)
-        if (isinstance(node, ast.BinOp)
-                and type(node.op) in self._OPERATORS):
-            op = self._OPERATORS[type(node.op)]
-            a = self.value(node.left, t, bound)
-            b = self.value(node.right, t, bound)
-            if len(a) == len(b) == 1:
-                return (self._apply(a[0], op, b[0]),)
-            zero = ("0.0", True)
-            a = a if len(a) == 2 else (a[0], zero)
-            b = b if len(b) == 2 else (b[0], zero)
-            if op in "+-":
-                return (self._apply(a[0], op, b[0]),
-                        self._apply(a[1], op, b[1]))
-            if op == "*":
-                (ar, ai), (br, bi) = ([self._atom(p) for p in v]
-                                      for v in (a, b))
-                return (self._apply(self._apply(ar, "*", br), "-",
-                                    self._apply(ai, "*", bi)),
-                        self._apply(self._apply(ar, "*", bi), "+",
-                                    self._apply(ai, "*", br)))
-        raise TypeError(f"cannot write {ast.unparse(node)!r} in real "
-                        f"arithmetic")
-
-
-def _is_literal(source):
-    # a float literal as repr writes a finite float, signed or not
-    return re.fullmatch(r"-?\d[\d.e+-]*", source) is not None
+    def visit_NamedExpr(self, node):
+        value = ast.unparse(self.visit(node.value))
+        self.names[node.target.id] = self.statement(value)
+        return self.visit_Name(node.target)
 
 
 @functools.cache
@@ -345,40 +257,80 @@ def _lowered(forms, kinds, splits, count):
     of forms, generated and compiled once per forms, kinds and splits.
 
     stages returns the forms' values at each of the times in turn, as
-    one flat tuple of floats: a form whose entry in `splits` is true as
-    the real and imaginary part of its value, any other as its float
-    value. kinds says which of the constants are complex; the factory
-    takes those as two parameters, name_re and name_im, and the others
-    as one, in the order of `_expressions`. The values are the bits of
-    the scalar `_compiled` sample's .real and .imag: the code is the
-    forms' own, written in real arithmetic by `_Lowering`. The source
-    is registered under the filename "<drive stage sampler k>".
+    one flat tuple of floats: the real and imaginary part of a complex
+    form, whose entry in `splits` is true, the value of a float form.
+    kinds says which constants are complex; the factory takes each of
+    those as name_re and name_im, in the order of `_expressions`.
+
+    Drive formulas meet complex values in three ways, written in real
+    arithmetic as CPython up to 3.13 computes them (as `_RATES` do): a
+    complex constant c is its parts; c times a float x is (c_re * x -
+    c_im * 0.0, c_re * 0.0 + c_im * x), the products with 0.0 computed
+    in the factory; a sum adds the parts, a float taking imaginary part
+    +0.0. Any other complex operation raises TypeError. Each float
+    value is the form's own code, a statement per time with t renamed,
+    in the order the scalar `_compiled` sample evaluates it; the value
+    of an assignment expression (a Gaussian's (t - center) / width,
+    which cannot raise) goes first, as a statement of its own. So the
+    floats are the bits of that sample's .real and .imag, and stages
+    raises where it raises. The source is registered under the
+    filename "<drive stage sampler k>".
     """
     expressions, params = _expressions(forms)
-    lowering = _Lowering({name for name, is_complex in zip(params, kinds)
-                          if is_complex})
-    trees = [ast.parse(expression, mode="eval").body
-             for expression in expressions]
-    values = []
-    for j in range(count):
-        for tree, split in zip(trees, splits):
-            parts = lowering.value(tree, f"_t{j}", {})
-            if len(parts) == 1 and split:
-                parts = (parts[0], ("0.0", True))
-            elif len(parts) == 2 and not split:
-                raise TypeError(f"a complex value where a float is due: "
-                                f"{ast.unparse(tree)!r}")
-            values += [source for source, _ in parts]
+    complex_params = {name for name, kind in zip(params, kinds) if kind}
+    zeros = {}    # a part of a complex constant -> the name of part * 0.0
+    # the statements and values at one time, "$" standing for its index
+    lines, values = [], []
+
+    def statement(source):
+        lines.append(f"        _v{len(lines)}_$ = {source}")
+        return f"_v{len(lines) - 1}_$"
+
+    def constant(node):
+        # the (re, im) sources of a complex constant, else None
+        if isinstance(node, ast.Name) and node.id in complex_params:
+            return f"{node.id}_re", f"{node.id}_im"
+        if isinstance(node, ast.Constant) and type(node.value) is complex:
+            return repr(node.value.real), repr(node.value.imag)
+
+    def value(node):
+        # a float value's source, or a complex value's (re, im) sources
+        if not any(map(constant, ast.walk(node))):
+            source = ast.unparse(_FloatCode(statement).visit(node))
+            return (source if isinstance(node, (ast.Name, ast.Constant))
+                    else statement(source))
+        if (c := constant(node)) is not None:
+            return c
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            c, x = constant(node.left), value(node.right)
+            if c is not None and isinstance(x, str):
+                re0, im0 = (zeros.setdefault(part, f"_k{len(zeros)}")
+                            for part in c)
+                return f"({c[0]} * {x} - {im0})", f"({re0} + {c[1]} * {x})"
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            a, b = ((v, "0.0") if isinstance(v, str) else v
+                    for v in (value(node.left), value(node.right)))
+            return f"({a[0]} + {b[0]})", f"({a[1]} + {b[1]})"
+        raise TypeError(f"cannot write {ast.unparse(node)!r} in real "
+                        f"arithmetic")
+
+    for expression, split in zip(expressions, splits):
+        parts = value(ast.parse(expression, mode="eval").body)
+        if isinstance(parts, str) == split:
+            raise TypeError(f"{expression!r} does not give a "
+                            f"{'complex' if split else 'float'} value")
+        values += [parts] if isinstance(parts, str) else parts
     arguments = [part for name, is_complex in zip(params, kinds)
                  for part in ((f"{name}_re", f"{name}_im") if is_complex
                               else (name,))]
+    times = [str(j) for j in range(count)]
     source = "\n".join([
         f"def factory({', '.join(arguments)}):",
-        *(f"    {name} = {expression}"
-          for expression, name in lowering.hoisted.items()),
-        f"    def stages({', '.join(f'_t{j}' for j in range(count))}):",
-        *lowering.lines,
-        f"        return {', '.join(values)}",
+        *(f"    {name} = {part} * 0.0" for part, name in zeros.items()),
+        f"    def stages({', '.join(f'_t{j}' for j in times)}):",
+        *(line.replace("$", j) for j in times for line in lines),
+        f"        return "
+        f"{', '.join(v.replace('$', j) for j in times for v in values)}",
         "    return stages",
         ""])
     return compile_function(
@@ -644,9 +596,9 @@ class _Hamiltonian(_RebuiltOnCopy):
         is one function generated from the drives' FORMULA templates at
         first use (`_compiled`). A diagonal drive that is real by
         construction is sampled with its float formula, any other
-        through `evaluate`, checked for realness at each sample. The
-        chart's step loop takes the same values from `_stages`, five
-        times at once.
+        through `evaluate`, checked at each sample to be real, with a
+        finite imaginary part. The chart's step loop takes the same bits
+        from `_stages`, five times at once, on CPython up to 3.13.
         """
         return _bound(self._parts(), False)
 
@@ -660,9 +612,10 @@ class _Hamiltonian(_RebuiltOnCopy):
         `sample` would. The chart's step loop calls it once per attempt.
 
         It is generated at first use from the same drive formulas as
-        `sample`, written in real arithmetic (`_lowered`), so no shape
-        states a second formula; the code is compiled once per shape
-        tree and shared by Hamiltonians of the same shapes.
+        `sample`, only their complex operations written in real
+        arithmetic (`_lowered`), so no shape states a second formula;
+        the code is compiled once per shape tree and shared by
+        Hamiltonians of the same shapes.
         """
         forms, constants = _joined(self._parts())
         kinds = tuple(isinstance(c, complex) for c in constants)

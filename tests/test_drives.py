@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pickle
+import random
 import re
 import struct
 import traceback
@@ -18,6 +19,7 @@ from chartprop import (ConfigError, ConstantDrive, CosineDrive, GaussianDrive,
                        PiecewiseDrive, RunConfig, SumDrive, config_to_dict,
                        drive_from_spec, parse_config, serialize_config)
 from chartprop import drives
+from chartprop.integrate import _NODES
 
 CONFIG3 = """
 system: 3
@@ -455,6 +457,146 @@ def test_stage_samplers_share_their_code_per_shape_tree():
     assert a._stages.__code__.co_filename.startswith("<drive stage sampler ")
     other = dataclasses.replace(a, h2=GaussianDrive(0.2, 1.0, 0.5))
     assert other._stages.__code__ is not a._stages.__code__
+
+
+@pytest.mark.parametrize("imag", [math.nan, -math.nan, math.inf, -math.inf])
+def test_a_non_finite_imaginary_part_fails_the_realness_check(imag):
+    # NaN > x and inf > inf are false, so a bare tolerance test would
+    # pass h = 0.3 + nan j as 0.3; every path raises instead
+    bad = ConstantDrive(complex(0.3, imag))
+    for ham in _each_level(ConstantDrive(0.1), ConstantDrive(0.2)):
+        ham = dataclasses.replace(ham, **{ham.KEYS[ham.dim - 2]: bad})
+        what = f"^diagonal drive {ham.KEYS[ham.dim - 2]} must evaluate real"
+        with pytest.raises(ValueError, match=what + ", got"):
+            ham.sample(0.5)
+        with pytest.raises(ValueError, match=what + ", got"):
+            ham._stages(*STAGE_TIMES[0])
+        with pytest.raises(ValueError, match=what + " everywhere on the grid"):
+            ham.sample_grid([0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("real", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("imag", [0.0, -0.0])
+def test_a_non_finite_real_part_passes_the_realness_check(real, imag):
+    # with a zero imaginary part the value is real, whether the drive is
+    # real by construction (+0.0) or checked at each sample (-0.0)
+    value = complex(real, imag)
+    for ham in _each_level(ConstantDrive(value), ConstantDrive(0.2)):
+        want = [real] * (ham.dim - 1)
+        assert np.array_equal(ham.sample(0.5)[:ham.dim - 1], want,
+                              equal_nan=True)
+        per_time = len(ham._stages(*STAGE_TIMES[0])) // 5
+        assert np.array_equal(ham._stages(*STAGE_TIMES[0])[:ham.dim - 1],
+                              want, equal_nan=True)
+        assert per_time == ham.dim - 1 + 2 * (len(ham.KEYS) - ham.dim + 1)
+        for values in ham.sample_grid([0.0, 1.0])[:ham.dim - 1]:
+            assert np.array_equal(values, [real, real], equal_nan=True)
+
+
+def _random_tree(shapes, numbers, diagonal, depth=0):
+    """A random drive of any shape, its shape tree drawn from `shapes`
+    and its numbers from `numbers`; sums nest up to two levels deep.
+    Amplitudes have parts of +-0.0, ordinary and huge values, and now
+    and then inf or NaN; a diagonal drive's imaginary parts are mostly
+    zeros, or small enough to pass the realness check, or not."""
+    def part():
+        if numbers.random() < 0.03:
+            return numbers.choice([math.inf, -math.inf, math.nan])
+        return numbers.choice([0.0, -0.0, 0.3, -1.7, 2.5e-3, 1e300])
+
+    def amplitude():
+        if diagonal:
+            return complex(part(), numbers.choice([0.0, 0.0, 0.0, -0.0,
+                                                   1e-17, 3e-16, 0.2]))
+        return complex(part(), part())
+
+    shape = shapes.choice(["constant", "cosine", "gaussian", "piecewise",
+                           "sum" if depth < 2 else "constant"])
+    if shape == "constant":
+        return ConstantDrive(amplitude())
+    if shape == "cosine":
+        return CosineDrive(amplitude(), numbers.choice([0.7, -2.0, 1e308]
+                                                       if numbers.random() < 0.1
+                                                       else [0.7, -2.0]),
+                           numbers.choice([0.0, -0.0, 1.3]))
+    if shape == "gaussian":
+        return GaussianDrive(amplitude(), numbers.choice([0.0, -0.0, 1.5]),
+                             numbers.choice([0.8, 1e-200]))
+    if shape == "piecewise":
+        times = sorted(numbers.sample([-1.0, -0.0, 0.5, 1.0, 2.5],
+                                      shapes.choice([2, 3])))
+        return PiecewiseDrive(tuple(times), tuple(amplitude() for _ in times))
+    return SumDrive(tuple(_random_tree(shapes, numbers, diagonal, depth + 1)
+                          for _ in range(shapes.choice([1, 2, 3]))))
+
+
+def _outcome(function, *args):
+    # ("values", values) of a call, or ("raised", type, message)
+    try:
+        return "values", function(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def test_stage_sampler_matches_sample_on_random_drive_trees():
+    # 3600 random Hamiltonians of both dimensions whose drives are
+    # random shape trees, each at the five stage times of a random
+    # step. The stage sampler gives the bits of sample's values, or
+    # raises the error of the first failing sample. The shape trees come
+    # from 40 seeds, so that few samplers are compiled, and the numbers
+    # from one stream. Where two NaNs meet in one operation, C leaves
+    # open which one's sign and payload survive (in CPython's float and
+    # complex code alike), so a NaN matches any NaN.
+    numbers = random.Random(25)
+    counts = {"values": 0, "raised": 0, "nan": 0}
+    for member in range(3600):
+        ham = _each_level(None, None)[member % 2]
+        shapes = random.Random(numbers.randrange(20))
+        ham = dataclasses.replace(ham, **{
+            key: _random_tree(shapes, numbers, i < ham.dim - 1)
+            for i, key in enumerate(ham.KEYS)})
+        t = numbers.choice([0.0, -0.0, 0.4, -2.0, 1.25])
+        h = numbers.choice([1e-3, 0.3, 1.0])
+        times = tuple(t + c * h for c in _NODES)
+        got = _outcome(ham._stages, *times)
+        want = _outcome(_sampled_stages, ham, times)
+        counts[got[0]] += 1
+        if got[0] == want[0] == "values":
+            nan = [v != v for v in want[1]]
+            counts["nan"] += any(nan)
+            assert [v != v for v in got[1]] == nan
+            assert (_stage_bits([0.0 if v != v else v for v in got[1]])
+                    == _stage_bits([0.0 if v != v else v for v in want[1]]))
+        else:
+            assert got == want
+    # every outcome is common
+    assert min(counts.values()) > 300, counts
+
+
+@pytest.mark.parametrize("form, kinds, split", [
+    ("{a} * {b}", (True, True), True),
+    ("-{a}", (True,), True),
+    ("{a} - {b}", (True, True), True),
+    ("cos({a})", (True,), True),
+    ("cos(t) * {a}", (True,), True),
+    ("{a} / {b}", (True, False), True),
+    ("({a} + {b}) * cos(t)", (True, True), True),
+    ("(g := {a}) * g", (True,), True),
+    ("{a}", (True,), False),
+    ("{a} * cos(t) + {b}", (True, False), False),
+], ids=repr)
+def test_stage_sampler_generation_refuses_other_complex_operations(
+        form, kinds, split):
+    # the stage sampler writes a complex constant, a constant times a
+    # float and a sum; any other complex operation, or a complex value
+    # where a float is due, is refused when the code is generated
+    with pytest.raises(TypeError):
+        drives._lowered((form,), kinds, (split,), 5)
+    # the same operations on floats are the form's own code, which is
+    # refused where a complex value is due
+    assert drives._lowered((form,), (False,) * len(kinds), (False,), 5)
+    with pytest.raises(TypeError, match="does not give a complex value"):
+        drives._lowered((form,), (False,) * len(kinds), (True,), 5)
 
 
 NUMBER_SHAPES = [
