@@ -19,9 +19,9 @@ chart coordinates and Hamiltonian entries. They are implemented here as
 error in any coordinate equation shows up as a mismatch between the
 identity and the finite-differenced d1, d2 along a trajectory.
 
-Everything works on the flat state vector the integrator advances, and
-`two_level` exposes the same names. The zero state is the chart origin,
-the image of U = I.
+The flat state is [Re x, Im x, Re y, Im y, Re z, Im z, phi1, phi2],
+its zero the chart origin, the image of U = I. `charts._describe` builds
+the flat-vector functions from the rates `_RATES`, as for `two_level`.
 
 Same chart caveat as the two-level case: one chart cannot cover the
 whole manifold, so trajectories may blow up in finite time; coordinates
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrate import _chart_rhs, _Rates
+from .charts import _describe
+from .integrate import _Rates
 
 SINGULARITY_THRESHOLD = 1e6
-
-STATE_SIZE = 8  # flat layout: [Re x, Im x, Re y, Im y, Re z, Im z, phi1, phi2]
 
 COORD_COLUMNS = ("re_x", "im_x", "re_y", "im_y", "re_z", "im_z",
                  "phi1", "phi2", "phi3")
@@ -63,15 +62,6 @@ def log_delta_rates(x, y, z, v1, v2, v3) -> tuple:
     cross = x * z - y
     rate2 = 2.0 * ((v2.conjugate() * cross).imag - (v3.conjugate() * z).imag)
     return rate1, rate2
-
-
-def coords_from_states(states) -> tuple:
-    """(x, y, z, phi1, phi2) arrays from stacked flat states (N, 8)."""
-    states = np.asarray(states, dtype=float)
-    return (states[..., 0] + 1j * states[..., 1],
-            states[..., 2] + 1j * states[..., 3],
-            states[..., 4] + 1j * states[..., 5],
-            states[..., 6], states[..., 7])
 
 
 def coord_block(states) -> np.ndarray:
@@ -115,14 +105,20 @@ def reconstruct_batch(states) -> np.ndarray:
     return u
 
 
-# The rates of chart_rhs, stated once for `integrate`, which compiles
-# them into chart_rhs and into the step loop that writes them inline
-# (see `integrate._Rates` for the layout). The lines repeat, one
-# operation at a time, what CPython does with the complex products of
-# the chart_rhs docstring: conj(v) is (v_re, -v_im), a float meeting a
-# complex is promoted with a +0.0 imaginary part (so h2 - h1 - g has the
-# imaginary part 0.0 - g_im), and x - (-p) is written x + p, the same
-# IEEE operation, so every bit and signed zero is kept.
+# The rates (an `integrate._Rates`) that `charts._describe` builds on:
+#
+#     dx = -i * [v1 + (h2 - h1) x - conj(v1) x^2 + conj(v3) y - conj(v2) x y]
+#     dy = -i * [v2 + (h3 - h1) y - conj(v2) y^2 + v3 x - conj(v1) x y]
+#     dz = -i * [v3 + (h3 - h2) z - conj(v3) z^2 + (x z - y)(conj(v1) + conj(v2) z)]
+#     dphi1 = -Re(h1 + conj(v1) x + conj(v2) y)
+#     dphi2 =  Re(-h2 - conj(v3) z + conj(v1) x + conj(v2) x z)
+#
+# The body shares the products a, b, c and g between the brackets B of
+# the coordinate rates and returns -i B as (Im B, -Re B). That moves the
+# last bits of the coordinate rates against the expanded forms; the phase
+# rates add the same real parts in the same order, so they keep their
+# bits and stay exactly real. conj(v) is (v_re, -v_im), and a float
+# meeting a complex gets a +0.0 imaginary part (sg_im = 0.0 - ...).
 _RATES = _Rates(
     "h1, h2, v1, v2, v3",
     "v1, v2, v3",
@@ -169,64 +165,8 @@ _RATES = _Rates(
      "-((h1 + a_re) + b_re)",
      "((-h2 - c_re) + a_re) + (m_re * re_z - m_im * im_z)"))
 
-
-def chart_rhs(ham):
-    """Flat-vector derivative function for a 3-level Hamiltonian.
-
-        dx = -i * [v1 + (h2 - h1) x - conj(v1) x^2 + conj(v3) y - conj(v2) x y]
-        dy = -i * [v2 + (h3 - h1) y - conj(v2) y^2 + v3 x - conj(v1) x y]
-        dz = -i * [v3 + (h3 - h2) z - conj(v3) z^2 + (x z - y)(conj(v1) + conj(v2) z)]
-        dphi1 = -Re(h1 + conj(v1) x + conj(v2) y)
-        dphi2 =  Re(-h2 - conj(v3) z + conj(v1) x + conj(v2) x z)
-
-    The body factors out the products the equations share. With
-    a = conj(v1) x, b = conj(v2) y, g = a + b and c = conj(v3) z, the
-    brackets read v1 + (h2 - h1 - g) x + conj(v3) y,
-    v2 + (h3 - h1 - g) y + v3 x and
-    v3 + (h3 - h2 - c) z + (x z - y)(conj(v1) + conj(v2) z), and -i B is
-    returned as (Im B, -Re B), with no complex multiplication. That moves
-    the last bits of the coordinate rates against the expanded forms.
-    The phase rates add the same real parts in the same order as the
-    expanded forms, so they keep their bits and stay exactly real.
-
-    The rates are written in real arithmetic (`_RATES`) that repeats
-    CPython's complex operations one by one, signed zeros included, so
-    that `integrate` can write them inline in its step loop without
-    changing a bit: there a stage builds no complex value and no input
-    for phi1 or phi2, which no rate reads, and an attempt takes its
-    drive values from one call of the Hamiltonian's stage sampler. On
-    an object without one, `integrate` calls the function at every
-    stage. Called, it samples through `ham.sample` once per distinct t:
-    it keeps the last (t, sample) pair, since the 6th and 7th stages of
-    a DOPRI5 attempt both run at t + h. That is exact, as a sample
-    depends on t alone. A `ham.sample` that raises leaves the pair as it
-    was.
-    """
-    return _chart_rhs(_RATES, ham.sample, getattr(ham, "_stages", None))
-
-
-def error_weight(vec) -> tuple:
-    """Per-component error weights of a flat state for `integrate`.
-
-    An error dc in a chart coordinate c moves the operator by about
-    |dc| / (1 + |c|^2), the Fubini-Study line element, while an error in
-    a phase moves it by about its own size. So both parts of x, y and z
-    get 1 + |c|^2 and the phases get 1.
-    """
-    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
-    wx = 1.0 + (re_x * re_x + im_x * im_x)
-    wy = 1.0 + (re_y * re_y + im_y * im_y)
-    wz = 1.0 + (re_z * re_z + im_z * im_z)
-    return wx, wx, wy, wy, wz, wz, 1.0, 1.0
-
-
-def escaped(vec) -> bool:
-    """True once any coordinate has left the chart's trusted region."""
-    lim = SINGULARITY_THRESHOLD ** 2
-    re_x, im_x, re_y, im_y, re_z, im_z, _, _ = vec
-    return (re_x * re_x + im_x * im_x >= lim
-            or re_y * re_y + im_y * im_y >= lim
-            or re_z * re_z + im_z * im_z >= lim)
+(STATE_SIZE, coords_from_states, chart_rhs, error_weight,
+ escaped) = _describe(_RATES, SINGULARITY_THRESHOLD)
 
 
 def delta_residuals(times, states, ham) -> tuple:

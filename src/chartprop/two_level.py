@@ -7,11 +7,10 @@ as U = Q(z) * diag(e^{i phi}, e^{-i phi}) with
 
 so the full matrix flow collapses to one complex coordinate z on the
 Bloch sphere plus one real phase phi (3 real unknowns instead of 8).
-z obeys a Riccati equation and phi a quadrature; both right-hand sides
-live here, together with the reconstruction of U and the error weights
-that measure integration errors in the geometry of U, all on the flat
-state vector the integrator advances. `three_level` exposes the same names.
-The zero state is the chart origin, the image of U = I.
+z obeys a Riccati equation and phi a quadrature. The flat state is
+[Re z, Im z, phi], its zero the chart origin, the image of U = I.
+`charts._describe` builds the flat-vector functions from the rates
+`_RATES`, as for `three_level`.
 
 z covers the sphere minus one point. Trajectories can run off the chart
 in finite time (a genuine Riccati blow-up, not a numerical artifact);
@@ -22,19 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrate import _chart_rhs, _Rates
+from .charts import _describe
+from .integrate import _Rates
 
 SINGULARITY_THRESHOLD = 1e6
 
-STATE_SIZE = 3  # flat layout: [Re z, Im z, phi]
-
 COORD_COLUMNS = ("re_z", "im_z", "phi")
-
-
-def coords_from_states(states) -> tuple:
-    """(z, phi) arrays from stacked flat states of shape (N, 3)."""
-    states = np.asarray(states, dtype=float)
-    return states[..., 0] + 1j * states[..., 1], states[..., 2]
 
 
 def coord_block(states) -> np.ndarray:
@@ -63,13 +55,16 @@ def reconstruct_batch(states) -> np.ndarray:
     return u
 
 
-# The rates of chart_rhs, stated once for `integrate`, which compiles
-# them into chart_rhs and into the step loop that writes them inline
-# (see `integrate._Rates` for the layout). The lines repeat, one
-# operation at a time, what CPython does with the complex values
-# a = conj(v) z and B = (a + 2 h) z - v: a float meeting a complex is
-# promoted with a +0.0 imaginary part, and x - (-p) is written x + p, the
-# same IEEE operation, so every bit and signed zero is kept.
+# The rates (an `integrate._Rates`) that `charts._describe` builds on:
+#
+#     dz   = i * (conj(v) z^2 + 2 h z - v)
+#     dphi = -(v conj(z) + conj(v) z + 2 h) / 2
+#
+# With a = conj(v) z and B = (a + 2 h) z - v, dz = i B is (-Im B, Re B)
+# and dphi = -(Re a + h). v conj(z) and conj(v) z have the same real part
+# to the bit, so dphi keeps the bits of the expanded form and is exactly
+# real; dz moves in its last bits. In the lines, a float meeting a
+# complex gets a +0.0 imaginary part (s_im = a_im + 0.0).
 _RATES = _Rates(
     "h, v",
     "v",
@@ -85,47 +80,5 @@ _RATES = _Rates(
     """,
     ("-b_im", "b_re", "-(a_re + h)"))
 
-
-def chart_rhs(ham):
-    """Flat-vector derivative function for a 2-level Hamiltonian.
-
-        dz   = i * (conj(v) z^2 + 2 h z - v)
-        dphi = -(v conj(z) + conj(v) z + 2 h) / 2
-
-    The rates compute a = conj(v) z once: with B = (a + 2 h) z - v,
-    dz = i B is returned as (-Im B, Re B), with no complex
-    multiplication, and dphi = -(Re a + h). v conj(z) and conj(v) z
-    have the same real part to the bit, so dphi keeps the bits of the
-    expanded form and is exactly real; dz moves in its last bits.
-
-    The rates are written in real arithmetic (`_RATES`) that repeats
-    CPython's complex operations one by one, signed zeros included, so
-    that `integrate` can write them inline in its step loop without
-    changing a bit: there a stage builds no complex value and no input
-    for phi, which no rate reads, and an attempt takes its drive values
-    from one call of the Hamiltonian's stage sampler. On an object
-    without one, `integrate` calls the function at every stage. Called,
-    it samples through `ham.sample` once per distinct t: it keeps the
-    last (t, sample) pair, since the 6th and 7th stages of a DOPRI5
-    attempt both run at t + h. That is exact, as a sample depends on t
-    alone. A `ham.sample` that raises leaves the pair as it was.
-    """
-    return _chart_rhs(_RATES, ham.sample, getattr(ham, "_stages", None))
-
-
-def error_weight(vec) -> tuple:
-    """Per-component error weights of a flat state for `integrate`.
-
-    An error dz moves the operator by about |dz| / (1 + |z|^2), the
-    Fubini-Study line element, while an error in phi moves it by about
-    |dphi|. So both parts of z get 1 + |z|^2 and phi gets 1.
-    """
-    re_z, im_z, _ = vec
-    wz = 1.0 + (re_z * re_z + im_z * im_z)
-    return wz, wz, 1.0
-
-
-def escaped(vec) -> bool:
-    """True once the flat state has left the chart's trusted region."""
-    re_z, im_z, _ = vec
-    return re_z * re_z + im_z * im_z >= SINGULARITY_THRESHOLD ** 2
+(STATE_SIZE, coords_from_states, chart_rhs, error_weight,
+ escaped) = _describe(_RATES, SINGULARITY_THRESHOLD)

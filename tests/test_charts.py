@@ -3,6 +3,8 @@ reconstruction at the origin and across magnitudes, the escape
 threshold, the output-table blocks, and the chart run `propagate`."""
 
 import importlib
+import itertools
+import math
 from types import ModuleType
 
 import numpy as np
@@ -21,6 +23,10 @@ CHARTS = pytest.mark.parametrize("chart", [two_level, three_level],
 INTERFACE = {"SINGULARITY_THRESHOLD", "STATE_SIZE", "COORD_COLUMNS",
              "chart_rhs", "escaped", "error_weight", "reconstruct_batch",
              "coords_from_states", "coord_block", "extra_residuals"}
+
+# Components whose squares underflow, overflow or are not numbers.
+SPECIALS = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf,
+            math.nan)
 
 # The object-form chart API, the unused matrix helpers, the named
 # three-level sample, and the ground truths that only tests and one demo
@@ -99,6 +105,26 @@ def test_escape_threshold(chart):
     vec = np.zeros(chart.STATE_SIZE)
     vec[2 * coordinate_pairs(chart):] = 10 * limit
     assert not chart.escaped(vec)
+    # an infinite or overflowing |c|^2 escapes, a NaN one does not, even
+    # with a part beyond the threshold; no phase value escapes
+    for pair in range(coordinate_pairs(chart)):
+        for parts, out in (((math.inf, 0.0), True), ((0.0, -math.inf), True),
+                           ((1e300, 0.0), True), ((0.0, -1e300), True),
+                           ((math.nan, 0.0), False), ((0.0, math.nan), False),
+                           ((math.nan, 1e7), False), ((1e7, math.nan), False),
+                           ((1e-300, -1e-300), False), ((-0.0, -0.0), False)):
+            vec = [0.0] * chart.STATE_SIZE
+            vec[2 * pair:2 * pair + 2] = parts
+            assert chart.escaped(vec) is out
+    for index in range(2 * coordinate_pairs(chart), chart.STATE_SIZE):
+        for value in SPECIALS:
+            vec = [0.0] * chart.STATE_SIZE
+            vec[index] = value
+            assert chart.escaped(vec) is False
+    # a state one component short or long is refused
+    for size in (chart.STATE_SIZE - 1, chart.STATE_SIZE + 1):
+        with pytest.raises(ValueError):
+            chart.escaped([0.0] * size)
 
 
 @CHARTS
@@ -172,6 +198,25 @@ def test_error_weight_is_one_plus_squared_modulus(chart):
                               np.ones(chart.STATE_SIZE - 2 * pairs))
     assert np.array_equal(chart.error_weight(np.zeros(chart.STATE_SIZE)),
                           np.ones(chart.STATE_SIZE))
+    # special parts give the bits of the expression itself: an
+    # overflowing square gives inf, a NaN part NaN; phases always give 1
+    for index in range(0, 2 * pairs, 2):
+        for re, im in itertools.product(SPECIALS, repeat=2):
+            vec = [0.5] * chart.STATE_SIZE
+            vec[index:index + 2] = re, im
+            weight = chart.error_weight(vec)
+            expected = 1.0 + (re * re + im * im)
+            assert ([value.hex() for value in weight[index:index + 2]]
+                    == [expected.hex()] * 2)
+    for index in range(2 * pairs, chart.STATE_SIZE):
+        for value in SPECIALS:
+            vec = [0.5] * chart.STATE_SIZE
+            vec[index] = value
+            assert chart.error_weight(vec) == chart.error_weight(
+                [0.5] * chart.STATE_SIZE)
+    for size in (chart.STATE_SIZE - 1, chart.STATE_SIZE + 1):
+        with pytest.raises(ValueError):
+            chart.error_weight([0.0] * size)
 
 
 @CHARTS
@@ -216,7 +261,7 @@ class _Fixed:
 
 
 def _expanded_rates(chart, values, vec):
-    """The chart equations as written in the chart_rhs docstrings, each
+    """The chart equations as written above the charts' `_RATES`, each
     product spelled out, as (coordinate rates, phase rates, term sums):
     term sums are the sums of the moduli of the terms of each bracket."""
     if chart is two_level:
@@ -269,7 +314,7 @@ def test_factored_rhs_matches_the_expanded_equations(chart):
 
 
 def _complex_rates(chart, values, vec):
-    """The factored brackets of the chart_rhs docstrings in complex
+    """The factored brackets of the charts' `_RATES` in complex
     arithmetic, each float that meets a complex value promoted to one
     with a +0.0 imaginary part, as CPython up to 3.13 does."""
     if chart is two_level:
