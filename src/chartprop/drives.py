@@ -3,11 +3,11 @@
 A drive is a scalar function of time (real or complex valued) built
 from a small set of named shapes. Each shape states its formula once,
 as a FORMULA template in t; the code generated from it runs at one t
-with math's functions and on a time grid with numpy's. Hamiltonians
-bundle the drives for the independent entries of a traceless Hermitian
-matrix: diagonal entries are real drives, off-diagonal couplings are
-complex drives, and the last diagonal entry is always derived from
-tracelessness.
+in float arithmetic, the same bits on every CPython, and on a time grid
+with numpy's functions. Hamiltonians bundle the drives for the
+independent entries of a traceless Hermitian matrix: diagonal entries
+are real drives, off-diagonal couplings are complex drives, and the
+last diagonal entry is always derived from tracelessness.
 
 Configs are YAML mappings (JSON is a subset, so .json files load with
 the same parser). yaml is imported only where text is read or written:
@@ -167,12 +167,13 @@ def _interp(t, times, values):
 # are named in braces. A drive's `_formula(real)` gives its (form,
 # constants): the form is the FORMULA, or for a sum the tuple of its
 # terms' forms, and the constants are the values of the names in braces
-# in the order they first appear, terms in order. `_compiled` compiles
-# the code of a form once per process and path, shared by drives and
-# Hamiltonians of the same shapes. The scalar and the grid path run the
-# same code, each in its namespace:
-_NAMESPACES = ({"cos": math.cos, "exp": math.exp, "interp": _interp},
-               {"cos": np.cos, "exp": np.exp, "interp": np.interp})
+# in the order they first appear, terms in order. A form's code is
+# compiled once per process and path, shared by drives and Hamiltonians
+# of the same shapes: as float code at one t (`_lowered`), run with
+# math's functions, and as it stands on a time grid (`_compiled`), with
+# numpy's.
+_MATH = {"cos": math.cos, "exp": math.exp, "interp": _interp}
+_NUMPY = {"cos": np.cos, "exp": np.exp, "interp": np.interp}
 
 # a diagonal drive of `sample` not real by construction, checked at each t
 _CHECKED = "{check}({drive}(t), t, {what})"
@@ -201,24 +202,21 @@ def _expressions(forms):
 
 
 @functools.cache
-def _compiled(forms, grid):
-    """factory(*constants) -> sample(t) for a tuple of forms.
-
-    sample(t) returns the tuple of the forms' values at t, or the value
-    of the one form. `grid` picks the namespace: math's functions for a
-    scalar t, numpy's for a float array (a drive's `evaluate` only). The
-    code is that of `_expressions`, and the factory takes the constants'
-    names as parameters in order. The source is registered under the
-    filename "<drive sampler k>", k counting the codes compiled.
-    """
-    values, params = _expressions(forms)
+def _compiled(form):
+    """factory(*constants) -> sample(times): the value of a form on a
+    time grid, a float array, with numpy's functions (a drive's
+    `evaluate` only). The code is that of `_expressions`, and the
+    factory takes the constants' names as parameters in order. The
+    source is registered under the filename "<drive grid sampler k>", k
+    counting the codes compiled."""
+    [value], params = _expressions((form,))
     source = (f"def factory({', '.join(params)}):\n"
               f"    def sample(t):\n"
-              f"        return {', '.join(values)}\n"
+              f"        return {value}\n"
               f"    return sample\n")
     return compile_function(
-        source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
-        dict(_NAMESPACES[grid]))
+        source, f"<drive grid sampler {next(_SAMPLER_NUMBERS)}>", "factory",
+        dict(_NUMPY))
 
 
 def _joined(parts):
@@ -226,12 +224,6 @@ def _joined(parts):
     # tuple, the constants concatenated in order
     forms, constants = zip(*parts)
     return forms, tuple(itertools.chain.from_iterable(constants))
-
-
-def _bound(parts, grid):
-    # the `_compiled` function of the parts, with their constants bound
-    forms, constants = _joined(parts)
-    return _compiled(forms, grid)(*constants)
 
 
 class _FloatCode(ast.NodeTransformer):
@@ -252,35 +244,36 @@ class _FloatCode(ast.NodeTransformer):
 
 
 @functools.cache
-def _lowered(forms, kinds, splits, count):
-    """factory(*constants) -> stages(t_0, ..., t_{count - 1}) for a tuple
-    of forms, generated and compiled once per forms, kinds and splits.
+def _lowered(forms, kinds, splits):
+    """factory(*constants) -> (sample, stages) for a tuple of forms. The
+    factory takes the constants in the order of `_expressions`, each
+    complex one, true in kinds, as name_re and name_im.
 
-    stages returns the forms' values at each of the times in turn, as
-    one flat tuple of floats: the real and imaginary part of a complex
-    form, whose entry in `splits` is true, the value of a float form.
-    kinds says which constants are complex; the factory takes each of
-    those as name_re and name_im, in the order of `_expressions`.
+    sample(t) returns the forms' values at t as a tuple, or the value of
+    the one form: a complex value where `splits` is true, else a float.
+    stages(t_0, ..., t_4) runs the same lines at the five distinct stage
+    times of a DOPRI5 attempt and returns the values at each in turn as
+    one flat tuple of floats, a complex value as its two parts.
 
-    Drive formulas meet complex values in three ways, written in real
-    arithmetic as CPython up to 3.13 computes them (as `_RATES` do): a
-    complex constant c is its parts; c times a float x is (c_re * x -
-    c_im * 0.0, c_re * 0.0 + c_im * x), the products with 0.0 computed
-    in the factory; a sum adds the parts, a float taking imaginary part
-    +0.0. Any other complex operation raises TypeError. Each float
-    value is the form's own code, a statement per time with t renamed,
-    in the order the scalar `_compiled` sample evaluates it; the value
-    of an assignment expression (a Gaussian's (t - center) / width,
-    which cannot raise) goes first, as a statement of its own. So the
-    floats are the bits of that sample's .real and .imag, and stages
-    raises where it raises. The source is registered under the
-    filename "<drive stage sampler k>".
+    Each float value is the form's own code, a statement per time with
+    t renamed, in Python's order of evaluation; an assignment
+    expression's value (a Gaussian's (t - center) / width, which cannot
+    raise) is a statement of its own. Drive formulas meet complex values
+    in three ways, written in real arithmetic as CPython up to 3.13
+    computes them (as `_RATES` do): a complex constant c is its parts; c
+    times a float x is (c_re * x - c_im * 0.0, c_re * 0.0 + c_im * x),
+    the products with 0.0 computed in the factory; a sum adds the parts,
+    a float taking imaginary part +0.0. Any other complex operation
+    raises TypeError. sample builds a complex value with complex(re,
+    im), which does no arithmetic, so both functions give the same bits
+    on every CPython. The source is registered as "<drive sampler k>".
     """
     expressions, params = _expressions(forms)
     complex_params = {name for name, kind in zip(params, kinds) if kind}
     zeros = {}    # a part of a complex constant -> the name of part * 0.0
-    # the statements and values at one time, "$" standing for its index
-    lines, values = [], []
+    # the statements and values at one time, "$" standing for its index:
+    # the values as stages returns them, and as sample does
+    lines, values, built = [], [], []
 
     def statement(source):
         lines.append(f"        _v{len(lines)}_$ = {source}")
@@ -320,22 +313,36 @@ def _lowered(forms, kinds, splits, count):
             raise TypeError(f"{expression!r} does not give a "
                             f"{'complex' if split else 'float'} value")
         values += [parts] if isinstance(parts, str) else parts
+        built.append(parts if isinstance(parts, str)
+                     else "complex(%s, %s)" % parts)
     arguments = [part for name, is_complex in zip(params, kinds)
                  for part in ((f"{name}_re", f"{name}_im") if is_complex
                               else (name,))]
-    times = [str(j) for j in range(count)]
+    times = [str(j) for j in range(len(_NODES))]
     source = "\n".join([
         f"def factory({', '.join(arguments)}):",
         *(f"    {name} = {part} * 0.0" for part, name in zeros.items()),
+        "    def sample(_t):",
+        *(line.replace("$", "") for line in lines),
+        f"        return {', '.join(built).replace('$', '')}",
         f"    def stages({', '.join(f'_t{j}' for j in times)}):",
         *(line.replace("$", j) for j in times for line in lines),
         f"        return "
         f"{', '.join(v.replace('$', j) for j in times for v in values)}",
-        "    return stages",
+        "    return sample, stages",
         ""])
     return compile_function(
-        source, f"<drive stage sampler {next(_SAMPLER_NUMBERS)}>", "factory",
-        dict(_NAMESPACES[False]))
+        source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
+        dict(_MATH))
+
+
+def _scalar_samplers(parts, splits):
+    # `_lowered`'s (sample, stages) of (form, constants) parts, bound
+    forms, constants = _joined(parts)
+    kinds = tuple(isinstance(c, complex) for c in constants)
+    return _lowered(forms, kinds, splits)(*(
+        part for c, kind in zip(constants, kinds)
+        for part in ((c.real, c.imag) if kind else (c,))))
 
 
 class _RebuiltOnCopy:
@@ -366,11 +373,12 @@ class _Formula(_RebuiltOnCopy):
 
     @functools.cached_property
     def _scalar(self):
-        return _bound([self._formula(False)], False)
+        return _scalar_samplers([self._formula(False)], (True,))[0]
 
     @functools.cached_property
     def _grid(self):
-        return _bound([self._formula(False)], True)
+        form, constants = self._formula(False)
+        return _compiled(form)(*constants)
 
 
 # Reader and writer of a number field's spec value and the coercer of
@@ -586,43 +594,33 @@ class _Hamiltonian(_RebuiltOnCopy):
         return parts
 
     @functools.cached_property
+    def _samplers(self):
+        splits = tuple(i >= self.dim - 1 for i in range(len(self.KEYS)))
+        return _scalar_samplers(self._parts(), splits)
+
+    @functools.cached_property
     def sample(self):
         """The function of t that gives the KEYS values at t as a plain
         tuple: a float per diagonal drive, a complex value per coupling;
         the derived diagonal entry is left to the caller.
 
         A chart's right-hand side, called, samples it at every distinct
-        stage time, and the direct-matrix oracle through `matrix`; so it
-        is one function generated from the drives' FORMULA templates at
-        first use (`_compiled`). A diagonal drive that is real by
-        construction is sampled with its float formula, any other
-        through `evaluate`, checked at each sample to be real, with a
-        finite imaginary part. The chart's step loop takes the same bits
-        from `_stages`, five times at once, on CPython up to 3.13.
+        stage time, and the direct-matrix oracle through `matrix`; it is
+        generated with `_stages` at first use (`_lowered`). A diagonal
+        drive that is real by construction is sampled with its float
+        formula, any other through `evaluate`, checked at each sample to
+        be real, with a finite imaginary part.
         """
-        return _bound(self._parts(), False)
+        return self._samplers[0]
 
     @functools.cached_property
     def _stages(self):
         """The function of the five distinct stage times of a DOPRI5
-        attempt that gives the KEYS values at each of them in turn, as
-        one flat tuple of floats: a float per diagonal drive, the real
-        and imaginary part per coupling. They are the bits of `sample`'s
-        values, .real and .imag, and it raises where five calls of
-        `sample` would. The chart's step loop calls it once per attempt.
-
-        It is generated at first use from the same drive formulas as
-        `sample`, only their complex operations written in real
-        arithmetic (`_lowered`), so no shape states a second formula;
-        the code is compiled once per shape tree and shared by
-        Hamiltonians of the same shapes.
-        """
-        forms, constants = _joined(self._parts())
-        kinds = tuple(isinstance(c, complex) for c in constants)
-        splits = tuple(i >= self.dim - 1 for i in range(len(self.KEYS)))
-        factory = _lowered(forms, kinds, splits, len(_NODES))
-        return factory(*(part for c in constants for part in (
-            (c.real, c.imag) if isinstance(c, complex) else (c,))))
+        attempt that gives `sample`'s values at each of them in turn, as
+        one flat tuple of floats, a coupling as its .real and .imag: the
+        same bits and errors, from the same generated lines. The chart's
+        step loop calls it once per attempt."""
+        return self._samplers[1]
 
     def _entries(self, values, conjugate):
         # Matrix entries in row-major order from KEYS values: Python

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -313,12 +314,14 @@ def test_sampler_tracebacks_show_the_generated_line():
     # 1e308 * 10 overflows to inf, which math.cos rejects
     drive = CosineDrive(1.0, 1e308)
     ham = Hamiltonian2(h=ConstantDrive(0.0), v=drive)
-    for sample in (drive.evaluate, ham.sample):
+    for sample in (drive.evaluate, ham.sample,
+                   lambda t: ham._stages(0.0, t, t, t, t)):
         with pytest.raises(ValueError, match="math domain error") as failure:
             sample(10.0)
         frame = traceback.extract_tb(failure.value.__traceback__)[-1]
         assert frame.filename.startswith("<drive sampler ")
-        assert " * cos(angular_frequency" in frame.line
+        assert re.fullmatch(r"_v0_1? = cos\(angular_frequency[01] \* _t1? "
+                            r"\+ phase_offset[01]\)", frame.line)
 
 
 def _stage_bits(values):
@@ -327,14 +330,78 @@ def _stage_bits(values):
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def _sampled_stages(ham, times):
-    """The stage sampler's values from ham.sample at each time: a float
-    per diagonal drive, .real and .imag per coupling."""
+# The reference for the generated scalar code: each drive's
+# `_expressions` code run in complex arithmetic, with math's functions
+# and the pure-Python interp. Where a form's value is complex, each
+# function's float value is promoted to a complex value with a +0.0
+# imaginary part, written out as CPython up to 3.13 does it implicitly
+# (later versions follow C99's mixed-mode rules), so that the reference
+# holds on every CPython.
+def _promoted(function):
+    return lambda *args: complex(function(*args), 0.0)
+
+
+_MATH = {"cos": math.cos, "exp": math.exp, "interp": drives._interp}
+_PROMOTED = {name: _promoted(function) for name, function in _MATH.items()}
+
+
+@functools.cache
+def _reference_code(form):
+    [expression], params = drives._expressions((form,))
+    return compile(expression, "<reference>", "eval"), params
+
+
+def _reference_value(part, is_complex, t):
+    # the value at t of a (form, constants) part
+    code, params = _reference_code(part[0])
+    return eval(code, {**(_PROMOTED if is_complex else _MATH),
+                       **dict(zip(params, part[1])), "t": t})
+
+
+def _reference_evaluate(drive, t):
+    return _reference_value(drive._formula(False), True, t)
+
+
+def _reference_sample(ham, t):
+    """ham.sample(t) from the reference: a diagonal drive that is real
+    by construction as its float formula, any other checked to be real,
+    and each coupling's complex value."""
+    values = []
+    for i, key in enumerate(ham.KEYS):
+        drive = getattr(ham, key)
+        if i >= ham.dim - 1:
+            values.append(_reference_evaluate(drive, t))
+        elif (part := drive._formula(True)) is not None:
+            values.append(_reference_value(part, False, t))
+        else:
+            values.append(drives._require_real(_reference_evaluate(drive, t),
+                                               t, f"diagonal drive {key}"))
+    return values
+
+
+def _sampled_stages(ham, times, sample):
+    """The stage sampler's values from a function like ham.sample at
+    each time: a float per diagonal drive, .real and .imag per
+    coupling."""
     values = []
     for t in times:
-        for i, value in enumerate(ham.sample(t)):
+        for i, value in enumerate(sample(t)):
+            assert type(value) is (float if i < ham.dim - 1 else complex)
             values += [value] if i < ham.dim - 1 else [value.real, value.imag]
     return values
+
+
+def _reference_stages(ham, times):
+    return _sampled_stages(ham, times, lambda t: _reference_sample(ham, t))
+
+
+def _evaluated(ham, times, evaluate):
+    # every drive's complex value at each time, from a function like
+    # drive.evaluate, as .real and .imag
+    values = [evaluate(getattr(ham, key), t) for t in times
+              for key in ham.KEYS]
+    assert all(type(value) is complex for value in values)
+    return [part for value in values for part in (value.real, value.imag)]
 
 
 STAGE_TIMES = [(0.0, 0.37, 2.0, 1.0 / 3.0, 0.9),
@@ -342,10 +409,14 @@ STAGE_TIMES = [(0.0, 0.37, 2.0, 1.0 / 3.0, 0.9),
                (0.5, 0.25, 7.0, 1.5, 0.75)]
 
 
-def _assert_stages_match_sample(ham):
-    for times in STAGE_TIMES:
-        assert (_stage_bits(ham._stages(*times))
-                == _stage_bits(_sampled_stages(ham, times)))
+def _assert_samplers_match_the_reference(ham, stage_times=STAGE_TIMES):
+    # ham._stages, ham.sample and every drive's evaluate, to the bit
+    for times in stage_times:
+        want = _stage_bits(_reference_stages(ham, times))
+        assert _stage_bits(ham._stages(*times)) == want
+        assert _stage_bits(_sampled_stages(ham, times, ham.sample)) == want
+        assert (_stage_bits(_evaluated(ham, times, drives._Formula.evaluate))
+                == _stage_bits(_evaluated(ham, times, _reference_evaluate)))
 
 
 def _each_level(diagonal, coupling):
@@ -356,15 +427,16 @@ def _each_level(diagonal, coupling):
 
 @pytest.mark.parametrize("drive", REAL_DRIVES + COMPLEX_DRIVES, ids=repr)
 def test_stage_sampler_gives_the_bits_of_sample(drive):
-    # the stage sampler is the drives' formulas in real arithmetic: its
-    # floats are the bits of sample's values, every shape and tree, with
-    # the drive as a coupling and, where it is real, as a diagonal drive
-    # (checked at each sample where it is not real by construction)
+    # the stage sampler, sample and evaluate are the drives' formulas in
+    # real arithmetic: they give the bits of the complex arithmetic of
+    # the reference, every shape and tree, with the drive as a coupling
+    # and, where it is real, as a diagonal drive (checked at each sample
+    # where it is not real by construction)
     for ham in _each_level(ConstantDrive(0.3), drive):
-        _assert_stages_match_sample(ham)
+        _assert_samplers_match_the_reference(ham)
     if drive in REAL_DRIVES:
         for ham in _each_level(drive, CosineDrive(0.4 - 0.2j, 0.8)):
-            _assert_stages_match_sample(ham)
+            _assert_samplers_match_the_reference(ham)
 
 
 ZERO_PARTS = [complex(re, im) for re in (0.0, -0.0, 0.6)
@@ -380,21 +452,22 @@ ZERO_PARTS = [complex(re, im) for re in (0.0, -0.0, 0.6)
 ], ids=["constant", "cosine", "gaussian", "piecewise", "sum"])
 def test_stage_sampler_keeps_signed_zero_parts(shape):
     # amplitudes with parts of +0.0 and -0.0, where a float meeting a
-    # complex value decides the sign of a zero
+    # complex value decides the sign of a zero: the reference's explicit
+    # promotion, on every CPython
     for amplitude in ZERO_PARTS:
         for diagonal in (0.0, -0.0):
             for ham in _each_level(shape(complex(diagonal)),
                                    shape(amplitude)):
-                _assert_stages_match_sample(ham)
+                _assert_samplers_match_the_reference(ham)
 
 
 def test_stage_sampler_overflow_and_nan():
     # ((t - center) / width)^2 overflows for a width of 1e-200, giving
     # the amplitude at the center and 0 elsewhere; NaN times and NaN
-    # amplitudes give NaN where sample does
+    # amplitudes give NaN where the reference does
     narrow = GaussianDrive(0.5 - 0.25j, 0.5, 1e-200)
     for ham in _each_level(GaussianDrive(0.5, 0.5, 1e-200), narrow):
-        _assert_stages_match_sample(ham)
+        _assert_samplers_match_the_reference(ham)
         values = ham._stages(0.5, 0.4, 0.6, 0.5, 1.0)
         per_time = len(values) // 5
         assert values[0] == 0.5
@@ -407,16 +480,16 @@ def test_stage_sampler_overflow_and_nan():
     times = (nan, 0.5, -nan, 1.0, 2.0)
     for ham in _each_level(CosineDrive(0.3, 1.0),
                            GaussianDrive(0.4 - 0.1j, 1.0, 0.5)):
-        assert (_stage_bits(ham._stages(*times))
-                == _stage_bits(_sampled_stages(ham, times)))
+        _assert_samplers_match_the_reference(ham, [times])
     for diagonal, coupling in [
             (CosineDrive(nan, 1.0), ConstantDrive(complex(nan, 1.0))),
             (ConstantDrive(0.2), CosineDrive(complex(1.0, nan), 1.0)),
             (GaussianDrive(0.3, nan, 1.0), GaussianDrive(-nan, 1.0, 0.5))]:
         for ham in _each_level(diagonal, coupling):
-            _assert_stages_match_sample(ham)
+            _assert_samplers_match_the_reference(ham)
             assert np.array_equal(ham._stages(*times),
-                                  _sampled_stages(ham, times), equal_nan=True)
+                                  _reference_stages(ham, times),
+                                  equal_nan=True)
 
 
 def test_stage_sampler_raises_where_sample_raises():
@@ -432,13 +505,15 @@ def test_stage_sampler_raises_where_sample_raises():
                   (0.0, 0.0, 0.0, 0.0, 3.0)]:
         for t in times:
             try:
-                ham.sample(t)
+                _reference_sample(ham, t)
             except ValueError as exc:
                 want = str(exc)
                 break
         with pytest.raises(ValueError) as failure:
             ham._stages(*times)
         assert str(failure.value) == want
+        with pytest.raises(ValueError, match=re.escape(want)):
+            ham.sample(t)
         assert "must evaluate real" in want
     assert "h1" in want or "h2" in want
 
@@ -454,7 +529,9 @@ def test_stage_samplers_share_their_code_per_shape_tree():
     a, b = three(1.0), three(2.0)
     assert a._stages is not b._stages
     assert a._stages.__code__ is b._stages.__code__
-    assert a._stages.__code__.co_filename.startswith("<drive stage sampler ")
+    # one code per shape tree: sample's and _stages' come from one source
+    assert a._stages.__code__.co_filename.startswith("<drive sampler ")
+    assert a.sample.__code__.co_filename == a._stages.__code__.co_filename
     other = dataclasses.replace(a, h2=GaussianDrive(0.2, 1.0, 0.5))
     assert other._stages.__code__ is not a._stages.__code__
 
@@ -536,15 +613,27 @@ def _outcome(function, *args):
         return "raised", type(exc), str(exc)
 
 
+def _assert_same_outcome(got, want):
+    # Where two NaNs meet in one operation, C leaves open which one's
+    # sign and payload survive (in CPython's float and complex code
+    # alike), so a NaN matches any NaN.
+    if got[0] == want[0] == "values":
+        nan = [v != v for v in want[1]]
+        assert [v != v for v in got[1]] == nan
+        assert (_stage_bits([0.0 if v != v else v for v in got[1]])
+                == _stage_bits([0.0 if v != v else v for v in want[1]]))
+    else:
+        assert got == want
+
+
 def test_stage_sampler_matches_sample_on_random_drive_trees():
     # 3600 random Hamiltonians of both dimensions whose drives are
     # random shape trees, each at the five stage times of a random
-    # step. The stage sampler gives the bits of sample's values, or
-    # raises the error of the first failing sample. The shape trees come
+    # step. The stage sampler gives the bits of the reference's values,
+    # or raises the error of its first failing sample; so do sample,
+    # time by time, and every drive's evaluate. The shape trees come
     # from 40 seeds, so that few samplers are compiled, and the numbers
-    # from one stream. Where two NaNs meet in one operation, C leaves
-    # open which one's sign and payload survive (in CPython's float and
-    # complex code alike), so a NaN matches any NaN.
+    # from one stream.
     numbers = random.Random(25)
     counts = {"values": 0, "raised": 0, "nan": 0}
     for member in range(3600):
@@ -557,16 +646,15 @@ def test_stage_sampler_matches_sample_on_random_drive_trees():
         h = numbers.choice([1e-3, 0.3, 1.0])
         times = tuple(t + c * h for c in _NODES)
         got = _outcome(ham._stages, *times)
-        want = _outcome(_sampled_stages, ham, times)
+        want = _outcome(_reference_stages, ham, times)
         counts[got[0]] += 1
-        if got[0] == want[0] == "values":
-            nan = [v != v for v in want[1]]
-            counts["nan"] += any(nan)
-            assert [v != v for v in got[1]] == nan
-            assert (_stage_bits([0.0 if v != v else v for v in got[1]])
-                    == _stage_bits([0.0 if v != v else v for v in want[1]]))
-        else:
-            assert got == want
+        counts["nan"] += got[0] == "values" and any(v != v for v in got[1])
+        _assert_same_outcome(got, want)
+        _assert_same_outcome(_outcome(_sampled_stages, ham, times,
+                                      ham.sample), want)
+        _assert_same_outcome(
+            _outcome(_evaluated, ham, times, drives._Formula.evaluate),
+            _outcome(_evaluated, ham, times, _reference_evaluate))
     # every outcome is common
     assert min(counts.values()) > 300, counts
 
@@ -589,12 +677,12 @@ def test_stage_sampler_generation_refuses_other_complex_operations(
     # float and a sum; any other complex operation, or a complex value
     # where a float is due, is refused when the code is generated
     with pytest.raises(TypeError):
-        drives._lowered((form,), kinds, (split,), 5)
+        drives._lowered((form,), kinds, (split,))
     # the same operations on floats are the form's own code, which is
     # refused where a complex value is due
-    assert drives._lowered((form,), (False,) * len(kinds), (False,), 5)
+    assert drives._lowered((form,), (False,) * len(kinds), (False,))
     with pytest.raises(TypeError, match="does not give a complex value"):
-        drives._lowered((form,), (False,) * len(kinds), (True,), 5)
+        drives._lowered((form,), (False,) * len(kinds), (True,))
 
 
 NUMBER_SHAPES = [
@@ -727,8 +815,13 @@ def _numpy_evaluate(drive, t):
         return drive.value if scalar else np.full(np.shape(t), drive.value)
     if isinstance(drive, PiecewiseDrive):
         return _knot_formula(drive, t)
-    cos, exp = (math.cos, math.exp) if scalar else (np.cos, np.exp)
-    t = t if scalar else np.asarray(t)
+    # The float that meets the complex amplitude is promoted with a +0.0
+    # imaginary part, as numpy does on a grid; at a scalar t that is
+    # written out, as CPython after 3.13 follows C99's mixed-mode rules.
+    if scalar:
+        cos, exp = _PROMOTED["cos"], _PROMOTED["exp"]
+    else:
+        cos, exp, t = np.cos, np.exp, np.asarray(t)
     if isinstance(drive, CosineDrive):
         return drive.amplitude * cos(drive.angular_frequency * t
                                      + drive.phase_offset)
@@ -1115,20 +1208,24 @@ def test_parsing_real_diagonal_drives_compiles_no_code(monkeypatch):
     # whose diagonal drives are real by construction compiles none.
     doc = config_to_dict(parse_config(CONFIG3))
     calls = []
-    compiled = drives._compiled
 
-    def recording(*args):
-        calls.append(args)
-        return compiled(*args)
-    monkeypatch.setattr(drives, "_compiled", recording)
+    def recording(generator):
+        def call(*args):
+            calls.append(generator.__name__)
+            return generator(*args)
+        return call
+    for name in ("_lowered", "_compiled"):
+        monkeypatch.setattr(drives, name, recording(getattr(drives, name)))
     ham = parse_config(doc).hamiltonian
     assert calls == []
     ham.sample(0.5)
+    ham._stages(*STAGE_TIMES[0])
     ham.sample_grid([0.5, 1.0])
     ham.v1.evaluate(0.5)
-    # the Hamiltonian's sampler, the grid function of each of its five
-    # drives, then v1's scalar function
-    assert [grid for _, grid in calls] == [False] + [True] * 5 + [False]
+    # the Hamiltonian's scalar code, shared by its sample and stage
+    # sampler, the grid function of each of its five drives, then v1's
+    # scalar function
+    assert calls == ["_lowered"] + ["_compiled"] * 5 + ["_lowered"]
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():

@@ -16,7 +16,13 @@ process with its own `src` (and `perfbench`) first on the path:
 * every member of `ensemble_weak` and `ensemble_strong` at seeds 1, 2
   and 211, built and propagated through `perfbench/runner.py`: one
   digest per workload and seed of the times, states, unitaries, status,
-  singularity time and step counts of its members in order.
+  singularity time and step counts of its members in order;
+* the drive values of every Hamiltonian above, the three configs' and
+  each ensemble's members' at the three seeds: one digest per config
+  and per workload and seed of `ham.sample(t)` and of each drive's
+  `evaluate(t)` at fixed scalar times (+0.0, -0.0, points inside the
+  config's time window and points outside it), each value's type and
+  bits, or the error raised.
 
 It prints each name as equal or differing and exits 1 if any digest
 differs or is missing on one side. A change that claims to keep every
@@ -30,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -119,11 +126,58 @@ def _ensemble_digests():
             yield f"{workload} seed={seed}", digest.hexdigest()
 
 
+def _outcome_bytes(function, t):
+    # the type and bits of each value function(t) gives, or its error
+    try:
+        values = function(t)
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+    if not isinstance(values, tuple):
+        values = (values,)
+    return b"".join(type(v).__name__.encode()
+                    + struct.pack("<2d", v.real, v.imag) for v in values)
+
+
+def _drive_value_digest(configs):
+    # the digest of ham.sample and of each drive's evaluate over configs
+    digest = hashlib.sha256()
+    for config in configs:
+        ham, start, end = config.hamiltonian, config.t_start, config.t_end
+        span = end - start
+        times = [0.0, -0.0, *(start + f * span for f in (0.0, 0.1, 1.0 / 3.0,
+                                                         0.5, 0.77, 1.0)),
+                 start - 0.5 * span, end + 0.5 * span, end + 10.0 * span]
+        for t in times:
+            digest.update(_outcome_bytes(ham.sample, t))
+            for key in ham.KEYS:
+                digest.update(_outcome_bytes(getattr(ham, key).evaluate, t))
+    return digest.hexdigest()
+
+
+def _drive_value_digests():
+    # the drive-value digests of the tree whose src and perfbench are on
+    # the path
+    import runner
+    import workloads
+    from chartprop import parse_config
+
+    for name, text in (("cli_dense", workloads.DENSE_CONFIG_TEXT),
+                       ("mixed", MIXED), ("pole", POLE)):
+        yield f"drive values {name}", _drive_value_digest([parse_config(text)])
+    for workload in ("ensemble_weak", "ensemble_strong"):
+        for seed in SEEDS:
+            members = runner.build_members(
+                workloads.ensemble_specs(workload, seed))
+            yield (f"drive values {workload} seed={seed}",
+                   _drive_value_digest(member.config for member in members))
+
+
 def collect(tree, workdir) -> dict:
     """Every digest of the tree at `tree`, by name."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     return {**dict(_run_digests(tree, workdir)),
-            **dict(_ensemble_digests())}
+            **dict(_ensemble_digests()),
+            **dict(_drive_value_digests())}
 
 
 def _collect_in_process(tree, workdir) -> dict:
