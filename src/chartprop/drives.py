@@ -2,12 +2,13 @@
 
 A drive is a scalar function of time (real or complex valued) built
 from a small set of named shapes. Each shape states its formula once,
-as a FORMULA template in t; the code generated from it runs at one t
-in float arithmetic, the same bits on every CPython, and on a time grid
-with numpy's functions. Hamiltonians bundle the drives for the
-independent entries of a traceless Hermitian matrix: diagonal entries
-are real drives, off-diagonal couplings are complex drives, and the
-last diagonal entry is always derived from tracelessness.
+as a FORMULA template in t; the one float code generated from it runs
+at one t with math's functions and on a time grid with numpy's, and
+builds each complex value from its two parts, the same bits on every
+CPython. Hamiltonians bundle the drives for the independent entries of
+a traceless Hermitian matrix: diagonal entries are real drives,
+off-diagonal couplings are complex drives, and the last diagonal entry
+is always derived from tracelessness.
 
 Configs are YAML mappings (JSON is a subset, so .json files load with
 the same parser). yaml is imported only where text is read or written:
@@ -163,17 +164,27 @@ def _interp(t, times, values):
     return values[0] if j == 0 else values[-1]
 
 
+def _complex_grid(real, imag):
+    # the complex array of the parts real and imag, broadcast: copied,
+    # with no arithmetic, as complex(real, imag) builds one value
+    value = np.empty(np.broadcast(real, imag).shape, complex)
+    value.real, value.imag = real, imag
+    return value
+
+
 # Drive formulas. FORMULA is a Python expression in t whose constants
 # are named in braces. A drive's `_formula(real)` gives its (form,
 # constants): the form is the FORMULA, or for a sum the tuple of its
 # terms' forms, and the constants are the values of the names in braces
 # in the order they first appear, terms in order. A form's code is
-# compiled once per process and path, shared by drives and Hamiltonians
-# of the same shapes: as float code at one t (`_lowered`), run with
-# math's functions, and as it stands on a time grid (`_compiled`), with
-# numpy's.
-_MATH = {"cos": math.cos, "exp": math.exp, "interp": _interp}
-_NUMPY = {"cos": np.cos, "exp": np.exp, "interp": np.interp}
+# generated once as float code (`_lowered`) and compiled once per
+# process and namespace, shared by drives and Hamiltonians of the same
+# shapes: at one t with math's functions, on a time grid with numpy's.
+# Each namespace's `complex` builds a complex value from its two parts.
+_MATH = {"cos": math.cos, "exp": math.exp, "interp": _interp,
+         "complex": complex}
+_NUMPY = {"cos": np.cos, "exp": np.exp, "interp": np.interp,
+          "complex": _complex_grid}
 
 # a diagonal drive of `sample` not real by construction, checked at each t
 _CHECKED = "{check}({drive}(t), t, {what})"
@@ -183,10 +194,11 @@ _SAMPLER_NUMBERS = itertools.count(1)
 
 def _expressions(forms):
     """(expressions, params) of a tuple of forms: the code of each form
-    in t, and the names of its constants in order. A sum's terms are
-    added left to right, each in parentheses. The names of the n-th
-    FORMULA, counted from 0, get the suffix n (amplitude0,
-    angular_frequency0, phase_offset0, value1, ...)."""
+    in t, which `_lowered` writes in float arithmetic, and the names of
+    its constants in order. A sum's terms are added left to right, each
+    in parentheses. The names of the n-th FORMULA, counted from 0, get
+    the suffix n (amplitude0, angular_frequency0, phase_offset0, value1,
+    ...)."""
     params = []
     leaves = itertools.count()
 
@@ -199,24 +211,6 @@ def _expressions(forms):
         return form.format(**names)
 
     return [expression(form) for form in forms], params
-
-
-@functools.cache
-def _compiled(form):
-    """factory(*constants) -> sample(times): the value of a form on a
-    time grid, a float array, with numpy's functions (a drive's
-    `evaluate` only). The code is that of `_expressions`, and the
-    factory takes the constants' names as parameters in order. The
-    source is registered under the filename "<drive grid sampler k>", k
-    counting the codes compiled."""
-    [value], params = _expressions((form,))
-    source = (f"def factory({', '.join(params)}):\n"
-              f"    def sample(t):\n"
-              f"        return {value}\n"
-              f"    return sample\n")
-    return compile_function(
-        source, f"<drive grid sampler {next(_SAMPLER_NUMBERS)}>", "factory",
-        dict(_NUMPY))
 
 
 def _joined(parts):
@@ -244,29 +238,33 @@ class _FloatCode(ast.NodeTransformer):
 
 
 @functools.cache
-def _lowered(forms, kinds, splits):
-    """factory(*constants) -> (sample, stages) for a tuple of forms. The
-    factory takes the constants in the order of `_expressions`, each
-    complex one, true in kinds, as name_re and name_im.
+def _lowered(forms, kinds, splits, grid):
+    """factory(*constants) -> (sample, stages) for a tuple of forms, with
+    numpy's functions where `grid` is true, else math's. The factory
+    takes the constants in the order of `_expressions`, each complex
+    one, true in kinds, as name_re and name_im.
 
     sample(t) returns the forms' values at t as a tuple, or the value of
-    the one form: a complex value where `splits` is true, else a float.
-    stages(t_0, ..., t_4) runs the same lines at the five distinct stage
-    times of a DOPRI5 attempt and returns the values at each in turn as
-    one flat tuple of floats, a complex value as its two parts.
+    the one form: a complex value where `splits` is true, else a float;
+    on a grid t is a float array and the values are arrays, or a
+    constant's 0-d one. stages(t_0, ..., t_4) runs the same lines at the
+    five distinct stage times of a DOPRI5 attempt and returns the values
+    at each in turn as one flat tuple of floats, a complex value as its
+    two parts.
 
     Each float value is the form's own code, a statement per time with
     t renamed, in Python's order of evaluation; an assignment
     expression's value (a Gaussian's (t - center) / width, which cannot
     raise) is a statement of its own. Drive formulas meet complex values
-    in three ways, written in real arithmetic as CPython up to 3.13
-    computes them (as `_RATES` do): a complex constant c is its parts; c
-    times a float x is (c_re * x - c_im * 0.0, c_re * 0.0 + c_im * x),
-    the products with 0.0 computed in the factory; a sum adds the parts,
-    a float taking imaginary part +0.0. Any other complex operation
-    raises TypeError. sample builds a complex value with complex(re,
-    im), which does no arithmetic, so both functions give the same bits
-    on every CPython. The source is registered as "<drive sampler k>".
+    in three ways, written in real arithmetic as CPython up to 3.13 and
+    numpy compute them (as `_RATES` do): a complex constant c is its
+    parts; c times a float x is (c_re * x - c_im * 0.0, c_re * 0.0 +
+    c_im * x), the products with 0.0 computed in the factory; a sum adds
+    the parts, a float taking imaginary part +0.0. Any other complex
+    operation raises TypeError. sample builds a complex value with the
+    namespace's complex(re, im), which does no arithmetic, so a value
+    has the bits of the float lines on every CPython. The source is
+    registered as "<drive sampler k>", k counting the codes compiled.
     """
     expressions, params = _expressions(forms)
     complex_params = {name for name, kind in zip(params, kinds) if kind}
@@ -333,14 +331,14 @@ def _lowered(forms, kinds, splits):
         ""])
     return compile_function(
         source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
-        dict(_MATH))
+        dict(_NUMPY if grid else _MATH))
 
 
-def _scalar_samplers(parts, splits):
+def _bound(parts, splits, grid):
     # `_lowered`'s (sample, stages) of (form, constants) parts, bound
     forms, constants = _joined(parts)
     kinds = tuple(isinstance(c, complex) for c in constants)
-    return _lowered(forms, kinds, splits)(*(
+    return _lowered(forms, kinds, splits, grid)(*(
         part for c, kind in zip(constants, kinds)
         for part in ((c.real, c.imag) if kind else (c,))))
 
@@ -360,8 +358,8 @@ class _Formula(_RebuiltOnCopy):
 
     def evaluate(self, t):
         """The drive's complex value at t: a complex for a scalar or 0-d
-        t, else an array of t's shape. Both come from the shape's
-        FORMULA, built at first use for each."""
+        t, else an array of t's shape. Both come from the float code of
+        the shape's FORMULA (`_lowered`), built at first use for each."""
         if isinstance(t, (float, int)):
             return self._scalar(t)
         t = np.asarray(t, dtype=float)
@@ -373,12 +371,11 @@ class _Formula(_RebuiltOnCopy):
 
     @functools.cached_property
     def _scalar(self):
-        return _scalar_samplers([self._formula(False)], (True,))[0]
+        return _bound([self._formula(False)], (True,), False)[0]
 
     @functools.cached_property
     def _grid(self):
-        form, constants = self._formula(False)
-        return _compiled(form)(*constants)
+        return _bound([self._formula(False)], (True,), True)[0]
 
 
 # Reader and writer of a number field's spec value and the coercer of
@@ -596,7 +593,7 @@ class _Hamiltonian(_RebuiltOnCopy):
     @functools.cached_property
     def _samplers(self):
         splits = tuple(i >= self.dim - 1 for i in range(len(self.KEYS)))
-        return _scalar_samplers(self._parts(), splits)
+        return _bound(self._parts(), splits, False)
 
     @functools.cached_property
     def sample(self):

@@ -38,7 +38,8 @@ is stated as rates too (`reference._rates`). Any other rhs, such as a
 wrapper around a chart's rhs or the rhs of a chart on an object without
 a stage sampler, gets the loop that calls it at every stage.
 `compile_function` compiles the generated loops, right-hand sides and
-the drives' scalar code (`ham.sample` and the stage sampler) and grid code.
+the drives' one float code, with math's functions at one t
+(`ham.sample`, the stage sampler) and with numpy's on a grid.
 
 Dense output uses the classic 4th-order interpolant attached to the
 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both

@@ -281,7 +281,9 @@ def test_hamiltonians_of_the_same_shapes_share_the_sampler_code():
     other = Hamiltonian3(h1=CosineDrive(0.3 + 0.1j, 1.2), h2=a.h2, v1=a.v1,
                          v2=a.v2, v3=a.v3)
     assert other.sample.__code__ is not a.sample.__code__
-    # the grid path, the drives' own grid functions, is shared the same way
+    # the grid path, the drives' own grid functions, is shared the same
+    # way; it is the scalar code's source compiled once more, with
+    # numpy's functions
     a.sample_grid([0.4])
     b.sample_grid([0.4])
     for key in a.KEYS:
@@ -289,6 +291,8 @@ def test_hamiltonians_of_the_same_shapes_share_the_sampler_code():
         assert drive_a._grid is not drive_b._grid
         assert drive_a._grid.__code__ is drive_b._grid.__code__
         assert drive_a._grid.__code__ is not drive_a._scalar.__code__
+        assert drive_a._grid.__globals__["exp"] is np.exp
+        assert drive_a._scalar.__globals__["exp"] is math.exp
     assert (CosineDrive(0.4, 1.0)._scalar.__code__
             is CosineDrive(-0.2j, 3.0, 1.0)._scalar.__code__)
 
@@ -626,14 +630,23 @@ def _assert_same_outcome(got, want):
         assert got == want
 
 
+def _grid_parts(values):
+    # a complex array's .real and .imag parts, element by element
+    assert values.dtype == complex
+    return np.ascontiguousarray(values).view(float).ravel().tolist()
+
+
 def test_stage_sampler_matches_sample_on_random_drive_trees():
     # 3600 random Hamiltonians of both dimensions whose drives are
     # random shape trees, each at the five stage times of a random
     # step. The stage sampler gives the bits of the reference's values,
     # or raises the error of its first failing sample; so do sample,
-    # time by time, and every drive's evaluate. The shape trees come
-    # from 40 seeds, so that few samplers are compiled, and the numbers
-    # from one stream.
+    # time by time, and every drive's evaluate. Where the stage sampler
+    # gives values, every drive's evaluate on those times and both zeros
+    # as one grid gives the bits of numpy's complex arithmetic, NaN,
+    # infinities and overflow included; numpy's warnings of them are
+    # turned off there. The shape trees come from 40 seeds, so that few
+    # samplers are compiled, and the numbers from one stream.
     numbers = random.Random(25)
     counts = {"values": 0, "raised": 0, "nan": 0}
     for member in range(3600):
@@ -655,6 +668,17 @@ def test_stage_sampler_matches_sample_on_random_drive_trees():
         _assert_same_outcome(
             _outcome(_evaluated, ham, times, drives._Formula.evaluate),
             _outcome(_evaluated, ham, times, _reference_evaluate))
+        if got[0] != "values":
+            continue
+        grid = np.array([*times, -0.0, 0.0])
+        for key in ham.KEYS:
+            drive = getattr(ham, key)
+            with np.errstate(all="ignore"):
+                values = drive.evaluate(grid)
+                want = _numpy_evaluate(drive, grid)
+            assert values.shape == want.shape == grid.shape
+            _assert_same_outcome(("values", _grid_parts(values)),
+                                 ("values", _grid_parts(want)))
     # every outcome is common
     assert min(counts.values()) > 300, counts
 
@@ -675,14 +699,17 @@ def test_stage_sampler_generation_refuses_other_complex_operations(
         form, kinds, split):
     # the stage sampler writes a complex constant, a constant times a
     # float and a sum; any other complex operation, or a complex value
-    # where a float is due, is refused when the code is generated
-    with pytest.raises(TypeError):
-        drives._lowered((form,), kinds, (split,))
-    # the same operations on floats are the form's own code, which is
-    # refused where a complex value is due
-    assert drives._lowered((form,), (False,) * len(kinds), (False,))
-    with pytest.raises(TypeError, match="does not give a complex value"):
-        drives._lowered((form,), (False,) * len(kinds), (True,))
+    # where a float is due, is refused when the code is generated, for
+    # one t or for a grid
+    for grid in (False, True):
+        with pytest.raises(TypeError):
+            drives._lowered((form,), kinds, (split,), grid)
+        # the same operations on floats are the form's own code, which
+        # is refused where a complex value is due
+        assert drives._lowered((form,), (False,) * len(kinds), (False,),
+                               grid)
+        with pytest.raises(TypeError, match="does not give a complex value"):
+            drives._lowered((form,), (False,) * len(kinds), (True,), grid)
 
 
 NUMBER_SHAPES = [
@@ -879,7 +906,8 @@ def _random_drive(rng, real, depth=0):
 def test_formulas_match_numpy_expressions_bit_for_bit():
     # evaluate at scalar times and on 1-D and 2-D grids, and sample_grid
     # and matrix_grid, against the numpy expressions each shape stated
-    # before: the grid path now runs the FORMULA templates
+    # before: both paths now run the float code of the FORMULA templates
+    # (`_lowered`), the grid path with numpy's functions
     rng = np.random.default_rng(20)
     grid = np.concatenate([np.linspace(-6.0, 6.0, 401), [-0.0, 0.0, -7.5]])
     square = rng.uniform(-6.0, 6.0, (5, 3))
@@ -1207,25 +1235,28 @@ def test_parsing_real_diagonal_drives_compiles_no_code(monkeypatch):
     # Every drive function is generated at first use: parsing a config
     # whose diagonal drives are real by construction compiles none.
     doc = config_to_dict(parse_config(CONFIG3))
-    calls = []
+    calls = []    # (forms, grid) of each call of the one generator
+    lowered = drives._lowered
 
-    def recording(generator):
-        def call(*args):
-            calls.append(generator.__name__)
-            return generator(*args)
-        return call
-    for name in ("_lowered", "_compiled"):
-        monkeypatch.setattr(drives, name, recording(getattr(drives, name)))
+    def recording(forms, kinds, splits, grid):
+        calls.append((forms, grid))
+        return lowered(forms, kinds, splits, grid)
+    monkeypatch.setattr(drives, "_lowered", recording)
     ham = parse_config(doc).hamiltonian
     assert calls == []
     ham.sample(0.5)
     ham._stages(*STAGE_TIMES[0])
     ham.sample_grid([0.5, 1.0])
+    ham.sample_grid([0.0])
     ham.v1.evaluate(0.5)
     # the Hamiltonian's scalar code, shared by its sample and stage
-    # sampler, the grid function of each of its five drives, then v1's
-    # scalar function
-    assert calls == ["_lowered"] + ["_compiled"] * 5 + ["_lowered"]
+    # sampler, the grid function of each of its five drives at the first
+    # sample_grid alone, then v1's scalar function
+    forms = [drives._joined([getattr(ham, key)._formula(False)])[0]
+             for key in ham.KEYS]
+    assert calls == ([(drives._joined(ham._parts())[0], False)]
+                     + [(form, True) for form in forms]
+                     + [(forms[2], False)])
 
 
 def test_parse_config_requires_matching_hamiltonian_keys():

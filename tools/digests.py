@@ -22,7 +22,12 @@ process with its own `src` (and `perfbench`) first on the path:
   and per workload and seed of `ham.sample(t)` and of each drive's
   `evaluate(t)` at fixed scalar times (+0.0, -0.0, points inside the
   config's time window and points outside it), each value's type and
-  bits, or the error raised.
+  bits, or the error raised;
+* the grid values of the same Hamiltonians: one digest per config and
+  per workload and seed of each drive's `evaluate` and of
+  `ham.sample_grid` and `ham.matrix_grid` on a fixed grid (101 points
+  spanning the config's time window, -0.0, +0.0 and two points outside
+  the window), each array's dtype, shape and bits, or the error raised.
 
 It prints each name as equal or differing and exits 1 if any digest
 differs or is missing on one side. A change that claims to keep every
@@ -154,22 +159,60 @@ def _drive_value_digest(configs):
     return digest.hexdigest()
 
 
+def _grid_outcome_bytes(function, times):
+    # the dtype, shape and bits of each array function(times) gives, or
+    # its error
+    import numpy as np
+
+    try:
+        values = function(times)
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+    if not isinstance(values, tuple):
+        values = (values,)
+    return b"".join(repr((v.dtype.str, v.shape)).encode()
+                    + np.ascontiguousarray(v).tobytes() for v in values)
+
+
+def _grid_value_digest(configs):
+    # the digest of each drive's evaluate, sample_grid and matrix_grid
+    # over configs
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for config in configs:
+        ham, start, end = config.hamiltonian, config.t_start, config.t_end
+        span = end - start
+        times = np.concatenate([np.linspace(start, end, 101),
+                                [-0.0, 0.0, start - 0.5 * span,
+                                 end + 10.0 * span]])
+        digest.update(_grid_outcome_bytes(ham.sample_grid, times))
+        digest.update(_grid_outcome_bytes(ham.matrix_grid, times))
+        for key in ham.KEYS:
+            digest.update(_grid_outcome_bytes(getattr(ham, key).evaluate,
+                                              times))
+    return digest.hexdigest()
+
+
 def _drive_value_digests():
-    # the drive-value digests of the tree whose src and perfbench are on
-    # the path
+    # the drive-value and grid-value digests of the tree whose src and
+    # perfbench are on the path
     import runner
     import workloads
     from chartprop import parse_config
 
-    for name, text in (("cli_dense", workloads.DENSE_CONFIG_TEXT),
-                       ("mixed", MIXED), ("pole", POLE)):
-        yield f"drive values {name}", _drive_value_digest([parse_config(text)])
+    configs = {name: [parse_config(text)] for name, text in (
+        ("cli_dense", workloads.DENSE_CONFIG_TEXT), ("mixed", MIXED),
+        ("pole", POLE))}
     for workload in ("ensemble_weak", "ensemble_strong"):
         for seed in SEEDS:
             members = runner.build_members(
                 workloads.ensemble_specs(workload, seed))
-            yield (f"drive values {workload} seed={seed}",
-                   _drive_value_digest(member.config for member in members))
+            configs[f"{workload} seed={seed}"] = [member.config
+                                                 for member in members]
+    for name, group in configs.items():
+        yield f"drive values {name}", _drive_value_digest(group)
+        yield f"grid values {name}", _grid_value_digest(group)
 
 
 def collect(tree, workdir) -> dict:
