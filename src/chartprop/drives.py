@@ -239,10 +239,10 @@ class _FloatCode(ast.NodeTransformer):
 
 @functools.cache
 def _lowered(forms, kinds, splits, grid):
-    """factory(*constants) -> (sample, stages) for a tuple of forms, with
-    numpy's functions where `grid` is true, else math's. The factory
-    takes the constants in the order of `_expressions`, each complex
-    one, true in kinds, as name_re and name_im.
+    """factory(*constants) -> (sample, stages) for a tuple of forms with
+    math's functions, or sample alone with numpy's where `grid` is true.
+    The factory takes the constants in the order of `_expressions`, each
+    complex one, true in kinds, as name_re and name_im.
 
     sample(t) returns the forms' values at t as a tuple, or the value of
     the one form: a complex value where `splits` is true, else a float;
@@ -263,12 +263,15 @@ def _lowered(forms, kinds, splits, grid):
     the parts, a float taking imaginary part +0.0. Any other complex
     operation raises TypeError. sample builds a complex value with the
     namespace's complex(re, im), which does no arithmetic, so a value
-    has the bits of the float lines on every CPython. The source is
-    registered as "<drive sampler k>", k counting the codes compiled.
+    has the bits of the float lines on every CPython; at one t, a
+    complex value that reads no time (a constant coupling) is built once
+    by the factory. The source is registered as "<drive sampler k>", k
+    counting the codes compiled.
     """
     expressions, params = _expressions(forms)
     complex_params = {name for name, kind in zip(params, kinds) if kind}
     zeros = {}    # a part of a complex constant -> the name of part * 0.0
+    fixed = {}    # at one t, complex(re, im) reading no time -> its name
     # the statements and values at one time, "$" standing for its index:
     # the values as stages returns them, and as sample does
     lines, values, built = [], [], []
@@ -311,8 +314,11 @@ def _lowered(forms, kinds, splits, grid):
             raise TypeError(f"{expression!r} does not give a "
                             f"{'complex' if split else 'float'} value")
         values += [parts] if isinstance(parts, str) else parts
-        built.append(parts if isinstance(parts, str)
-                     else "complex(%s, %s)" % parts)
+        if not isinstance(parts, str):
+            parts = "complex(%s, %s)" % parts
+            if not grid and "$" not in parts:
+                parts = fixed.setdefault(parts, f"_c{len(fixed)}")
+        built.append(parts)
     arguments = [part for name, is_complex in zip(params, kinds)
                  for part in ((f"{name}_re", f"{name}_im") if is_complex
                               else (name,))]
@@ -320,14 +326,16 @@ def _lowered(forms, kinds, splits, grid):
     source = "\n".join([
         f"def factory({', '.join(arguments)}):",
         *(f"    {name} = {part} * 0.0" for part, name in zeros.items()),
+        *(f"    {name} = {value}" for value, name in fixed.items()),
         "    def sample(_t):",
         *(line.replace("$", "") for line in lines),
         f"        return {', '.join(built).replace('$', '')}",
-        f"    def stages({', '.join(f'_t{j}' for j in times)}):",
-        *(line.replace("$", j) for j in times for line in lines),
-        f"        return "
-        f"{', '.join(v.replace('$', j) for j in times for v in values)}",
-        "    return sample, stages",
+        *([] if grid else [
+            f"    def stages({', '.join(f'_t{j}' for j in times)}):",
+            *(line.replace("$", j) for j in times for line in lines),
+            f"        return "
+            f"{', '.join(v.replace('$', j) for j in times for v in values)}"]),
+        f"    return sample{'' if grid else ', stages'}",
         ""])
     return compile_function(
         source, f"<drive sampler {next(_SAMPLER_NUMBERS)}>", "factory",
@@ -335,7 +343,8 @@ def _lowered(forms, kinds, splits, grid):
 
 
 def _bound(parts, splits, grid):
-    # `_lowered`'s (sample, stages) of (form, constants) parts, bound
+    # `_lowered`'s (sample, stages), or grid sample, of (form, constants)
+    # parts, bound
     forms, constants = _joined(parts)
     kinds = tuple(isinstance(c, complex) for c in constants)
     return _lowered(forms, kinds, splits, grid)(*(
@@ -375,7 +384,7 @@ class _Formula(_RebuiltOnCopy):
 
     @functools.cached_property
     def _grid(self):
-        return _bound([self._formula(False)], (True,), True)[0]
+        return _bound([self._formula(False)], (True,), True)
 
 
 # Reader and writer of a number field's spec value and the coercer of

@@ -46,9 +46,11 @@ pair (Hairer, Norsett & Wanner, Solving ODEs I, II.6), exact at both
 step endpoints, so requested sample times never trigger extra
 right-hand-side evaluations or step-size manipulation. The stepping
 loop only records what the interpolant needs from each accepted step
-that holds samples, appending it to one flat array('d') and finding
-the step's samples by bisection in a list of the sample times. After
-the loop the record is viewed once as a (5, steps, d) array, and every
+that holds samples, one row per step (t, h, t1 and five vectors)
+appended to one flat array('d') by `fromlist`, and finds the next
+sample after a step by bisection in a list of the sample times. After
+the loop the record is viewed once as a (steps, 3 + 5 d) array, each
+sample is assigned to its step by a search on the step ends, and every
 sample is evaluated in one vectorized pass over blocks of rows.
 """
 
@@ -376,8 +378,7 @@ _NODES = _C[1:6]
 # the default weight |y1| and {norm} the error terms.
 _LOOP = '''\
 def dopri5(_rhs, _weight, _escape, _t, _t_end, _h, _h_floor, _max_step,
-           _max_steps, _abs_tol, _rel_tol, _y, _k1, _w, _grid, _steps,
-           _record):
+           _max_steps, _abs_tol, _rel_tol, _y, _k1, _w, _grid, _record):
     {y}, = _y
     {p1}, = _k1
     {w}, = _w
@@ -465,11 +466,10 @@ def dopri5(_rhs, _weight, _escape, _t, _t_end, _h, _h_floor, _max_step,
         if _h > _largest:
             _largest = _h
         if _t1 >= _next_time:
-            _end = bisect_right(_grid, _t1)
-            _record.extend(({y}, {r}, {p1}, {p7}, {dense}))
-            _steps.append((_end - _next_sample, _t, _h, _t1))
-            _next_sample = _end
-            _next_time = _grid[_end] if _end < _n_grid else inf
+            _record.fromlist([_t, _h, _t1, {y}, {r}, {p1}, {p7}, {dense}])
+            _next_sample = bisect_right(_grid, _t1)
+            _next_time = (_grid[_next_sample] if _next_sample < _n_grid
+                          else inf)
         # min(FAC_MAX, max(FAC_MIN, err ** EXPO / facold ** BETA / SAFETY))
         _fac = _err ** {expo} / _facold ** {beta} / {safety}
         _fac = _fac if _fac > {fac_min} else {fac_min}
@@ -497,15 +497,17 @@ def _loop(size, rates=None):
     or of the oracle).
 
     dopri5(rhs, weight, escape, t, t_end, h, h_floor, max_step,
-    max_steps, abs_tol, rel_tol, y, k1, w, grid, steps, record) steps
-    from (t, y), where k1 = rhs(t, y) and w = weight(y), until t_end,
-    a stop or an error, appending the dense-output record of each
-    accepted step that holds samples of `grid` to `steps` and `record`
-    (see `_dopri5`). It returns (status, singularity_time, t, y,
-    next_sample, attempts, accepted, error_rejections,
-    nonfinite_retries, escape_halvings, smallest_step, largest_step):
-    the run's end, the index in grid of the first sample not reached,
-    and the counters.
+    max_steps, abs_tol, rel_tol, y, k1, w, grid, record) steps from
+    (t, y), where k1 = rhs(t, y) and w = weight(y), until t_end, a stop
+    or an error. Each accepted step that holds samples of `grid` appends
+    one row to `record` with one `fromlist` call, a list being cheaper
+    to append than a tuple to extend: t, h, t1, then y, y1, k1, k7 and
+    the _D-weighted sum of the stages (see `_dense_rows`); bisect_right
+    in grid finds the first sample after it. It returns (status,
+    singularity_time, t, y, next_sample, attempts, accepted,
+    error_rejections, nonfinite_retries, escape_halvings, smallest_step,
+    largest_step): the run's end, the index in grid of the first sample
+    not reached, and the counters.
 
     The code is `_LOOP` with its blocks filled in. The state, the
     stages k1..k7 and the weights are locals, one per component (_y_0,
@@ -674,11 +676,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     span = t_end - t_start
     size = initial.size
     y = initial.tolist()
-    # Per accepted step that holds samples, in order: its sample count,
-    # t, h and t1 in `steps`, and the vectors its interpolant needs in
-    # `record` (y, y1, k1, k7 and the _D-weighted sum of the stages),
-    # one after the other.
-    steps = []
+    # one row per accepted step that holds samples (see `_dense_rows`)
     record = array("d")
 
     k1 = rhs(t_start, y)
@@ -706,7 +704,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
      largest_step) = loop(rhs, weight, escape, t_start, t_end, h,
                           1e-12 * span, settings.max_step, settings.max_steps,
                           settings.abs_tol, settings.rel_tol, y, k1, w,
-                          samples.tolist(), steps, record)
+                          samples.tolist(), record)
 
     # An early stop (singularity, step limit) between two samples closes
     # the trajectory with the last committed state.
@@ -715,10 +713,7 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     times[0] = t_start
     states = np.empty((len(times), size))
     states[0] = initial
-    # (5, steps, size): the record's vectors by kind, then by step
-    record = np.frombuffer(record).reshape(-1, 5, size).transpose(1, 0, 2)
-    _dense_rows(steps, record, samples[1:next_sample],
-                states[1:next_sample])
+    _dense_rows(record, samples[1:next_sample], states[1:next_sample])
     if closing:
         times[-1] = t
         states[-1] = y
@@ -737,32 +732,36 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
 _DENSE_BLOCK = 256  # sample rows per pass of _dense_rows
 
 
-def _dense_rows(steps, record, sample_times, out):
+def _dense_rows(record, sample_times, out):
     """Evaluate the dense output of the recorded steps at sample_times.
 
-    steps and record are those of `_dopri5`, and out gets one row per
-    sample. Every operation is the elementwise one a per-step
-    evaluation makes, so the rows are the same to the bit; a sample on
-    a step end gets the step's own result y1. Rows are computed in
-    blocks, which bounds the temporaries.
+    record is that of `_dopri5`, one row of 3 + 5 d floats per step, and
+    out gets one row per sample. A sample belongs to the first recorded
+    step that ends at or after it, found by searching the t1 column:
+    steps between recorded ones hold no sample, and a sample on a step
+    end belongs to the step that ends there and gets its own result y1.
+    Every operation is the elementwise one a per-step evaluation makes,
+    so the rows are the same to the bit. Rows are computed in blocks,
+    which bounds the temporaries.
     """
-    if not steps:
-        return
-    counts, t0, h, t1 = (np.array(column) for column in zip(*steps))
-    step_of = np.repeat(np.arange(len(steps)), counts)
+    size = out.shape[1]
+    steps = np.frombuffer(record).reshape(-1, 3 + 5 * size)
+    step_of = np.searchsorted(steps[:, 2], sample_times)
     for lo in range(0, len(sample_times), _DENSE_BLOCK):
         block = slice(lo, lo + _DENSE_BLOCK)
-        i = step_of[block]
         s = sample_times[block]
-        start, end, k0, k6, dk = record[:, i]
-        hi = h[i][:, None]
-        th = ((s - t0[i]) / h[i])[:, None]
+        row = steps[step_of[block]]
+        t0, h, t1 = row[:, :3].T
+        start, end, k0, k6, dk = row[:, 3:].reshape(-1, 5, size).transpose(
+            1, 0, 2)
+        hi = h[:, None]
+        th = ((s - t0) / h)[:, None]
         delta = end - start
         bspl = hi * k0 - delta
         cont4 = delta - hi * k6 - bspl
         cont5 = hi * dk
         rows = start + th * (delta + (1.0 - th) * (
             bspl + th * (cont4 + (1.0 - th) * cont5)))
-        on_end = s == t1[i]
+        on_end = s == t1
         rows[on_end] = end[on_end]
         out[block] = rows

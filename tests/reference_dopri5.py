@@ -7,11 +7,15 @@ stage input and a zip loop for the error norm, calling rhs at every
 stage. The operation order is the one the generated loop must keep, so
 whole runs of the two agree to the bit: times, states, status,
 singularity time, stats, and the type and message of any raised error.
-Only the dense output after the loop is the library's own
-(`_dense_rows`), as the generated loop does not replace it.
+The dense-output record is written as the loop writes it, one row per
+accepted step that holds samples. The samples then go to their steps
+by the count of samples each step holds, not by search, and each is
+evaluated on its own in Python floats, whose operations give the bits
+of numpy's elementwise ones.
 """
 
 import functools
+import itertools
 import math
 from array import array
 from bisect import bisect_right
@@ -21,8 +25,7 @@ import numpy as np
 from chartprop import (IntegrationError, IntegrationStats,
                        NonFiniteDerivativeError, Trajectory)
 from chartprop.integrate import (_A, _BETA, _C, _D, _E, _EXPO, _FAC_MAX,
-                                 _FAC_MIN, _SAFETY, _dense_rows, _magnitudes,
-                                 steps_stall)
+                                 _FAC_MIN, _SAFETY, _magnitudes, steps_stall)
 
 
 @functools.cache
@@ -111,8 +114,8 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     size = initial.size
     y = initial.tolist()
     grid = samples.tolist()
-    steps = []
     record = array("d")
+    counts = []  # the sample count of each recorded step
     next_sample = 1
     next_time = grid[1]
 
@@ -191,14 +194,12 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
             largest_step = h
         if t1 >= next_time:
             end = bisect_right(grid, t1)
-            record.extend(y)
-            record.extend(y1)
-            record.extend(k1)
-            record.extend(k7)
-            record.extend(
-                [d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7
-                 for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
-            steps.append((end - next_sample, t, h, t1))
+            record.fromlist(
+                [t, h, t1, *y, *y1, *k1, *k7,
+                 *(d1 * p1 + d3 * p3 + d4 * p4 + d5 * p5 + d6 * p6 + d7 * p7
+                   for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6,
+                                                     k7))])
+            counts.append(end - next_sample)
             next_sample = end
             next_time = grid[end] if end < len(grid) else math.inf
 
@@ -222,9 +223,8 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
     times[0] = t_start
     states = np.empty((len(times), size))
     states[0] = initial
-    record = np.frombuffer(record).reshape(-1, 5, size).transpose(1, 0, 2)
-    _dense_rows(steps, record, samples[1:next_sample],
-                states[1:next_sample])
+    states[1:next_sample] = dense_rows(record, counts, size,
+                                       samples[1:next_sample].tolist())
     if closing:
         times[-1] = t
         states[-1] = y
@@ -238,3 +238,32 @@ def _dopri5(rhs, initial, t_start, t_end, settings, samples, escape,
         largest_step=largest_step if accepted else None)
     return Trajectory(times=times, states=states, status=status,
                       singularity_time=singularity_time, stats=stats)
+
+
+def dense_rows(record, counts, size, sample_times):
+    """The dense output at sample_times, in order: the steps of record
+    in turn, counts[i] samples on the i-th, each sample evaluated on its
+    step with the interpolant's Horner form, one component at a time. A
+    sample on the step's end gets the step's result y1."""
+    width = 3 + 5 * size
+    times = iter(sample_times)
+    rows = []
+    for i, count in enumerate(counts):
+        t0, h, t1, *vectors = record[i * width:(i + 1) * width]
+        start, end, k0, k6, dk = (vectors[j * size:(j + 1) * size]
+                                  for j in range(5))
+        for s in itertools.islice(times, count):
+            if s == t1:
+                rows.append(end)
+                continue
+            th = (s - t0) / h
+            row = []
+            for a, b, p, q, d in zip(start, end, k0, k6, dk):
+                delta = b - a
+                bspl = h * p - delta
+                cont4 = delta - h * q - bspl
+                cont5 = h * d
+                row.append(a + th * (delta + (1.0 - th) * (
+                    bspl + th * (cont4 + (1.0 - th) * cont5))))
+            rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, size)

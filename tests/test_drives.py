@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import io
 import json
+import linecache
 import math
 import pickle
 import random
@@ -538,6 +539,17 @@ def test_stage_samplers_share_their_code_per_shape_tree():
     assert a.sample.__code__.co_filename == a._stages.__code__.co_filename
     other = dataclasses.replace(a, h2=GaussianDrive(0.2, 1.0, 0.5))
     assert other._stages.__code__ is not a._stages.__code__
+
+
+def test_constant_couplings_are_built_once_and_grids_get_no_stages():
+    # at one t a complex value that reads no time is built by the factory,
+    # one object for every call; the grid build generates sample alone
+    ham = Hamiltonian2(h=ConstantDrive(0.2), v=ConstantDrive(0.3 - 0.1j))
+    assert ham.sample(0.1)[1] is ham.sample(0.7)[1] == 0.3 - 0.1j
+    assert ham.v.evaluate(0.1) is ham.v.evaluate(0.7)
+    ham.sample_grid([0.1, 0.2])
+    source = "".join(linecache.getlines(ham.v._grid.__code__.co_filename))
+    assert "def sample" in source and "def stages" not in source
 
 
 @pytest.mark.parametrize("imag", [math.nan, -math.nan, math.inf, -math.inf])

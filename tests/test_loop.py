@@ -206,6 +206,21 @@ def test_overflowing_stages_match_the_reference():
     assert message.startswith("step size underflow at t = 0.99")
 
 
+@pytest.mark.parametrize("grid", [[0.25, 0.9], np.linspace(0.0, 1.0, 101)],
+                         ids=["on_a_step_end", "several_per_step"])
+def test_samples_find_their_steps_as_in_the_reference(grid):
+    # A rotation with loose tolerances takes 8 steps of max_step, which
+    # end at the multiples of 0.125. On the first grid the sample 0.25
+    # lies on a step end and the steps that end at 0.375 to 0.875 hold
+    # no sample; on the second each step holds 12 or 13 samples. The
+    # reference assigns samples to steps by counting them.
+    settings = IntegratorSettings(max_step=0.125, initial_step=0.125,
+                                  rel_tol=1e-3, abs_tol=1e-3)
+    outcome = assert_runs_match(lambda t, y: [-y[1], y[0]], [1.0, 0.0], 1.0,
+                                settings, grid)
+    assert "attempts=8, accepted=8," in outcome[4]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nan_and_infinite_weights_match_the_reference(bad):
     # once y passes 0.5 the weight of y1 is NaN or inf, which fails every
